@@ -28,7 +28,6 @@ from .core import (
 from .mechanisms import (
     BitVectorMechanism,
     IntegerLineMechanism,
-    PrivacyParams,
     build_exponential,
     build_geometric_linear,
     build_geometric_planar,
@@ -39,8 +38,6 @@ from .mechanisms import (
     build_laplace_planar_discretized,
     build_rappor,
     obfuscate_dataset,
-    rappor_cond_prob,
-    rappor_perturb,
 )
 from .estimators import (
     IbuResult,

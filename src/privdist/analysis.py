@@ -85,8 +85,13 @@ def log_likelihood(G: ObsMatrix, phi) -> float:
 
 def _numeric_rank(matrix: np.ndarray, tol: float):
     """Rank by singular values above tol * sigma_max * max(dims), plus the
-    left-null basis vectors for the discarded directions."""
-    u, s, _ = np.linalg.svd(matrix, full_matrices=True)
+    left-null basis vectors for the discarded directions.
+
+    U is always square; the right singular vectors are only built in full
+    when they are the smaller factor, so memory stays linear in the number
+    of columns.
+    """
+    u, s, _ = np.linalg.svd(matrix, full_matrices=matrix.shape[1] < matrix.shape[0])
     if s.size == 0 or s[0] == 0:
         return 0, u
     thresh = tol * s[0] * max(matrix.shape)
@@ -101,9 +106,16 @@ def strict_concavity_check(G: ObsMatrix, tol: float = RANK_TOL) -> ConcavityRepo
     size: a rank deficit yields a nonzero left-null vector w of the augmented
     matrix, which has zero sum (the ones column) and satisfies w . matrix = 0,
     i.e. a flat direction of the likelihood.
+
+    Each column is scaled to unit max-norm first.  That changes neither the
+    rank nor the left null space, but keeps columns of tiny probabilities
+    (RAPPOR reports over a large alphabet) from falling below the relative
+    rank tolerance.
     """
     k = G.alphabet.size
     augmented = np.hstack([G.matrix, np.ones((k, 1))])
+    scale = augmented.max(axis=0)
+    augmented /= np.where(scale > 0, scale, 1.0)
     rank, u = _numeric_rank(augmented, tol)
     if rank >= k:
         return ConcavityReport(True, rank, k)

@@ -433,11 +433,11 @@ def to_empirical(obs: ObservationSet) -> Empirical:
 class Mechanism:
     """Conditional probability kernel from an input alphabet to noisy outputs.
 
-    Subclasses provide ``cond_prob`` (the kernel), ``sample`` and
-    ``sample_counts`` (drawing with the kernel's probabilities from a
-    caller-owned Generator).  ``distance_monotone`` marks kernels that are
-    strictly decreasing in the input-output distance for every fixed output,
-    the premise of the interval/hull reduction constructions.
+    Subclasses provide ``kernel`` (P(z | x) for whole batches of inputs and
+    outputs) and ``sample_counts`` (drawing with the kernel's probabilities
+    from a caller-owned Generator).  ``distance_monotone`` marks kernels that
+    are strictly decreasing in the input-output distance for every fixed
+    output, the premise of the interval/hull reduction constructions.
     """
 
     kind = "custom"
@@ -446,19 +446,18 @@ class Mechanism:
     def __init__(self, input_alphabet):
         self.input_alphabet = input_alphabet
 
-    def cond_prob(self, x, z) -> float:
+    def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
+        """P(z | x) with one row per input in ``xs`` and one column per output
+        in ``zs``.  Raises ElementOutsideAlphabetError for an input outside
+        the domain and ObservationOutsideDomainError for a malformed output."""
         raise NotImplementedError
 
-    def sample(self, x, rng: np.random.Generator):
-        raise NotImplementedError
+    def cond_prob(self, x, z) -> float:
+        return float(self.kernel([x], [z])[0, 0])
 
     def sample_counts(self, x, count: int, rng: np.random.Generator) -> dict:
         """Draw ``count`` independent reports for input ``x``; returns value -> count."""
-        out: dict = {}
-        for _ in range(count):
-            z = self.sample(x, rng)
-            out[z] = out.get(z, 0) + 1
-        return out
+        raise NotImplementedError
 
     def output_values(self):
         """Finite tuple of output values, or None when the output domain is infinite."""
@@ -516,15 +515,18 @@ class FiniteMechanism(Mechanism):
     def output_values(self):
         return self.outputs
 
-    def cond_prob(self, x, z) -> float:
-        return float(self.matrix[self.input_alphabet.index(x), self.output_index(z)])
+    def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
+        cols = [self.output_index(z) for z in zs]
+        if xs is self.input_alphabet.values:
+            # A plain column slice.  Its column-major layout fixes the BLAS
+            # summation order in IBU, so estimates on the full alphabet stay
+            # bit-identical with earlier releases.
+            return self.matrix[:, cols]
+        rows = [self.input_alphabet.index(x) for x in xs]
+        return self.matrix[np.ix_(rows, cols)]
 
     def row(self, x) -> np.ndarray:
         return self.matrix[self.input_alphabet.index(x)]
-
-    def sample(self, x, rng: np.random.Generator):
-        j = rng.choice(len(self.outputs), p=self.row(x))
-        return self.outputs[int(j)]
 
     def sample_counts(self, x, count: int, rng: np.random.Generator) -> dict:
         idx = rng.choice(len(self.outputs), size=count, p=self.row(x))
@@ -623,12 +625,4 @@ def obs_matrix(mech: Mechanism, obs: ObservationSet, alphabet: Alphabet = None) 
     items = obs.items()
     values = tuple(v for v, _ in items)
     weights = np.array([c for _, c in items], dtype=float)
-    if isinstance(mech, FiniteMechanism) and alphabet is mech.input_alphabet:
-        cols = [mech.output_index(z) for z in values]
-        matrix = mech.matrix[:, cols]
-    else:
-        matrix = np.empty((alphabet.size, len(values)), dtype=float)
-        for i, x in enumerate(alphabet.values):
-            for j, z in enumerate(values):
-                matrix[i, j] = mech.cond_prob(x, z)
-    return ObsMatrix(alphabet, values, matrix, weights)
+    return ObsMatrix(alphabet, values, mech.kernel(alphabet.values, values), weights)

@@ -209,19 +209,19 @@ def sample_synthetic(spec, n: int, rng: np.random.Generator) -> RawDataset:
         if spec.k < 2 or not (0.0 <= spec.p <= 1.0):
             raise InvalidSpecError("binomial needs k >= 2 and p in [0, 1]")
         draws = rng.binomial(spec.k - 1, spec.p, size=n)
-        values = tuple(int(v) for v in draws)
+        values = tuple(draws.tolist())
         label = f"binomial(k={spec.k}, p={spec.p})"
     elif isinstance(spec, UniformOn):
         subset = tuple(spec.subset)
         if not subset:
             raise InvalidSpecError("uniform subset must be non-empty")
         idx = rng.integers(0, len(subset), size=n)
-        values = tuple(subset[int(i)] for i in idx)
+        values = tuple(subset[i] for i in idx.tolist())
         label = f"uniform(|subset|={len(subset)})"
     elif isinstance(spec, Explicit):
         dist = spec.distribution
         idx = rng.choice(dist.alphabet.size, size=n, p=dist.probs)
-        values = tuple(dist.alphabet.values[int(i)] for i in idx)
+        values = tuple(dist.alphabet.values[i] for i in idx.tolist())
         label = "explicit"
     else:
         raise InvalidSpecError(f"unknown synthetic spec {spec!r}")
@@ -230,9 +230,7 @@ def sample_synthetic(spec, n: int, rng: np.random.Generator) -> RawDataset:
 
 def empirical_distribution(alphabet: Alphabet, values: Sequence) -> Distribution:
     """Frequency distribution of a dataset over its alphabet."""
-    counts = np.zeros(alphabet.size)
-    for v in values:
-        counts[alphabet.index(v)] += 1
+    counts = np.bincount([alphabet.index(v) for v in values], minlength=alphabet.size).astype(float)
     if counts.sum() == 0:
         raise EmptyDatasetError("no values to count")
     return Distribution(alphabet, counts / counts.sum())

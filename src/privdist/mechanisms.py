@@ -9,7 +9,7 @@ matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -32,24 +32,12 @@ from .errors import (
     LengthMismatchError,
     NonContiguousAlphabetError,
     NonPositiveEpsilonError,
+    ObservationOutsideDomainError,
 )
 
 # Ring weight, relative to the accumulated row weight, below which the
 # planar super-grid stops growing.
 _RING_MASS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    """Privacy parameters: eps_ldp for k-RR/RAPPOR, eps_geo for the
-    distance-based mechanisms.  Both must be strictly positive."""
-
-    eps_ldp: float = 1.0
-    eps_geo: float = 1.0
-
-    def __post_init__(self):
-        if self.eps_ldp <= 0 or self.eps_geo <= 0:
-            raise NonPositiveEpsilonError("privacy parameters must be strictly positive")
 
 
 def _require_positive_eps(eps: float):
@@ -89,6 +77,13 @@ def build_krr(alphabet: Alphabet, eps_ldp: float) -> FiniteMechanism:
 # Geometric mechanisms
 # ---------------------------------------------------------------------------
 
+def _integers(values: Sequence, error) -> np.ndarray:
+    for v in values:
+        if v not in INTEGER_LINE:
+            raise error(f"{v!r} is not an integer")
+    return np.array(values, dtype=np.int64)
+
+
 class IntegerLineMechanism(Mechanism):
     """Two-sided geometric noise on the integers.
 
@@ -106,18 +101,15 @@ class IntegerLineMechanism(Mechanism):
         self._a = math.exp(-self.eps_geo)
         self._c = (1.0 - self._a) / (1.0 + self._a)
 
-    def cond_prob(self, x, z) -> float:
-        if x not in INTEGER_LINE:
-            raise ElementOutsideAlphabetError(f"{x!r} is not an integer")
-        return self._c * self._a ** abs(int(z) - int(x))
-
-    def sample(self, x, rng: np.random.Generator):
-        if x not in INTEGER_LINE:
-            raise ElementOutsideAlphabetError(f"{x!r} is not an integer")
-        if rng.random() < self._c:
-            return int(x)
-        sign = 1 if rng.random() < 0.5 else -1
-        return int(x) + sign * int(rng.geometric(1.0 - self._a))
+    def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
+        # One scalar c * a^d per distinct distance d keeps every entry
+        # bit-identical to the scalar formula; a vectorized power may differ
+        # by an ulp, and IBU's stopping iteration is sensitive to that.
+        x = _integers(xs, ElementOutsideAlphabetError)
+        z = _integers(zs, ObservationOutsideDomainError)
+        dists, where = np.unique(np.abs(z[None, :] - x[:, None]), return_inverse=True)
+        table = np.array([self._c * self._a ** int(d) for d in dists])
+        return table[where].reshape(x.size, z.size)
 
     def sample_counts(self, x, count: int, rng: np.random.Generator) -> dict:
         if x not in INTEGER_LINE:
@@ -395,35 +387,13 @@ def rappor_keep_prob(eps_ldp: float) -> float:
     return e / (1.0 + e)
 
 
-def rappor_perturb(x, alphabet: Alphabet, eps_ldp: float, rng: np.random.Generator) -> tuple:
-    """One-hot encode x and flip each bit independently with probability 1 - p."""
-    i = alphabet.index(x)
-    p = rappor_keep_prob(eps_ldp)
-    bits = np.zeros(alphabet.size, dtype=np.int64)
-    bits[i] = 1
-    keep = rng.random(alphabet.size) < p
-    noisy = np.where(keep, bits, 1 - bits)
-    return tuple(int(b) for b in noisy)
-
-
-def rappor_cond_prob(beta: Sequence[int], x, alphabet: Alphabet, eps_ldp: float) -> float:
-    """Probability of reporting bit vector ``beta`` from true value ``x``.
-
-    Equals p^k * e^(-(1/2 + S/2 - beta_x) * eps) where S is the number of set
-    bits, which matches the independent per-bit product.
-    """
-    if len(beta) != alphabet.size:
-        raise LengthMismatchError(
-            f"bit vector length {len(beta)} does not match alphabet size {alphabet.size}"
-        )
-    i = alphabet.index(x)
-    p = rappor_keep_prob(eps_ldp)
-    s = float(sum(beta))
-    return p ** alphabet.size * math.exp(-(0.5 + 0.5 * s - float(beta[i])) * eps_ldp)
-
-
 class BitVectorMechanism(Mechanism):
-    """Basic one-time RAPPOR: one-hot encoding with independent bit flips."""
+    """Basic one-time RAPPOR: one-hot encoding with independent bit flips.
+
+    A report is a 0/1 tuple with one bit per alphabet element.  P(beta | x)
+    equals p^k * e^(-(1/2 + S/2 - beta_x) * eps), where S is the number of
+    set bits, which matches the independent per-bit product.
+    """
 
     kind = "rappor"
     distance_monotone = False
@@ -438,11 +408,32 @@ class BitVectorMechanism(Mechanism):
     def keep_prob(self) -> float:
         return rappor_keep_prob(self.eps_ldp)
 
-    def cond_prob(self, x, z) -> float:
-        return rappor_cond_prob(z, x, self.input_alphabet, self.eps_ldp)
+    def _report_bits(self, zs: Sequence) -> np.ndarray:
+        """The reports as a (len(zs), k) 0/1 matrix."""
+        k = self.input_alphabet.size
+        try:
+            bits = np.array(zs) if len(zs) else np.zeros((0, k))
+        except ValueError:  # reports of different lengths
+            bits = None
+        if bits is None or bits.ndim != 2 or bits.shape[1] != k:
+            raise LengthMismatchError(f"reports must be bit vectors of length {k}, the alphabet size")
+        if not np.all((bits == 0) | (bits == 1)):
+            raise ObservationOutsideDomainError("report entries must be 0 or 1")
+        return bits.astype(np.intp)
 
-    def sample(self, x, rng: np.random.Generator):
-        return rappor_perturb(x, self.input_alphabet, self.eps_ldp, rng)
+    def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
+        # The kernel depends on a report only through (beta_x, S), so the
+        # closed form is evaluated once per pair, in the same scalar
+        # arithmetic as a single-cell evaluation.
+        k = self.input_alphabet.size
+        bits = self._report_bits(zs)
+        rows = [self.input_alphabet.index(x) for x in xs]
+        pk = self.keep_prob ** k
+        table = np.array([
+            [pk * math.exp(-(0.5 + 0.5 * float(s) - float(b)) * self.eps_ldp) for s in range(k + 1)]
+            for b in (0, 1)
+        ])
+        return table[bits[:, rows].T, bits.sum(axis=1)[None, :]]
 
     def sample_counts(self, x, count: int, rng: np.random.Generator) -> dict:
         k = self.input_alphabet.size
@@ -451,11 +442,7 @@ class BitVectorMechanism(Mechanism):
         bits[i] = 1
         keep = rng.random((count, k)) < self.keep_prob
         noisy = np.where(keep, bits[None, :], 1 - bits[None, :])
-        out: dict = {}
-        for row in noisy:
-            key = tuple(int(b) for b in row)
-            out[key] = out.get(key, 0) + 1
-        return out
+        return dict(Counter(map(tuple, noisy.tolist())))
 
     def params_dict(self):
         return {"eps_ldp": self.eps_ldp}

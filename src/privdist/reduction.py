@@ -81,15 +81,8 @@ def is_unlikely(mech: Mechanism, obs: ObservationSet, x_prime, x_candidate) -> b
     for x in (x_prime, x_candidate):
         if not mech.contains_input(x):
             raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
-    strict = False
-    for z in obs.values():
-        a = mech.cond_prob(x_prime, z)
-        b = mech.cond_prob(x_candidate, z)
-        if a > b:
-            return False
-        if a < b:
-            strict = True
-    return strict
+    a, b = mech.kernel([x_prime, x_candidate], obs.values())
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def likely_linear(alphabet, obs: ObservationSet) -> LikelySubset:

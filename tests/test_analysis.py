@@ -1,6 +1,7 @@
 """Likelihood, strict concavity, identification, bounds, and the oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from privdist.errors import (
     TooFewObservationsError,
 )
 from privdist.estimators import ibu
-from privdist.mechanisms import build_geometric_planar, build_krr, obfuscate_dataset
+from privdist.mechanisms import build_geometric_planar, build_krr, build_rappor, obfuscate_dataset
 from privdist.core import PlanarAlphabet
 
 A3 = CategoricalAlphabet(["1", "2", "3"])
@@ -139,6 +140,35 @@ class TestStrictConcavity:
             shuffled = ObsMatrix(alpha, tuple(G.values[j] for j in perm),
                                  G.matrix[:, perm], G.weights[perm])
             assert strict_concavity_check(shuffled).strictly_concave == verdict
+
+
+@pytest.fixture(scope="module")
+def rappor_k64():
+    """RAPPOR, k = 64, eps = 3, n = 4000: nearly every report is distinct and
+    the kernel columns are of order 1e-21 to 1e-7."""
+    mech = build_rappor(LinearAlphabet.range(0, 63), 3.0)
+    rng = np.random.default_rng(64)
+    obs = obfuscate_dataset(mech, [int(x) for x in rng.integers(0, 64, size=4000)], rng)
+    return obs_matrix(mech, obs)
+
+
+class TestStrictConcavityAtScale:
+    def test_rappor_small_columns_full_rank(self, rappor_k64):
+        # rappor_concavity_prob_bound(64, 3, 4000) is 1.0, so the verdict
+        # must not depend on how small the probabilities are
+        rep = strict_concavity_check(rappor_k64)
+        assert rep.strictly_concave and rep.rank_found == 64
+
+    def test_memory_linear_in_columns(self, rappor_k64):
+        # a full SVD would build a 4001 x 4001 right factor (128 MB)
+        assert len(rappor_k64.values) > 3900
+        tracemalloc.start()
+        try:
+            strict_concavity_check(rappor_k64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestIdentification:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from privdist.core import CategoricalAlphabet, LinearAlphabet, ObservationSet, PlanarAlphabet
+from privdist.core import CategoricalAlphabet, LinearAlphabet, ObservationSet, PlanarAlphabet, obs_matrix
 from privdist.errors import (
     AlphabetTooSmallError,
     ElementOutsideAlphabetError,
@@ -17,9 +17,9 @@ from privdist.errors import (
     LengthMismatchError,
     NonContiguousAlphabetError,
     NonPositiveEpsilonError,
+    ObservationOutsideDomainError,
 )
 from privdist.mechanisms import (
-    PrivacyParams,
     build_exponential,
     build_geometric_linear,
     build_geometric_planar,
@@ -31,16 +31,7 @@ from privdist.mechanisms import (
     build_rappor,
     load_mechanism_dict,
     obfuscate_dataset,
-    rappor_cond_prob,
-    rappor_perturb,
 )
-
-
-def test_privacy_params_positive():
-    with pytest.raises(NonPositiveEpsilonError):
-        PrivacyParams(eps_ldp=0.0)
-    p = PrivacyParams(eps_ldp=2.0, eps_geo=0.5)
-    assert p.eps_ldp == 2.0
 
 
 class TestKrr:
@@ -118,6 +109,16 @@ class TestGeometricLinear:
         mech = build_geometric_linear(1.0)
         with pytest.raises(ElementOutsideAlphabetError):
             mech.cond_prob(0.5, 1)
+
+    def test_kernel_equals_scalar_formula_exactly(self):
+        # IBU's stopping iteration reacts to single-ulp changes in the
+        # matrix, so the batch kernel must reproduce c * a^|z - x| bit for bit
+        mech = build_geometric_linear(0.37)
+        xs, zs = list(range(-5, 40)), [-60, -3, 0, 1, 7, 7, 38, 250]
+        a = math.exp(-0.37)
+        c = (1.0 - a) / (1.0 + a)
+        expected = [[c * a ** abs(z - x) for z in zs] for x in xs]
+        assert mech.kernel(xs, zs).tolist() == expected
 
 
 class TestGeometricTruncated:
@@ -258,36 +259,51 @@ class TestExponential:
 class TestRappor:
     def test_output_length(self):
         alpha = LinearAlphabet.range(0, 4)
-        beta = rappor_perturb(2, alpha, 1.0, np.random.default_rng(0))
+        (beta,) = build_rappor(alpha, 1.0).sample_counts(2, 1, np.random.default_rng(0))
         assert len(beta) == 5 and set(beta) <= {0, 1}
 
     def test_high_eps_keeps_onehot(self):
         alpha = LinearAlphabet.range(0, 3)
-        rng = np.random.default_rng(1)
-        hits = sum(
-            rappor_perturb(1, alpha, 50.0, rng) == (0, 1, 0, 0) for _ in range(200)
-        )
-        assert hits == 200
+        counts = build_rappor(alpha, 50.0).sample_counts(1, 200, np.random.default_rng(1))
+        assert counts == {(0, 1, 0, 0): 200}
 
     def test_cond_prob_matches_per_bit_product(self):
         # |X| = 2, p = 3/4 (eps = 2 ln 3): P((1,0) | first) = (3/4)^2 = 9/16
         # and P((0,1) | first) = (1/4)^2 = 1/16
-        alpha = CategoricalAlphabet(["x", "y"])
-        eps = 2.0 * math.log(3.0)
-        assert rappor_cond_prob((1, 0), "x", alpha, eps) == pytest.approx(9 / 16, rel=1e-12)
-        assert rappor_cond_prob((0, 1), "x", alpha, eps) == pytest.approx(1 / 16, rel=1e-12)
+        mech = build_rappor(CategoricalAlphabet(["x", "y"]), 2.0 * math.log(3.0))
+        assert mech.cond_prob("x", (1, 0)) == pytest.approx(9 / 16, rel=1e-12)
+        assert mech.cond_prob("x", (0, 1)) == pytest.approx(1 / 16, rel=1e-12)
 
     def test_total_probability(self):
-        alpha = LinearAlphabet.range(0, 3)
+        mech = build_rappor(LinearAlphabet.range(0, 3), 0.8)
         total = sum(
-            rappor_cond_prob(beta, 2, alpha, 0.8)
-            for beta in itertools.product((0, 1), repeat=4)
+            mech.cond_prob(2, beta) for beta in itertools.product((0, 1), repeat=4)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_length_mismatch(self):
+        mech = build_rappor(CategoricalAlphabet(["x", "y"]), 1.0)
         with pytest.raises(LengthMismatchError):
-            rappor_cond_prob((1, 0, 0), "x", CategoricalAlphabet(["x", "y"]), 1.0)
+            mech.cond_prob("x", (1, 0, 0))
+
+    def test_non_binary_report_rejected(self):
+        mech = build_rappor(LinearAlphabet.range(0, 2), 1.0)
+        with pytest.raises(ObservationOutsideDomainError):
+            obs_matrix(mech, ObservationSet({(0, 1, 0): 3, (0, 2, 0): 1}))
+
+    def test_kernel_equals_scalar_formula_exactly(self):
+        # p^k * e^(-(1/2 + S/2 - beta_x) eps), evaluated cell by cell
+        alpha = LinearAlphabet.range(0, 5)
+        eps = 1.3
+        mech = build_rappor(alpha, eps)
+        betas = list(itertools.product((0, 1), repeat=6))
+        e = math.exp(eps / 2.0)
+        p = e / (1.0 + e)
+        expected = [
+            [p ** 6 * math.exp(-(0.5 + 0.5 * float(sum(b)) - float(b[x])) * eps) for b in betas]
+            for x in alpha.values
+        ]
+        assert mech.kernel(alpha.values, betas).tolist() == expected
 
     def test_perturb_frequency_matches_cond_prob(self):
         # empirical frequency of every bit vector within 4 sigma over 1e5 draws
@@ -298,7 +314,7 @@ class TestRappor:
         n = 100_000
         counts = mech.sample_counts(1, n, rng)
         for beta in itertools.product((0, 1), repeat=3):
-            p = rappor_cond_prob(beta, 1, alpha, eps)
+            p = mech.cond_prob(1, beta)
             if p >= 0.01:
                 tol = 4.0 * math.sqrt(p * (1 - p) / n)
                 assert abs(counts.get(beta, 0) / n - p) < tol

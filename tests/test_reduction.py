@@ -15,7 +15,7 @@ from privdist.core import (
     distribution_new,
     obs_matrix,
 )
-from privdist.errors import EmptyObservationsError
+from privdist.errors import EmptyObservationsError, ObservationOutsideDomainError
 from privdist.estimators import ibu
 from privdist.geometry import convex_hull, distance_to_hull
 from privdist.mechanisms import (
@@ -217,6 +217,12 @@ class TestRestrictAndLift:
         assert lifted.alphabet == alpha
         assert lifted.probs[4] == pytest.approx(1.0)
         assert lifted.probs.sum() == pytest.approx(1.0)
+
+    def test_non_integer_report_on_the_line_rejected(self):
+        mech = build_geometric_linear(1.0)
+        obs = ObservationSet({1.5: 1, 3: 2})
+        with pytest.raises(ObservationOutsideDomainError):
+            restrict_and_lift(mech, obs, likely_linear(INTEGER_LINE, obs))
 
     def test_lifted_beats_random_distributions(self):
         # likelihood of the lifted estimate on the FULL observation matrix is
