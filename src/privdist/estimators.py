@@ -28,7 +28,6 @@ from .errors import (
     DegeneratePError,
     LengthMismatchError,
     NonSquareMechanismError,
-    ObservationOutsideDomainError,
     SingularMechanismError,
     ZeroSupportStartError,
 )
@@ -149,11 +148,7 @@ def inv_raw(q: Empirical, mech: FiniteMechanism,
     M = mech.matrix
     qvec = np.zeros(len(mech.outputs))
     for v, p in zip(q.values, q.probs):
-        try:
-            j = mech.output_index(v)
-        except ObservationOutsideDomainError:
-            raise
-        qvec[j] = p
+        qvec[mech.output_index(v)] = p
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > condition_limit:
         raise SingularMechanismError(

@@ -189,25 +189,33 @@ def _ring_cells(nx: int, ny: int, margin: int) -> np.ndarray:
     return np.array(ring, dtype=np.int64)
 
 
-def _super_grid_margin(weight_of, nx: int, ny: int, in_coords: np.ndarray) -> int:
+def _geometric_weights(rows: np.ndarray, cells: np.ndarray, w: float, eps: float) -> np.ndarray:
+    """e^(-eps * d) from each row to each super-grid cell, both in lattice
+    units of cell width ``w`` km."""
+    diff = rows[:, None, :] - cells[None, :, :].astype(float)
+    dist = np.sqrt((diff ** 2).sum(axis=2)) * w
+    return np.exp(-eps * dist)
+
+
+def _super_grid_margin(nx: int, ny: int, in_coords: np.ndarray, w: float, eps: float) -> int:
     """Grow rings around the nx-by-ny rectangle until the mass a new ring adds
     is below tolerance, relative to the running total, for every input row."""
     base = np.array(
         [(sx, sy) for sy in range(ny) for sx in range(nx)], dtype=np.int64
     )
-    totals = weight_of(in_coords, base).sum(axis=1)
+    totals = _geometric_weights(in_coords, base, w, eps).sum(axis=1)
     margin = 0
     while True:
         ring = _ring_cells(nx, ny, margin + 1)
-        ring_mass = weight_of(in_coords, ring).sum(axis=1)
+        ring_mass = _geometric_weights(in_coords, ring, w, eps).sum(axis=1)
         if np.max(ring_mass / totals) < _RING_MASS_TOL:
             return margin
         totals += ring_mass
         margin += 1
 
 
-def _remapped_kernel(weight_of, in_coords: np.ndarray, nx: int, ny: int,
-                     n_out: int) -> np.ndarray:
+def _remapped_kernel(in_coords: np.ndarray, nx: int, ny: int, n_out: int,
+                     w: float, eps: float) -> np.ndarray:
     """Accumulate super-grid weights into the output grid.
 
     Every super-grid cell outside the output rectangle is remapped to its
@@ -217,7 +225,7 @@ def _remapped_kernel(weight_of, in_coords: np.ndarray, nx: int, ny: int,
     normalizing over the super-grid first).
     """
     n_in = in_coords.shape[0]
-    margin = _super_grid_margin(weight_of, nx, ny, in_coords)
+    margin = _super_grid_margin(nx, ny, in_coords, w, eps)
     sx = np.arange(-margin, nx + margin)
     sy = np.arange(-margin, ny + margin)
     gx, gy = np.meshgrid(sx, sy, indexing="xy")
@@ -227,7 +235,7 @@ def _remapped_kernel(weight_of, in_coords: np.ndarray, nx: int, ny: int,
     chunk = max(1, 2_000_000 // max(1, n_in))
     for start in range(0, super_cells.shape[0], chunk):
         cells = super_cells[start:start + chunk]
-        weight = weight_of(in_coords, cells)
+        weight = _geometric_weights(in_coords, cells, w, eps)
         tx = np.clip(cells[:, 0], 0, nx - 1)
         ty = np.clip(cells[:, 1], 0, ny - 1)
         np.add.at(acc, ty * nx + tx, weight.T)
@@ -255,13 +263,7 @@ def build_geometric_planar(input_grid: PlanarAlphabet, output_grid: PlanarAlphab
     in_coords = np.empty((input_grid.size, 2))
     in_coords[:, 0] = (in_centers[:, 0] - ox) / w
     in_coords[:, 1] = (in_centers[:, 1] - oy) / w
-
-    def weight_of(rows, cells):
-        diff = rows[:, None, :] - cells[None, :, :].astype(float)
-        dist = np.sqrt((diff ** 2).sum(axis=2)) * w
-        return np.exp(-eps_geo * dist)
-
-    matrix = _remapped_kernel(weight_of, in_coords, nx, ny, output_grid.size)
+    matrix = _remapped_kernel(in_coords, nx, ny, output_grid.size, w, eps_geo)
     return FiniteMechanism(
         input_grid,
         output_grid.values,
@@ -315,24 +317,13 @@ def build_laplace_planar_discretized(grid: PlanarAlphabet, eps_geo: float) -> Fi
     """Planar Laplace noise binned onto the grid.
 
     Cell masses use the midpoint density (eps^2 / 2pi) e^(-eps d) times the
-    cell area, evaluated on a margin-extended super-grid; cells outside the
-    grid are remapped to the nearest grid cell and rows are renormalized.
+    cell area.  That is e^(-eps d) times a constant, which row normalization
+    cancels, so the matrix is the planar geometric one on the same grid.
     """
-    _require_positive_eps(eps_geo)
-    w = grid.cell_width_km
-    nx, ny = grid.nx, grid.ny
-    coords = grid.lattice_coords().astype(float)
-
-    def weight_of(rows, cells):
-        diff = rows[:, None, :] - cells[None, :, :].astype(float)
-        dist = np.sqrt((diff ** 2).sum(axis=2)) * w
-        return (eps_geo ** 2 / (2.0 * math.pi)) * np.exp(-eps_geo * dist) * w * w
-
-    matrix = _remapped_kernel(weight_of, coords, nx, ny, grid.size)
     return FiniteMechanism(
         grid,
         grid.values,
-        matrix,
+        build_geometric_planar(grid, grid, eps_geo).matrix,
         kind="laplace-planar",
         distance_monotone=True,
         params={"eps_geo": float(eps_geo)},

@@ -22,6 +22,7 @@ from privdist.errors import (
     DeadColumnError,
     DegeneratePError,
     NonSquareMechanismError,
+    ObservationOutsideDomainError,
     SingularMechanismError,
     ZeroSupportStartError,
 )
@@ -149,6 +150,10 @@ class TestInvRaw:
         mech = FiniteMechanism(AB, ("u", "v", "w"), [[0.5, 0.25, 0.25], [0.2, 0.4, 0.4]])
         with pytest.raises(NonSquareMechanismError):
             inv_raw(to_empirical(ObservationSet({"u": 1})), mech)
+
+    def test_report_outside_outputs_rejected(self):
+        with pytest.raises(ObservationOutsideDomainError):
+            inv_raw(to_empirical(ObservationSet({"a": 2, "c": 1})), SYM)
 
 
 class TestPostProcessing:

@@ -220,6 +220,15 @@ class TestLaplacePlanar:
         m = build_laplace_planar_discretized(g, 1.0)
         np.testing.assert_allclose(m.matrix.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("n, eps", [(5, 0.8), (12, 2.0), (20, 2.0)])
+    def test_equals_geometric_planar(self, n, eps):
+        # the midpoint density is e^(-eps d) times a constant that row
+        # normalization cancels
+        g = PlanarAlphabet.grid(n, n, 1.0)
+        m = build_laplace_planar_discretized(g, eps)
+        assert m.kind == "laplace-planar" and m.params_dict() == {"eps_geo": eps}
+        np.testing.assert_allclose(m.matrix, build_geometric_planar(g, g, eps).matrix, rtol=0, atol=1e-12)
+
 
 class TestExponential:
     def test_two_point_value(self):

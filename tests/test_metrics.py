@@ -1,13 +1,14 @@
 """Distances: closed-form 1-D transport, exact planar transport, tv, l2sq."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from privdist.core import Distribution, LinearAlphabet, PlanarAlphabet
-from privdist.errors import AlphabetMismatchError
+from privdist.errors import AlphabetMismatchError, SolverNonConvergenceError
 from privdist.metrics import (
     MetricValue,
     emd,
@@ -135,6 +136,101 @@ class TestTransportSolver:
         np.testing.assert_allclose(flow.sum(axis=1), supply, atol=1e-9)
         np.testing.assert_allclose(flow.sum(axis=0), demand, atol=1e-9)
         assert flow.min() >= -1e-12
+
+
+def _grid_cost(g, si, di):
+    """Euclidean cost between the centers of cells ``si`` and ``di``."""
+    centers = g.centers_array()
+    return np.sqrt(((centers[si][:, None, :] - centers[di][None, :, :]) ** 2).sum(axis=2))
+
+
+def _solve_and_check(cost, supply, demand):
+    """Solve, check the flow is feasible and the total matches the LP oracle."""
+    flow, total = min_cost_transport(cost, supply, demand)
+    np.testing.assert_allclose(flow.sum(axis=1), supply, atol=1e-9)
+    np.testing.assert_allclose(flow.sum(axis=0), demand, atol=1e-9)
+    assert flow.min() >= 0.0
+    assert total == pytest.approx(lp_transport_cost(cost, supply, demand), abs=1e-9)
+    return total
+
+
+class TestTransportDegenerate:
+    """Inputs whose north-west-corner basis holds zero-mass cells."""
+
+    def test_identical_distributions(self):
+        g = PlanarAlphabet.grid(4, 4, 1.0)
+        p = np.random.default_rng(8).dirichlet(np.ones(g.size))
+        cells = np.arange(g.size)
+        assert _solve_and_check(_grid_cost(g, cells, cells), p, p) == pytest.approx(0.0, abs=1e-12)
+
+    def test_point_masses(self):
+        g = PlanarAlphabet.grid(5, 5, 1.0)
+        cells = np.arange(g.size)
+        supply = np.zeros(g.size); supply[3] = 1.0
+        demand = np.zeros(g.size); demand[17] = 1.0
+        # cell 3 is (3, 0), cell 17 is (2, 3): distance sqrt(10)
+        total = _solve_and_check(_grid_cost(g, cells, cells), supply, demand)
+        assert total == pytest.approx(math.sqrt(10.0), abs=1e-12)
+
+    def test_disjoint_halves(self):
+        g = PlanarAlphabet.grid(15, 15, 1.0)
+        x = g.lattice_coords()[:, 0]
+        si, di = np.flatnonzero(x < 7), np.flatnonzero(x >= 7)
+        supply = np.full(si.size, 1.0 / si.size)
+        demand = np.full(di.size, 1.0 / di.size)
+        _solve_and_check(_grid_cost(g, si, di), supply, demand)
+
+    def test_uniform_vs_uniform(self):
+        # equal masses tie at every north-west-corner step
+        rng = np.random.default_rng(9)
+        g = PlanarAlphabet.grid(8, 8, 1.0)
+        si = rng.choice(g.size, 12, replace=False)
+        di = rng.choice(g.size, 12, replace=False)
+        uniform = np.full(12, 1.0 / 12)
+        _solve_and_check(_grid_cost(g, si, di), uniform, uniform)
+        _solve_and_check(rng.random((12, 12)), uniform, uniform)
+
+    def test_sparse_planar_at_bench_scale(self):
+        # clustered truth with a support cutoff against a noisy estimate of it
+        rng = np.random.default_rng(10)
+        g = PlanarAlphabet.grid(12, 12, 1.0)
+        c = g.lattice_coords().astype(float)
+        truth = np.zeros(g.size)
+        for cx, cy, sigma, weight in ((3.0, 3.5, 1.2, 0.5), (8.5, 4.0, 1.0, 0.3), (6.0, 9.0, 1.5, 0.2)):
+            truth += weight * np.exp(-((c[:, 0] - cx) ** 2 + (c[:, 1] - cy) ** 2) / (2 * sigma ** 2))
+        truth[truth < 0.04 * truth.max()] = 0.0
+        estimate = np.maximum(truth + rng.normal(0.0, 0.05 * truth.max(), g.size), 0.0)
+        si, di = np.flatnonzero(estimate), np.flatnonzero(truth)
+        _solve_and_check(_grid_cost(g, si, di), estimate[si] / estimate[si].sum(),
+                         truth[di] / truth[di].sum())
+
+
+class TestTransportInputs:
+    COST = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("cost, supply, demand", [
+        (COST, [1.5, -0.5], [0.5, 0.5]),
+        (COST, [0.5, 0.5], [1.5, -0.5]),
+        (COST, [np.nan, 0.5], [0.5, 0.5]),
+        (COST, [np.inf, 0.5], [0.5, 0.5]),
+        (COST, [0.5, 0.5], [np.nan, 0.5]),
+        ([[0.0, np.inf], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
+        ([[0.0, np.nan], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5]),
+        (np.zeros((0, 2)), [], [0.0, 0.0]),
+        (COST, [0.5, 0.5], [0.5, 0.6]),
+    ], ids=["negative-supply", "negative-demand", "nan-supply", "inf-supply",
+            "nan-demand", "inf-cost", "nan-cost", "empty-supply", "unbalanced"])
+    def test_bad_input_raises_value_error(self, cost, supply, demand):
+        with pytest.raises(ValueError):
+            min_cost_transport(np.array(cost), np.array(supply), np.array(demand))
+
+    def test_zero_mass_costs_nothing(self):
+        flow, total = min_cost_transport(self.COST, np.zeros(2), np.zeros(2))
+        assert total == 0.0 and not flow.any()
+
+    def test_failed_certificate_raises(self):
+        with pytest.raises(SolverNonConvergenceError):
+            min_cost_transport(self.COST, np.array([0.5, 0.5]), np.array([0.3, 0.7]), cert_tol=-1.0)
 
 
 class TestOtherMetrics:
