@@ -43,7 +43,7 @@ from .errors import (
     PrivDistError,
     TooManyMalformedRowsError,
 )
-from .estimators import ibu
+from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL, ibu
 from .experiment import (
     ExperimentConfig,
     build_alphabet,
@@ -147,7 +147,7 @@ def cmd_estimate(args) -> int:
         if args.estimator == "ibu" and args.likely_subset:
             subset = _build_subset(mech, obs)
             estimate = restrict_and_lift(mech, obs, subset,
-                                         delta=args.delta, max_iter=args.max_iter)
+                                         tol=args.tol, max_iter=args.max_iter)
             diagnostics = {"likely_subset": subset.to_dict()}
         elif args.estimator == "ibu":
             if alphabet is None:
@@ -155,14 +155,14 @@ def cmd_estimate(args) -> int:
                     "plain ibu needs a finite input alphabet; use --likely-subset"
                 )
             result = ibu(obs_matrix(mech, obs, alphabet=alphabet),
-                         delta=args.delta, max_iter=args.max_iter)
+                         tol=args.tol, max_iter=args.max_iter)
             estimate = result.estimate
             diagnostics = {"iterations": result.iterations, "converged": result.converged,
-                           "loglik": [float(v) for v in result.loglik_trace]}
+                           "gap": result.gap, "loglik": result.loglik_trace[-1]}
         else:
             if alphabet is None:
                 raise IncompatibleEstimatorError(f"{args.estimator} needs a finite mechanism")
-            estimate = run_estimator(args.estimator, mech, obs, alphabet)
+            estimate, _ = run_estimator(args.estimator, mech, obs, alphabet)
     except IncompatibleEstimatorError:
         raise
     except PrivDistError as exc:
@@ -271,8 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["ibu", "inv-n", "inv-p", "rappor-decode"])
     p.add_argument("--likely-subset", action="store_true",
                    help="restrict ibu to a likely subset before estimating")
-    p.add_argument("--delta", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="certified log-likelihood gap, in nats, at which ibu stops")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                   help="cap on ibu's EM-map evaluations")
     p.add_argument("--out", default="estimate.json")
     p.set_defaults(func=cmd_estimate)
 

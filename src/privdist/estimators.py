@@ -1,8 +1,9 @@
 """Estimators that recover the original distribution from noisy reports.
 
-``ibu`` is the expectation-maximization fixed-point iteration; it maximizes
-the log-likelihood of the observed reports and stops when the likelihood
-gain per iteration falls below ``delta``.  ``inv_raw`` inverts the mechanism
+``ibu`` is the expectation-maximization fixed-point iteration, accelerated
+by SQUAREM; it maximizes the log-likelihood of the observed reports and
+stops once a certificate bounds its distance to the maximum by ``tol``
+nats (``IbuResult.gap``).  ``inv_raw`` inverts the mechanism
 matrix directly and is post-processed either by clip-and-normalize
 (``inv_normalize``) or by Euclidean projection onto the probability simplex
 (``inv_project``).  ``rappor_decode`` is the per-bit debiasing estimator for
@@ -10,6 +11,9 @@ one-hot bit-vector reports.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -33,63 +37,79 @@ from .errors import (
 )
 from .mechanisms import rappor_keep_prob
 
-DEFAULT_DELTA = 1e-10
+DEFAULT_TOL = 1e-6  # certified log-likelihood gap, in nats
 DEFAULT_MAX_ITER = 100_000
 # Condition numbers beyond this make the inverted vector numerically meaningless.
 CONDITION_LIMIT = 1e12
+# Estimate entries below this are set to exactly zero after each step:
+# subnormal entries make every later iteration several times slower.
+FLUSH_BELOW = 1e-250
+# A rejected SQUAREM jump is retried with its step length divided by this.
+BACKTRACK = 4.0
 
 
 class IbuResult:
-    """Outcome of an IBU run: the estimate, the log-likelihood trace, and
-    whether the stopping rule fired before ``max_iter`` updates."""
+    """Outcome of an IBU run: the estimate, the log-likelihood trace, the
+    certified gap the stopping rule last tested, and whether that gap was
+    within the tolerance before ``max_iter`` EM-map evaluations."""
 
-    __slots__ = ("estimate", "iterations", "loglik_trace", "converged")
+    __slots__ = ("estimate", "iterations", "loglik_trace", "converged", "gap")
 
     def __init__(self, estimate: Distribution, iterations: int,
-                 loglik_trace: list, converged: bool):
+                 loglik_trace: list, converged: bool, gap: float):
         self.estimate = estimate
         self.iterations = iterations
         self.loglik_trace = loglik_trace
         self.converged = converged
+        self.gap = gap
 
     def to_dict(self) -> dict:
         return {
             "estimate": self.estimate.to_dict(),
             "iterations": self.iterations,
             "converged": self.converged,
+            "gap": self.gap,
             "loglik": [float(v) for v in self.loglik_trace],
         }
 
     def __repr__(self):
         return (
             f"IbuResult(iterations={self.iterations}, converged={self.converged}, "
-            f"loglik={self.loglik_trace[-1]:.6g})"
+            f"gap={self.gap:.3g}, loglik={self.loglik_trace[-1]:.6g})"
         )
 
 
-def _weighted_loglik(weights: np.ndarray, mix: np.ndarray) -> float:
-    if np.any(mix <= 0):
-        return float("-inf")
-    return float(weights @ np.log(mix))
-
-
-def ibu(G: ObsMatrix, theta0: Distribution = None, delta: float = DEFAULT_DELTA,
+def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER) -> IbuResult:
-    """Iterative Bayesian update.
+    """Iterative Bayesian update, accelerated by SQUAREM and stopped on a
+    certified likelihood gap.
 
-    Repeats theta[x] <- sum_z q_z * theta[x] A[x,z] / (theta . A[:,z]) until
-    the absolute log-likelihood change drops below ``delta`` or ``max_iter``
-    updates have run (the latter sets ``converged=False`` instead of raising).
-    The start must have full support; every observed column must have at
-    least one strictly positive entry.
+    The EM map is theta[x] <- theta[x] g[x] with g = A (q / (theta A)).  By
+    Jensen's inequality the maximum log-likelihood exceeds L(theta) by at
+    most n log max_x g[x], so the run stops at the first iterate whose gap
+    is at most ``tol`` nats.  Iterates alternate between a plain EM step
+    theta1 = F(theta) and a SQUAREM jump from theta,
+    theta - 2 a r + a^2 v with r = theta1 - theta, v = F(theta1) - 2 theta1
+    + theta and the SqS3 step a = -|r|/|v| (Varadhan & Roland, Scand. J.
+    Stat. 2008).  A jump with a negative entry, or with a lower likelihood
+    than theta1, is retried with a shorter step, down to F(theta1) itself
+    (a = -1).  So ``loglik_trace``, one entry per iterate, does not fall
+    beyond rounding.  Entries below ``FLUSH_BELOW`` are set to zero; the
+    certificate covers them too.
+
+    ``max_iter`` caps the EM-map evaluations, counted in ``iterations``;
+    reaching it returns ``converged=False``.  ``max_iter=1`` is one plain EM
+    step.  The start must have full support; every observed column must have
+    at least one strictly positive entry.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     A = G.matrix
     weights = G.weights
     q = G.q
+    n = G.n
 
     dead = np.flatnonzero(~(A > 0).any(axis=0))
     if dead.size:
@@ -104,32 +124,57 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, delta: float = DEFAULT_DELTA,
         raise ZeroSupportStartError("the starting distribution must have full support")
 
     theta = theta0.probs.copy()
-    mix = theta @ A
-    loglik = _weighted_loglik(weights, mix)
+    mix = theta.dot(A)
+    loglik = float(weights.dot(np.log(mix)))
     trace = [loglik]
-    converged = False
+    base = None  # when theta is a plain EM step, the iterate it was taken from
     iterations = 0
-    # ndarray.dot gives the same BLAS results as the @ operator with less
-    # call overhead, which dominates an iteration at small alphabet sizes.
-    # A report that becomes impossible gives log 0 = -inf, hence gain -inf.
+    converged = False
+    gap = math.inf
+    # ndarray.dot has less call overhead than the @ operator, which matters
+    # at small alphabet sizes.  A report made impossible gives log 0 = -inf.
     with np.errstate(divide="ignore"):
         while iterations < max_iter:
-            theta *= A.dot(q / mix)
-            theta /= theta.sum()
+            g = A.dot(q / mix)
             iterations += 1
-            new_mix = theta.dot(A)
-            # The likelihood change is evaluated on the mixture ratios; this
-            # is exactly L(t) - L(t-1) but keeps precision long after the
-            # direct difference of the two (large) log-likelihood values
-            # underflows.
-            gain = float(weights.dot(np.log(new_mix / mix)))
-            loglik += gain
-            trace.append(loglik)
-            mix = new_mix
-            if abs(gain) < delta:
+            gap = n * math.log(g.max())
+            if gap <= tol:
                 converged = True
                 break
-    return IbuResult(Distribution(G.alphabet, theta), iterations, trace, converged)
+            step = theta * g
+            if base is None:
+                candidates, base = (step,), theta
+            else:
+                candidates, base = chain(_squarem_jumps(base, theta, step), (step,)), None
+            for new in candidates:
+                new /= new.sum()
+                new[new < FLUSH_BELOW] = 0.0
+                new_mix = new.dot(A)
+                # The change is taken on the mixture ratios: it keeps its
+                # precision long after the two large log-likelihoods stop
+                # resolving it.
+                gain = float(weights.dot(np.log(new_mix / mix)))
+                if gain >= 0.0 or new is step:
+                    break
+            theta, mix = new, new_mix
+            loglik += gain
+            trace.append(loglik)
+    return IbuResult(Distribution(G.alphabet, theta), iterations, trace, converged, gap)
+
+
+def _squarem_jumps(theta, theta1, theta2):
+    """The non-negative SqS3 extrapolations from theta through the EM steps
+    theta1 and theta2, longest step first, each ``BACKTRACK`` times shorter
+    than the last, down to the plain double step theta2 (not included)."""
+    r = theta1 - theta
+    v = theta2 - theta1 - r
+    vv = v.dot(v)
+    alpha = -math.sqrt(r.dot(r) / vv) if vv > 0.0 else -1.0
+    while alpha < -1.0:
+        jump = theta - 2.0 * alpha * r + alpha * alpha * v
+        if jump.min() >= 0.0:
+            yield jump
+        alpha /= BACKTRACK
 
 
 # ---------------------------------------------------------------------------

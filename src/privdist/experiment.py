@@ -202,21 +202,26 @@ def load_dataset(spec: dict, alphabet: Alphabet, master_seed: int) -> RawDataset
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def run_estimator(name: str, mech: Mechanism, obs, alphabet: Alphabet) -> Distribution:
-    """Apply one estimator to an observation set."""
+def run_estimator(name: str, mech: Mechanism, obs, alphabet: Alphabet) -> tuple:
+    """Apply one estimator to an observation set.
+
+    Returns the estimate and whether it converged; only ``ibu`` iterates,
+    and it converges when its certified likelihood gap met the tolerance.
+    """
     if name == "ibu":
-        G = obs_matrix(mech, obs, alphabet=alphabet)
-        return ibu(G).estimate
+        result = ibu(obs_matrix(mech, obs, alphabet=alphabet))
+        return result.estimate, result.converged
     if name in ("inv-n", "inv-p"):
         if not isinstance(mech, FiniteMechanism) or not mech.is_square:
             raise IncompatibleEstimatorError(f"{name} requires a square finite mechanism")
         v = inv_raw(to_empirical(obs), mech)
-        return inv_normalize(v, alphabet) if name == "inv-n" else inv_project(v, alphabet)
+        post = inv_normalize if name == "inv-n" else inv_project
+        return post(v, alphabet), True
     if name == "rappor-decode":
         if not isinstance(mech, BitVectorMechanism):
             raise IncompatibleEstimatorError("rappor-decode requires the rappor mechanism")
         counts = rappor_bit_counts(obs, alphabet)
-        return rappor_decode(counts, obs.n, alphabet, mech.eps_ldp, post="project")
+        return rappor_decode(counts, obs.n, alphabet, mech.eps_ldp, post="project"), True
     raise IncompatibleEstimatorError(f"unknown estimator {name!r}")
 
 
@@ -261,7 +266,7 @@ def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
                 runs += 1
                 start = time.perf_counter()
                 try:
-                    estimate = run_estimator(est, mech, obs, alphabet)
+                    estimate, converged = run_estimator(est, mech, obs, alphabet)
                 except PrivDistError as exc:
                     runtime_ms = 1000.0 * (time.perf_counter() - start)
                     failures += 1
@@ -269,10 +274,11 @@ def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
                                  f"{runtime_ms:.3f}", f"error:{type(exc).__name__}"])
                     continue
                 runtime_ms = 1000.0 * (time.perf_counter() - start)
+                status = "ok" if converged else "unconverged"
                 for metric in config.metrics:
                     mv = metric_value(metric, estimate, truth)
                     rows.append([mech_name, eps, est, rep, metric,
-                                 f"{mv.value:.10g}", f"{runtime_ms:.3f}", "ok"])
+                                 f"{mv.value:.10g}", f"{runtime_ms:.3f}", status])
                     cells.setdefault((mech_name, eps, est, metric), []).append(mv.value)
 
     with open(raw_path, "w", newline="") as fh:

@@ -458,11 +458,17 @@ def build_rappor(alphabet: Alphabet, eps_ldp: float) -> BitVectorMechanism:
 def obfuscate_dataset(mech: Mechanism, data: Sequence, rng: np.random.Generator) -> ObservationSet:
     """Draw one independent report per datum; the result is counted, so it
     carries no information about the input order."""
-    grouped: dict = {}
-    for x in data:
+    try:
+        grouped = Counter(data)
+    except TypeError as exc:  # every alphabet element is hashable
+        raise ElementOutsideAlphabetError(
+            f"a datum is not in the mechanism's input alphabet: {exc}"
+        ) from exc
+    # Equal values share one key (3 and 3.0), but membership of the integer
+    # line depends on the type, so one datum of each type is checked too.
+    for x in (*grouped, *dict(zip(map(type, data), data)).values()):
         if not mech.contains_input(x):
             raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
-        grouped[x] = grouped.get(x, 0) + 1
     counts: dict = {}
     if isinstance(mech.input_alphabet, Alphabet):
         ordered = sorted(grouped, key=mech.input_alphabet.index)

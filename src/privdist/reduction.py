@@ -30,7 +30,7 @@ from .errors import (
     EmptyObservationsError,
     ObservationOutsideDomainError,
 )
-from .estimators import DEFAULT_DELTA, DEFAULT_MAX_ITER, IbuResult, ibu
+from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL, IbuResult, ibu
 from .geometry import convex_hull, distance_to_hull, max_pairwise_distance
 
 
@@ -170,7 +170,7 @@ def restricted_alphabet(subset: LikelySubset) -> Alphabet:
 
 
 def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset,
-                      theta0: Distribution = None, delta: float = DEFAULT_DELTA,
+                      theta0: Distribution = None, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> Distribution:
     """Run IBU on the subset rows only, then lift by assigning probability
     zero to every excluded element.
@@ -181,7 +181,7 @@ def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset
     """
     sub_alphabet = restricted_alphabet(subset)
     G = obs_matrix(mech, obs, alphabet=sub_alphabet)
-    result: IbuResult = ibu(G, theta0=theta0, delta=delta, max_iter=max_iter)
+    result: IbuResult = ibu(G, theta0=theta0, tol=tol, max_iter=max_iter)
     if subset.parent is INTEGER_LINE:
         return result.estimate
     lifted = np.zeros(subset.parent.size)

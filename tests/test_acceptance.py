@@ -77,7 +77,7 @@ def test_criterion_1_mle_optimality():
         theta = rng.dirichlet(np.ones(k))
         data = [labels[int(i)] for i in rng.choice(k, size=200, p=theta)]
         G = obs_matrix(mech, obfuscate_dataset(mech, data, rng))
-        estimate = ibu(G, delta=1e-12, max_iter=300_000).estimate
+        estimate = ibu(G, tol=1e-12, max_iter=300_000).estimate
         oracle = mle_oracle(G, grid_step=0.05)
         worst = max(worst, log_likelihood(G, oracle) - log_likelihood(G, estimate))
     elapsed = time.perf_counter() - start
@@ -282,7 +282,7 @@ def test_criterion_9_non_identifiable_fixed_points():
     estimates = []
     for s in range(3):
         start_dist = distribution_new(inp, derive_rng(31, 1, s).dirichlet(np.ones(25) * 0.4))
-        estimates.append(ibu(G, theta0=start_dist, delta=1e-13, max_iter=200_000).estimate)
+        estimates.append(ibu(G, theta0=start_dist, tol=1e-13, max_iter=200_000).estimate)
     min_emd = np.inf
     max_dl = 0.0
     for i in range(3):
@@ -310,12 +310,12 @@ def test_criterion_10_reduction_equivalence():
     # against wide-window matrix construction + estimation
     def reduced_run():
         subset = likely_linear(INTEGER_LINE, obs)
-        return restrict_and_lift(mech, obs, subset, delta=1e-12)
+        return restrict_and_lift(mech, obs, subset, tol=1e-12)
 
     wide_alpha = LinearAlphabet.range(-50, 54)
 
     def wide_run():
-        return ibu(obs_matrix(mech, obs, alphabet=wide_alpha), delta=1e-12)
+        return ibu(obs_matrix(mech, obs, alphabet=wide_alpha), tol=1e-12)
 
     t_reduced = min(_timed(reduced_run) for _ in range(5))
     t_wide = min(_timed(wide_run) for _ in range(5))

@@ -275,7 +275,7 @@ class TestMleOracle:
             mech = FiniteMechanism(alpha, alpha.values, m)
             obs = obfuscate_dataset(mech, list(rng.integers(0, k, size=200)), rng)
             G = obs_matrix(mech, obs)
-            a = ibu(G, delta=1e-12).estimate.probs
+            a = ibu(G, tol=1e-12).estimate.probs
             b = mle_oracle(G, grid_step=0.05).probs
             assert 0.5 * np.abs(a - b).sum() <= 0.1
 

@@ -1,11 +1,13 @@
 """Command-line surface: artifacts, determinism, exit codes."""
 
 import csv
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from privdist import experiment
 from privdist.cli import main
 from privdist.core import ObservationSet, PlanarAlphabet
 from privdist.mechanisms import build_geometric_planar
@@ -81,6 +83,9 @@ class TestEstimate:
             expect[v] = c / observed.n
         np.testing.assert_allclose(payload["probs"], expect, atol=1e-9)
         assert payload["diagnostics"]["converged"]
+        diagnostics = payload["diagnostics"]
+        assert set(diagnostics) == {"iterations", "converged", "gap", "loglik"}
+        assert diagnostics["gap"] <= 1e-6 and isinstance(diagnostics["loglik"], float)
 
     def test_inv_on_non_square_exits_3(self, tmp_path):
         inp = PlanarAlphabet.grid(5, 5, 1.0)
@@ -197,6 +202,17 @@ class TestExperiment:
         with open(tmp_path / "results_summary.csv") as fh:
             summary = list(csv.DictReader(fh))
         assert {r["estimator"] for r in summary} == {"ibu"}
+
+    def test_ibu_at_the_cap_is_unconverged(self, tmp_path, monkeypatch):
+        # two EM steps cannot certify the k-RR estimate, so every ibu row
+        # says so while inversion rows stay ok
+        monkeypatch.setattr(experiment, "ibu", functools.partial(experiment.ibu, max_iter=2))
+        cfg = base_config(tmp_path, replications=1)
+        assert main(["experiment", "--config", cfg]) == 0
+        with open(tmp_path / "results_raw.csv") as fh:
+            statuses = {(r["estimator"], r["metric"]): r["status"] for r in csv.DictReader(fh)}
+        assert statuses == {("ibu", "emd"): "unconverged", ("ibu", "tv"): "unconverged",
+                            ("inv-p", "emd"): "ok", ("inv-p", "tv"): "ok"}
 
     def test_planar_experiment_end_to_end(self, tmp_path):
         cfg = base_config(

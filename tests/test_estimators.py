@@ -7,6 +7,7 @@ import pytest
 
 from privdist.analysis import log_likelihood, strict_concavity_check
 from privdist.core import (
+    INTEGER_LINE,
     CategoricalAlphabet,
     Distribution,
     Empirical,
@@ -26,7 +27,9 @@ from privdist.errors import (
     SingularMechanismError,
     ZeroSupportStartError,
 )
+from privdist.dataio import Explicit, sample_synthetic
 from privdist.estimators import (
+    DEFAULT_TOL,
     ibu,
     inv_normalize,
     inv_project,
@@ -34,7 +37,15 @@ from privdist.estimators import (
     project_to_simplex,
     rappor_decode,
 )
-from privdist.mechanisms import build_krr, build_rappor, obfuscate_dataset
+from privdist.mechanisms import (
+    build_geometric_linear,
+    build_geometric_truncated,
+    build_krr,
+    build_rappor,
+    obfuscate_dataset,
+)
+from privdist.reduction import likely_linear, restrict_and_lift, restricted_alphabet
+from test_acceptance import ages_shaped_distribution
 
 AB = CategoricalAlphabet(["a", "b"])
 SYM = FiniteMechanism(AB, AB.values, [[0.75, 0.25], [0.25, 0.75]])
@@ -62,7 +73,7 @@ class TestIbu:
         # solving theta M = q for q = (0.75, 0.25) gives theta = (1, 0); the
         # maximizer sits on the boundary so convergence is slow and the run
         # needs a large iteration budget to land within 1e-6
-        res = ibu(_obs_q({"a": 3, "b": 1}), delta=1e-30, max_iter=1_000_000)
+        res = ibu(_obs_q({"a": 3, "b": 1}), tol=1e-30, max_iter=1_000_000)
         assert abs(res.estimate.probs[0] - 1.0) < 1e-6
         assert abs(res.estimate.probs[1]) < 1e-6
 
@@ -94,10 +105,19 @@ class TestIbu:
         alpha = LinearAlphabet.range(0, 3)
         mech = FiniteMechanism(alpha, alpha.values, rng.dirichlet(np.ones(4), size=4))
         obs = obfuscate_dataset(mech, list(rng.integers(0, 4, size=300)), rng)
-        res = ibu(obs_matrix(mech, obs))
+        G = obs_matrix(mech, obs)
+        res = ibu(G)
         diffs = np.diff(res.loglik_trace)
         assert np.all(diffs >= -1e-9)
-        assert res.converged and abs(diffs[-1]) < 1e-10
+        assert res.converged and certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
+
+    def test_result_reports_last_tested_gap(self):
+        # one step from the uniform start tests the start's certificate:
+        # g = (1.25, 0.75), so the gap is 4 log 1.25
+        res = ibu(_obs_q({"a": 3, "b": 1}), max_iter=1)
+        assert not res.converged
+        assert res.gap == pytest.approx(4.0 * math.log(1.25), rel=1e-12)
+        assert res.to_dict()["gap"] == res.gap
 
     def test_mass_conserved_each_run(self):
         res = ibu(_obs_q({"a": 5, "b": 2}), max_iter=17)
@@ -119,10 +139,79 @@ class TestIbu:
             estimates = []
             for _ in range(10):
                 start = distribution_new(alpha, rng.dirichlet(np.ones(k)))
-                estimates.append(ibu(G, theta0=start, delta=1e-13).estimate.probs)
+                estimates.append(ibu(G, theta0=start, tol=1e-12).estimate.probs)
             for a in estimates:
                 for b in estimates:
                     assert 0.5 * np.abs(a - b).sum() <= 1e-4
+
+
+def certified_gap(G, theta):
+    """n log max_x g_x with g = A (q / (theta A)), recomputed from scratch:
+    the maximum log-likelihood exceeds L(theta) by at most this."""
+    q = G.weights / G.weights.sum()
+    with np.errstate(divide="ignore"):
+        g = G.matrix @ (q / (theta @ G.matrix))
+    return G.weights.sum() * math.log(g.max())
+
+
+AGES = LinearAlphabet.range(0, 99)
+
+
+@pytest.fixture(scope="module")
+def ages_data():
+    """48,842 draws (the Adult dataset's size) from an adult-age profile."""
+    return sample_synthetic(Explicit(ages_shaped_distribution(AGES)), 48_842,
+                            np.random.default_rng(41)).values
+
+
+def _ages_matrix(mech, data):
+    return obs_matrix(mech, obfuscate_dataset(mech, data, np.random.default_rng(42)))
+
+
+class TestIbuCertificate:
+    @pytest.mark.parametrize("mech", [build_krr(AGES, 1.0), build_geometric_truncated(0, 99, 0.5)],
+                             ids=["krr", "geometric-truncated"])
+    def test_gap_within_tol_on_ages(self, ages_data, mech):
+        G = _ages_matrix(mech, ages_data)
+        res = ibu(G)
+        p = res.estimate.probs
+        gap = certified_gap(G, p)
+        assert res.converged and gap <= DEFAULT_TOL
+        assert res.gap == pytest.approx(gap, rel=1e-9, abs=1e-12)
+        assert not np.any((p > 0.0) & (p < np.finfo(float).tiny)), "subnormal entries left"
+
+    def test_gap_within_tol_on_integer_line(self, ages_data):
+        line = build_geometric_linear(0.5)
+        obs = obfuscate_dataset(line, ages_data, np.random.default_rng(43))
+        subset = likely_linear(INTEGER_LINE, obs)
+        estimate = restrict_and_lift(line, obs, subset)
+        G = obs_matrix(line, obs, restricted_alphabet(subset))
+        assert certified_gap(G, estimate.probs) <= DEFAULT_TOL
+
+    def test_negative_extrapolation_at_boundary_still_converges(self, ages_data):
+        # ages below 17 never occur, so the k-RR maximizer sits on the
+        # boundary of the simplex, and the first SqS3 jump from the uniform
+        # start overshoots below zero: the step must be shortened, not clipped
+        G = _ages_matrix(build_krr(AGES, 1.0), ages_data)
+        A, q = G.matrix, G.q
+        theta = np.full(AGES.size, 1.0 / AGES.size)
+        theta1 = theta * (A @ (q / (theta @ A)))
+        theta2 = theta1 * (A @ (q / (theta1 @ A)))
+        r, v = theta1 - theta, theta2 - 2.0 * theta1 + theta
+        alpha = -math.sqrt((r @ r) / (v @ v))
+        assert (theta - 2.0 * alpha * r + alpha ** 2 * v).min() < 0.0
+        res = ibu(G)
+        assert res.converged and certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
+        assert np.count_nonzero(res.estimate.probs[:17] < 1e-12) >= 5
+        assert np.all(np.diff(res.loglik_trace) >= -1e-9)
+
+    def test_unreachable_tol_stops_at_cap(self, ages_data):
+        G = _ages_matrix(build_geometric_truncated(0, 99, 0.5), ages_data)
+        res = ibu(G, tol=1e-30, max_iter=400)
+        assert not res.converged and res.iterations == 400
+        assert res.gap > 1e-30
+        assert abs(res.estimate.probs.sum() - 1.0) < 1e-12
+        assert np.all(np.diff(res.loglik_trace) >= -1e-9)
 
 
 class TestInvRaw:

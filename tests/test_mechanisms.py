@@ -363,6 +363,49 @@ class TestObfuscateDataset:
         assert a.counts == b.counts
 
 
+def _obfuscate_per_datum(mech, data, rng):
+    """Reference: check and group every datum in a Python loop, then draw
+    per distinct value in alphabet order."""
+    grouped = {}
+    for x in data:
+        if not mech.contains_input(x):
+            raise ElementOutsideAlphabetError(repr(x))
+        grouped[x] = grouped.get(x, 0) + 1
+    alphabet = mech.input_alphabet
+    ordered = sorted(grouped, key=alphabet.index) if hasattr(alphabet, "index") else sorted(grouped)
+    counts = {}
+    for x in ordered:
+        for z, c in mech.sample_counts(x, grouped[x], rng).items():
+            counts[z] = counts.get(z, 0) + c
+    return ObservationSet(counts)
+
+
+class TestObfuscateGrouping:
+    ALPHA = LinearAlphabet.range(0, 11)
+
+    @pytest.mark.parametrize("mech", [
+        build_krr(ALPHA, 1.0),
+        build_geometric_truncated(0, 11, 0.5),
+        build_geometric_linear(0.5),
+        build_rappor(ALPHA, 2.0),
+    ], ids=["krr", "geometric-truncated", "integer-line", "rappor"])
+    def test_same_reports_as_per_datum_loop(self, mech):
+        data = np.random.default_rng(8).binomial(11, 0.4, size=3_000).tolist()
+        fast = obfuscate_dataset(mech, data, np.random.default_rng(9))
+        slow = _obfuscate_per_datum(mech, data, np.random.default_rng(9))
+        assert fast.items() == slow.items()
+
+    @pytest.mark.parametrize("mech, data", [
+        (build_krr(ALPHA, 1.0), [3, 12, 4]),
+        (build_geometric_linear(0.5), [3, 3.0]),
+        (build_geometric_linear(0.5), [3, True]),
+        (build_geometric_linear(0.5), [3, [4]]),
+    ], ids=["outside-alphabet", "float-on-line", "bool-on-line", "unhashable"])
+    def test_outside_datum_rejected(self, mech, data):
+        with pytest.raises(ElementOutsideAlphabetError):
+            obfuscate_dataset(mech, data, np.random.default_rng(0))
+
+
 class TestSerialization:
     def test_finite_roundtrip(self):
         m = build_geometric_truncated(0, 4, 0.8)

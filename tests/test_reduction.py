@@ -233,7 +233,7 @@ class TestRestrictAndLift:
         data = [int(v) for v in rng.integers(4, 9, size=400)]
         obs = obfuscate_dataset(mech, data, rng)
         subset = likely_linear(alpha, obs)
-        lifted = restrict_and_lift(mech, obs, subset, delta=1e-13)
+        lifted = restrict_and_lift(mech, obs, subset, tol=1e-13)
         G_full = obs_matrix(mech, obs)
         base = log_likelihood(G_full, lifted)
         for _ in range(100):
