@@ -60,7 +60,7 @@ from .mechanisms import (
     load_mechanism_dict,
     obfuscate_dataset,
 )
-from .reduction import likely_krr, likely_linear, likely_planar, restrict_and_lift
+from .reduction import lift, likely_krr, likely_linear, likely_planar, restricted_alphabet
 
 _IO_ERRORS = (OSError, EmptyDatasetError, TooManyMalformedRowsError, BBoxGridMismatchError)
 _CONFIG_ERRORS = (ConfigError, InvalidSpecError, KeyError, ValueError)
@@ -144,21 +144,20 @@ def cmd_estimate(args) -> int:
 
     diagnostics = None
     try:
-        if args.estimator == "ibu" and args.likely_subset:
-            subset = _build_subset(mech, obs)
-            estimate = restrict_and_lift(mech, obs, subset,
-                                         tol=args.tol, max_iter=args.max_iter)
-            diagnostics = {"likely_subset": subset.to_dict()}
-        elif args.estimator == "ibu":
-            if alphabet is None:
+        if args.estimator == "ibu":
+            subset = _build_subset(mech, obs) if args.likely_subset else None
+            if subset is None and alphabet is None:
                 raise IncompatibleEstimatorError(
                     "plain ibu needs a finite input alphabet; use --likely-subset"
                 )
-            result = ibu(obs_matrix(mech, obs, alphabet=alphabet),
+            rows = alphabet if subset is None else restricted_alphabet(subset)
+            result = ibu(obs_matrix(mech, obs, alphabet=rows),
                          tol=args.tol, max_iter=args.max_iter)
-            estimate = result.estimate
+            estimate = result.estimate if subset is None else lift(subset, result.estimate)
             diagnostics = {"iterations": result.iterations, "converged": result.converged,
                            "gap": result.gap, "loglik": result.loglik_trace[-1]}
+            if subset is not None:
+                diagnostics["likely_subset"] = subset.to_dict()
         else:
             if alphabet is None:
                 raise IncompatibleEstimatorError(f"{args.estimator} needs a finite mechanism")

@@ -8,6 +8,7 @@ the library keeps no global random state.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -505,6 +506,12 @@ class FiniteMechanism(Mechanism):
     @property
     def is_square(self) -> bool:
         return self.matrix.shape[0] == self.matrix.shape[1]
+
+    @cached_property
+    def condition_number(self) -> float:
+        """2-norm condition number of the matrix, from one SVD; the matrix is
+        read-only, so it is computed once per mechanism."""
+        return float(np.linalg.cond(self.matrix))
 
     def output_index(self, z) -> int:
         try:

@@ -194,7 +194,7 @@ def inv_raw(q: Empirical, mech: FiniteMechanism,
     qvec = np.zeros(len(mech.outputs))
     for v, p in zip(q.values, q.probs):
         qvec[mech.output_index(v)] = p
-    cond = np.linalg.cond(M)
+    cond = mech.condition_number
     if not np.isfinite(cond) or cond > condition_limit:
         raise SingularMechanismError(
             f"mechanism condition number {cond:.3e} exceeds the limit {condition_limit:.1e}"

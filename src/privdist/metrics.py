@@ -3,8 +3,11 @@ squared Euclidean error.
 
 EMD is exact optimal transport.  On the line it reduces to the integral of
 the absolute CDF difference; on planar grids it is solved as a transportation
-problem by the transportation simplex, and the result is certified by
-checking dual feasibility and complementary slackness of the final duals.
+problem by the transportation simplex.  The simplex starts from a least-cost
+basis, prices reduced costs one block of rows at a time, and after each pivot
+shifts only the duals of the re-hung subtree.  The result is certified by
+checking dual feasibility and complementary slackness of duals rebuilt from
+the final basis.
 """
 
 from __future__ import annotations
@@ -100,14 +103,28 @@ def metric_value(name: str, estimate: Distribution, truth: Distribution) -> Metr
 # Transportation solver
 # ---------------------------------------------------------------------------
 
+# Cells of c - u - v priced per block, rounded to whole rows (at least one).
+PRICING_BLOCK = 4096
+
+
 def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
     """Solve the balanced transportation problem exactly.
 
-    Transportation simplex: network simplex on the complete bipartite graph,
-    started from the north-west-corner basis, entering the most negative
-    reduced cost ``c_ij - u_i - v_j`` on each pivot.  Returns ``(flow,
-    total_cost)``; raises SolverNonConvergenceError when the pivot limit is
-    reached or the dual certificate fails.
+    Transportation simplex: network simplex on the complete bipartite graph.
+    The start basis is the least-cost (matrix minimum) one of
+    ``_least_cost_tree``.  Pricing computes ``c_ij - u_i - v_j`` for one block
+    of about ``PRICING_BLOCK`` cells at a time, from the current duals,
+    starting at the block that gave the last entering cell, and enters the
+    most negative reduced cost of the first block that has one below
+    ``-opt_tol``; a full round of blocks without one ends the solve.  Among
+    cells that tie for leaving, the last one met going round the cycle from
+    its apex leaves, which keeps the basis strongly feasible (Cunningham's
+    rule), so degenerate pivots do not cycle.  After a pivot only the
+    re-hung subtree changes: its preorder range moves and its duals shift by
+    the entering reduced cost.
+
+    Returns ``(flow, total_cost)``; raises SolverNonConvergenceError when the
+    pivot limit of 100 (ns + nd) is reached or the dual certificate fails.
     """
     cost = np.asarray(cost, dtype=float)
     supply = np.asarray(supply, dtype=float)
@@ -125,93 +142,114 @@ def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
     total_supply = supply.sum()
     if abs(total_supply - demand.sum()) > 1e-9 * max(1.0, total_supply):
         raise ValueError("supply and demand must balance")
-    if total_supply > 0:
-        demand = demand * (total_supply / demand.sum())
+    if total_supply == 0:
+        # The zero flow is the only feasible one.
+        return np.zeros((ns, nd)), 0.0
+    demand = demand * (total_supply / demand.sum())
 
-    # North-west corner: walk the cumulative supply and demand breakpoints in
-    # order, stepping down at the end of a row and right at the end of a
-    # column.  A tie steps down first and enters the next cell with zero
-    # mass, so the basis stays a spanning tree.
-    ends = np.concatenate([np.cumsum(supply)[:-1], np.cumsum(demand)[:-1]])
-    order = np.argsort(ends, kind="stable")
-    down = order < ns - 1
-    rows = np.concatenate([[0], np.cumsum(down)])
-    cols = np.concatenate([[0], np.cumsum(~down)])
-    flow = np.zeros((ns, nd))
-    flow[rows, cols] = np.diff(np.concatenate([[0.0], ends[order], [total_supply]]))
-
-    # Tree nodes are rows 0..ns-1 and columns ns..ns+nd-1; pot holds their
-    # duals, u then v, with the root, row 0, at 0.
+    # The basis is a spanning tree over rows 0..ns-1 and columns
+    # ns..ns+nd-1, kept in preorder: order[t] is the node at position t, and
+    # the subtree of node a fills positions pos[a] .. pos[a] + size[a] - 1.
+    # pot holds the duals, u then v, with the root at 0.
+    flow, order, parent = _least_cost_tree(cost, supply, demand)
     n = ns + nd
-    adj = [set() for _ in range(n)]
-    for i, j in zip(rows.tolist(), (cols + ns).tolist()):
-        adj[i].add(j)
-        adj[j].add(i)
-    c = cost.tolist()
-    pot, parent, depth = [0.0] * n, [-1] * n, [0] * n
+    size = [1] * n
+    for a in reversed(order[1:]):
+        size[parent[a]] += size[a]
+    order, parent, size = np.array(order), np.array(parent), np.array(size)
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = at = np.arange(n)
+    pot = _tree_duals(cost, order, parent)
 
-    def hang(root):
-        """Set the parents, depths and duals of the subtree below ``root``."""
-        stack = [root]
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if b != parent[a]:
-                    parent[b], depth[b] = a, depth[a] + 1
-                    pot[b] = (c[a][b - ns] if a < ns else c[b][a - ns]) - pot[a]
-                    stack.append(b)
-
-    hang(0)
     # Reduced costs above -opt_tol are rounding in the duals; stopping there
-    # moves the total by at most opt_tol per unit of mass.  Grids up to 30x30
-    # take under 6n pivots; the cap stops a degenerate basis from cycling.
+    # moves the total by at most opt_tol per unit of mass.  Random
+    # full-support 30x30 grids take about 2.5n pivots; the cap is a guard.
     opt_tol = 1e-12 * max(1.0, float(np.abs(cost).max(initial=0.0)))
-    reduced = np.empty_like(cost)
+    rows_per_block = max(1, PRICING_BLOCK // nd)
+    blocks = -(-ns // rows_per_block)
+    u, v = pot[:ns], pot[ns:]
+    block = 0
     for _ in range(100 * n):
-        duals = np.array(pot)
-        np.subtract(cost, duals[:ns, None], out=reduced)
-        reduced -= duals[ns:]
-        k = int(reduced.argmin())
-        if reduced.flat[k] >= -opt_tol:
+        # Price from the block that gave the last entering cell; a full round
+        # of blocks with no candidate means the basis is optimal.
+        for _ in range(blocks):
+            r0 = block * rows_per_block
+            reduced = cost[r0:r0 + rows_per_block] - u[r0:r0 + rows_per_block, None]
+            reduced -= v
+            k = int(reduced.argmin())
+            delta = float(reduced.flat[k])
+            if delta < -opt_tol:
+                break
+            block = (block + 1) % blocks
+        else:
             break
-        p, q = divmod(k, nd)
+        p, q = r0 + k // nd, ns + k % nd
 
-        # The tree path from column q to row p closes the cycle with (p, q);
-        # its cells alternate losing and gaining mass, starting with a loss.
-        a, b, up_p, up_q = p, ns + q, [], []
-        while a != b:
-            if depth[a] >= depth[b]:
-                up_p.append(a)
-                a = parent[a]
-            else:
-                up_q.append(b)
-                b = parent[b]
-        path = up_q + [a] + up_p[::-1]
-        cells = [(min(x, y), max(x, y) - ns) for x, y in zip(path, path[1:])]
-        theta, li, lj = min((flow[i, j], i, j) for i, j in cells[0::2])
-        for i, j in cells[0::2]:
-            flow[i, j] -= theta
-        for i, j in cells[1::2]:
-            flow[i, j] += theta
-        flow[p, q] = theta
+        # The tree paths from the apex (the deepest common ancestor) down to
+        # p and from q back up to it close the cycle with (p, q).  Ancestors
+        # of a node at position x are the positions t <= x whose subtree
+        # reaches past x, and they come in root-to-node order.
+        ends = at + size[order]
+        xp, xq = int(pos[p]), int(pos[q])
+        up_p = np.flatnonzero(ends[:xp + 1] > xp)
+        up_q = np.flatnonzero(ends[:xq + 1] > xq)
+        m = np.count_nonzero((up_p <= xq) & (ends[up_p] > xq))
+        cycle = np.concatenate([order[up_p[m - 1:]], order[up_q[m - 1:]][::-1]])
+        ip = up_p.size - m  # cycle[ip] is p, cycle[ip + 1] is q
+        frm, to = cycle[:-1], cycle[1:]
+        ci, cj = np.minimum(frm, to), np.maximum(frm, to) - ns
+        # Oriented along (p, q), a step from a column to a row loses mass.
+        # The cycle starts at the apex, so the last cell of least mass is the
+        # one the strongly feasible rule drops.
+        loses = np.flatnonzero(frm >= ns)
+        mass = flow[ci[loses], cj[loses]]
+        theta = mass.min()
+        out = int(loses[np.flatnonzero(mass == theta)[-1]])
+        if theta > 0:
+            gains = np.flatnonzero(frm < ns)
+            flow[ci[gains], cj[gains]] += theta
+            flow[ci[loses], cj[loses]] -= theta
 
-        # Swap (li, lj) out of the tree for (p, q).  Dropping it cuts off the
-        # subtree below its lower end, which holds p or q: hang that subtree
-        # from the other end of (p, q).
-        low = li if parent[li] == ns + lj else ns + lj
-        adj[li].remove(ns + lj)
-        adj[ns + lj].remove(li)
-        adj[p].add(ns + q)
-        adj[ns + q].add(p)
-        e, f = (p, ns + q) if low in up_p else (ns + q, p)
-        parent[e], depth[e] = f, depth[f] + 1
-        pot[e] = c[p][q] - pot[f]
-        hang(e)
+        # Dropping cell ``out`` cuts off the subtree below its lower end,
+        # low, which holds p or q; call that one e.  The subtree is re-rooted
+        # at e and hung from the other end f of (p, q): the chain e .. low
+        # reverses its parent links.
+        if out < ip:
+            chain, e, f = cycle[ip:out:-1], p, q
+            shrink, grow = cycle[:out + 1], cycle[ip + 1:]
+        else:
+            chain, e, f = cycle[ip + 1:out + 1], q, p
+            shrink, grow = cycle[out + 1:], cycle[:ip + 1]
+        starts, sizes = pos[chain].tolist(), size[chain].tolist()
+        a, s = starts[-1], sizes[-1]
+        # In preorder the re-rooted subtree is e's old subtree, then for each
+        # later node of the chain its old subtree less the one before it.
+        ranges = [order[starts[0]:starts[0] + sizes[0]]]
+        for t in range(1, len(chain)):
+            ranges += [order[starts[t]:starts[t - 1]],
+                       order[starts[t - 1] + sizes[t - 1]:starts[t] + sizes[t]]]
+        moved = np.concatenate(ranges)
+        pf = int(pos[f])
+        if pf < a:
+            order = np.concatenate([order[:pf + 1], moved, order[pf + 1:a], order[a + s:]])
+        else:
+            order = np.concatenate([order[:a], order[a + s:pf + 1], moved, order[pf + 1:]])
+        pos[order] = at
+        size[shrink] -= s
+        size[grow] += s
+        size[chain] = s - np.array([0] + sizes[:-1])
+        parent[chain[1:]] = chain[:-1]
+        parent[e] = f
+        # Keep u_i + v_j = c_ij on the new cell: the nodes of the moved
+        # subtree on e's side shift by delta and the others by -delta.
+        pot[moved] += np.where((moved < ns) == (e < ns), delta, -delta)
     else:
         raise SolverNonConvergenceError("pivot limit exceeded")
 
-    # Certificate: dual feasibility and complementary slackness of the duals
-    # of the final basis.
+    # Certificate: dual feasibility and complementary slackness of duals
+    # rebuilt from the final tree.
+    pot = _tree_duals(cost, order, parent)
+    reduced = cost - pot[:ns, None] - pot[ns:]
     if reduced.min() < -cert_tol:
         raise SolverNonConvergenceError(
             f"dual infeasibility {reduced.min():.3e} exceeds the certificate tolerance"
@@ -222,3 +260,110 @@ def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
             f"complementary slackness residual {slack:.3e} exceeds the certificate tolerance"
         )
     return flow, float((flow * cost).sum())
+
+
+def _least_cost_tree(cost, supply, demand):
+    """Least-cost (matrix minimum) start basis as ``(flow, order, parent)``.
+
+    Allocates min(s_i, d_j) to the cheapest cell of an open row and an open
+    column, in increasing cost order, and closes the row or column it
+    exhausts, or both on a tie.  Each row keeps a pointer to its cheapest open
+    column, so a step only rescans the rows whose column just closed.  The
+    cells form a forest of positive flows.  Every other tree is joined to the
+    root's by a zero-flow cell, the cheapest from one of its rows to a column
+    of the root's tree, and a column that got no mass by its cheapest cell to
+    a row of the root's tree.  So every zero-flow cell but the last kind
+    hangs a row below a column, and the tree is strongly feasible whenever
+    each column receives mass.  (Closing only the row on a tie, as the
+    textbook rule does, leaves zero-flow cells that may point either way.)
+    """
+    ns, nd = cost.shape
+    n = ns + nd
+    flow = np.zeros((ns, nd))
+    supply, demand = supply.tolist(), demand.tolist()
+    open_cost = cost.copy()
+    open_cost[np.asarray(supply) <= 0] = np.inf
+    open_cost[:, np.asarray(demand) <= 0] = np.inf
+    best_col = open_cost.argmin(axis=1)
+    best = open_cost[np.arange(ns), best_col]
+    adj = [[] for _ in range(n)]
+    while True:
+        i = int(best.argmin())
+        if best[i] == np.inf:
+            break
+        j = int(best_col[i])
+        x = min(supply[i], demand[j])
+        flow[i, j] = x
+        adj[i].append(ns + j)
+        adj[ns + j].append(i)
+        supply[i] -= x
+        demand[j] -= x
+        if supply[i] <= 0:
+            open_cost[i] = np.inf
+            best[i] = np.inf
+        if demand[j] <= 0:
+            open_cost[:, j] = np.inf
+            stale = np.flatnonzero(best_col == j)
+            best_col[stale] = open_cost[stale].argmin(axis=1)
+            best[stale] = open_cost[stale, best_col[stale]]
+
+    # Label each tree of the forest by its first node, the root's first.
+    root = int(np.flatnonzero(flow.any(axis=1))[0])
+    tree = [-1] * n
+    for a in [root] + list(range(n)):
+        if tree[a] < 0:
+            tree[a], stack = a, [a]
+            while stack:
+                for b in adj[stack.pop()]:
+                    if tree[b] < 0:
+                        tree[b] = a
+                        stack.append(b)
+    tree = np.array(tree)
+    main = tree == root
+    rows, cols = np.flatnonzero(~main[:ns]), np.flatnonzero(main[ns:])
+    if rows.size:
+        # The cheapest cell from each row to the root's tree, then per tree
+        # the cheapest of its rows.
+        sub = cost[np.ix_(rows, cols)]
+        near = sub.argmin(axis=1)
+        by_tree = np.lexsort((sub[np.arange(rows.size), near], tree[rows]))
+        _, first = np.unique(tree[rows][by_tree], return_index=True)
+        for k in by_tree[first].tolist():
+            i, j = int(rows[k]), ns + int(cols[near[k]])
+            adj[i].append(j)
+            adj[j].append(i)
+    lone = np.flatnonzero(~np.isin(tree[ns:], tree[:ns]))
+    if lone.size:
+        main_rows = np.flatnonzero(main[:ns])
+        near = cost[np.ix_(main_rows, lone)].argmin(axis=0)
+        for i, j in zip(main_rows[near].tolist(), (ns + lone).tolist()):
+            adj[i].append(j)
+            adj[j].append(i)
+    order, parent = _preorder(adj, root)
+    return flow, order, parent
+
+
+def _preorder(adj, root):
+    """Depth-first preorder of the tree and each node's parent (-1 at the
+    root)."""
+    parent = [-1] * len(adj)
+    order, stack = [], [root]
+    while stack:
+        a = stack.pop()
+        order.append(a)
+        for b in adj[a]:
+            if b != parent[a]:
+                parent[b] = a
+                stack.append(b)
+    return order, parent
+
+
+def _tree_duals(cost, order, parent):
+    """Duals u then v with u_i + v_j = c_ij on every tree cell, 0 at the root."""
+    ns = cost.shape[0]
+    nodes, up = np.asarray(order[1:]), np.asarray(parent)[order[1:]]
+    edge = cost[np.minimum(nodes, up), np.maximum(nodes, up) - ns].tolist()
+    pot = [0.0] * len(parent)
+    for a, b, c in zip(nodes.tolist(), up.tolist(), edge):
+        pot[a] = c - pot[b]
+    return np.array(pot)

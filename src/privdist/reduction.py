@@ -30,7 +30,7 @@ from .errors import (
     EmptyObservationsError,
     ObservationOutsideDomainError,
 )
-from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL, IbuResult, ibu
+from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL, ibu
 from .geometry import convex_hull, distance_to_hull, max_pairwise_distance
 
 
@@ -179,12 +179,17 @@ def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset
     When the parent domain is the integer line the result is returned over
     the finite member window (everything outside it is zero by construction).
     """
-    sub_alphabet = restricted_alphabet(subset)
-    G = obs_matrix(mech, obs, alphabet=sub_alphabet)
-    result: IbuResult = ibu(G, theta0=theta0, tol=tol, max_iter=max_iter)
+    G = obs_matrix(mech, obs, alphabet=restricted_alphabet(subset))
+    return lift(subset, ibu(G, theta0=theta0, tol=tol, max_iter=max_iter).estimate)
+
+
+def lift(subset: LikelySubset, estimate: Distribution) -> Distribution:
+    """Put an estimate over ``restricted_alphabet(subset)`` back on the parent
+    alphabet, with probability zero outside the subset.  On the integer line
+    the estimate is returned as it is."""
     if subset.parent is INTEGER_LINE:
-        return result.estimate
+        return estimate
     lifted = np.zeros(subset.parent.size)
-    for value, p in zip(sub_alphabet.values, result.estimate.probs):
+    for value, p in zip(estimate.alphabet.values, estimate.probs):
         lifted[subset.parent.index(value)] = p
     return Distribution(subset.parent, lifted)

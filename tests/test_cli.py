@@ -111,6 +111,17 @@ class TestEstimate:
             if v not in observed.counts:
                 assert payload["probs"][v] == 0.0
 
+    def test_likely_subset_reports_ibu_diagnostics(self, tmp_path):
+        mech, obs = self._artifacts(tmp_path, mechanism="krr")
+        out = tmp_path / "est.json"
+        assert main(["estimate", "--mechanism", mech, "--observations", obs,
+                     "--estimator", "ibu", "--likely-subset", "--out", str(out)]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert set(diagnostics) == {"iterations", "converged", "gap", "loglik", "likely_subset"}
+        assert diagnostics["converged"] and diagnostics["iterations"] >= 1
+        assert diagnostics["gap"] <= 1e-6 and isinstance(diagnostics["loglik"], float)
+        assert diagnostics["likely_subset"]["construction"] == "krr-observed"
+
 
 class TestExperiment:
     def test_identity_rows_have_zero_emd(self, tmp_path):

@@ -244,6 +244,21 @@ class TestInvRaw:
         with pytest.raises(ObservationOutsideDomainError):
             inv_raw(to_empirical(ObservationSet({"a": 2, "c": 1})), SYM)
 
+    def test_condition_number_computed_once_per_mechanism(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m, *a: calls.append(m) or cond(m, *a))
+        mech = FiniteMechanism(AB, AB.values, [[0.75, 0.25], [0.25, 0.75]])
+        q = to_empirical(ObservationSet({"a": 3, "b": 1}))
+        first, second = inv_raw(q, mech), inv_raw(q, mech)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(first, second)
+        singular = FiniteMechanism(AB, AB.values, [[0.5, 0.5], [0.5, 0.5]])
+        for _ in range(2):
+            with pytest.raises(SingularMechanismError, match="condition number"):
+                inv_raw(q, singular)
+        assert len(calls) == 2
+
 
 class TestPostProcessing:
     def test_normalize_clips_and_scales(self):

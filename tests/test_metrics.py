@@ -11,6 +11,7 @@ from privdist.core import Distribution, LinearAlphabet, PlanarAlphabet
 from privdist.errors import AlphabetMismatchError, SolverNonConvergenceError
 from privdist.metrics import (
     MetricValue,
+    _least_cost_tree,
     emd,
     emd_1d,
     emd_planar,
@@ -155,7 +156,7 @@ def _solve_and_check(cost, supply, demand):
 
 
 class TestTransportDegenerate:
-    """Inputs whose north-west-corner basis holds zero-mass cells."""
+    """Inputs whose start basis holds zero-mass cells."""
 
     def test_identical_distributions(self):
         g = PlanarAlphabet.grid(4, 4, 1.0)
@@ -181,7 +182,7 @@ class TestTransportDegenerate:
         _solve_and_check(_grid_cost(g, si, di), supply, demand)
 
     def test_uniform_vs_uniform(self):
-        # equal masses tie at every north-west-corner step
+        # equal masses tie at every step of the start basis
         rng = np.random.default_rng(9)
         g = PlanarAlphabet.grid(8, 8, 1.0)
         si = rng.choice(g.size, 12, replace=False)
@@ -203,6 +204,86 @@ class TestTransportDegenerate:
         si, di = np.flatnonzero(estimate), np.flatnonzero(truth)
         _solve_and_check(_grid_cost(g, si, di), estimate[si] / estimate[si].sum(),
                          truth[di] / truth[di].sum())
+
+
+def _lattice_cost(k):
+    """Integer Manhattan distances between the cells of a k x k grid."""
+    xy = np.array([(x, y) for y in range(k) for x in range(k)], dtype=float)
+    return np.abs(xy[:, None, :] - xy[None, :, :]).sum(axis=2)
+
+
+class TestTransportLeastCostStart:
+    """Degenerate inputs for the least-cost start and block pricing."""
+
+    def test_integer_lattice_equal_masses(self):
+        rng = np.random.default_rng(11)
+        cost = _lattice_cost(6)
+        uniform = np.full(36, 1.0 / 36)
+        two_or_none = rng.permutation(np.repeat([2.0, 0.0], 18)) / 36
+        _solve_and_check(cost, uniform, two_or_none)
+        _solve_and_check(cost, two_or_none, uniform)
+        _solve_and_check(cost, uniform, uniform)
+        counts = rng.integers(1, 4, 36).astype(float)
+        _solve_and_check(cost, counts / counts.sum(), rng.permutation(counts) / counts.sum())
+
+    def test_small_integer_costs_many_ties(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            ns, nd = (int(v) for v in rng.integers(2, 12, 2))
+            cost = rng.integers(0, 3, (ns, nd)).astype(float)
+            _solve_and_check(cost, np.full(ns, 1.0 / ns), np.full(nd, 1.0 / nd))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+    def test_single_row_or_column(self, shape):
+        rng = np.random.default_rng(13)
+        cost = rng.integers(0, 3, shape).astype(float)
+        supply, demand = rng.dirichlet(np.ones(shape[0])), rng.dirichlet(np.ones(shape[1]))
+        flow, total = min_cost_transport(cost, supply, demand)
+        # one side has a single node, so its only feasible flow is the outer product
+        np.testing.assert_allclose(flow, np.outer(supply, demand), atol=1e-15)
+        assert total == pytest.approx(lp_transport_cost(cost, supply, demand), abs=1e-9)
+
+    def test_zero_supply_and_demand_entries(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            ns, nd = (int(v) for v in rng.integers(2, 12, 2))
+            cost = rng.integers(0, 4, (ns, nd)).astype(float)
+            supply = rng.integers(0, 3, ns) * (rng.random(ns) < 0.6)
+            demand = rng.integers(0, 3, nd) * (rng.random(nd) < 0.6)
+            supply[0], demand[-1] = supply[0] + 1, demand[-1] + 1
+            supply = supply / supply.sum()
+            demand = demand / demand.sum()
+            _solve_and_check(cost, supply, demand)
+            flow, _ = min_cost_transport(cost, supply, demand)
+            assert not flow[supply == 0].any() and not flow[:, demand == 0].any()
+
+    def test_start_basis_is_a_spanning_tree(self):
+        # zero entries and ties leave a forest that zero-flow cells must join;
+        # those cells hang a row below a column unless the column got no mass
+        supply = np.array([0.25, 0.0, 0.25, 0.5, 0.0])
+        demand = np.array([0.5, 0.0, 0.25, 0.25])
+        cost = _lattice_cost(3)[:5, :4]
+        flow, order, parent = _least_cost_tree(cost, supply, demand)
+        ns, n = 5, 9
+        assert sorted(order) == list(range(n)) and parent[order[0]] == -1
+        seen = {order[0]}
+        for a in order[1:]:
+            assert parent[a] in seen and (a < ns) != (parent[a] < ns)
+            seen.add(a)
+            i, j = min(a, parent[a]), max(a, parent[a]) - ns
+            if flow[i, j] == 0 and demand[j] > 0:
+                assert a < ns
+        tree_cells = {(min(a, parent[a]), max(a, parent[a]) - ns) for a in order[1:]}
+        assert set(zip(*np.nonzero(flow))) <= tree_cells
+        np.testing.assert_allclose(flow.sum(axis=1), supply, atol=1e-15)
+        np.testing.assert_allclose(flow.sum(axis=0), demand, atol=1e-15)
+
+    def test_full_support_30x30_both_ways(self):
+        g = PlanarAlphabet.grid(30, 30, 1.0)
+        rng = np.random.default_rng(15)
+        p = Distribution(g, rng.dirichlet(np.ones(g.size)))
+        q = Distribution(g, rng.dirichlet(np.ones(g.size)))
+        assert emd_planar(p, q) == pytest.approx(emd_planar(q, p), abs=1e-9)
 
 
 class TestTransportInputs:
