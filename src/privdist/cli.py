@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="certified log-likelihood gap, in nats, at which ibu stops")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                   help="cap on ibu's EM-map evaluations")
+                   help="cap on ibu's iterations (certificate tests)")
     p.add_argument("--out", default="estimate.json")
     p.set_defaults(func=cmd_estimate)
 

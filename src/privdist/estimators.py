@@ -1,19 +1,16 @@
 """Estimators that recover the original distribution from noisy reports.
 
-``ibu`` is the expectation-maximization fixed-point iteration, accelerated
-by SQUAREM; it maximizes the log-likelihood of the observed reports and
-stops once a certificate bounds its distance to the maximum by ``tol``
-nats (``IbuResult.gap``).  ``inv_raw`` inverts the mechanism
-matrix directly and is post-processed either by clip-and-normalize
-(``inv_normalize``) or by Euclidean projection onto the probability simplex
-(``inv_project``).  ``rappor_decode`` is the per-bit debiasing estimator for
-one-hot bit-vector reports.
+``ibu`` computes the maximum-likelihood estimate that the iterative Bayesian
+update (EM) converges to, certified within ``tol`` nats (``IbuResult.gap``).
+``inv_raw`` inverts the mechanism matrix directly and is post-processed by
+clip-and-normalize (``inv_normalize``) or by Euclidean projection onto the
+probability simplex (``inv_project``).  ``rappor_decode`` is the per-bit
+debiasing estimator for one-hot bit-vector reports.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -41,17 +38,11 @@ DEFAULT_TOL = 1e-6  # certified log-likelihood gap, in nats
 DEFAULT_MAX_ITER = 100_000
 # Condition numbers beyond this make the inverted vector numerically meaningless.
 CONDITION_LIMIT = 1e12
-# Estimate entries below this are set to exactly zero after each step:
-# subnormal entries make every later iteration several times slower.
-FLUSH_BELOW = 1e-250
-# A rejected SQUAREM jump is retried with its step length divided by this.
-BACKTRACK = 4.0
 
 
 class IbuResult:
-    """Outcome of an IBU run: the estimate, the log-likelihood trace, the
-    certified gap the stopping rule last tested, and whether that gap was
-    within the tolerance before ``max_iter`` EM-map evaluations."""
+    """Outcome of an IBU run: the estimate, the log-likelihood per iterate,
+    the certified gap last tested, and whether it met the tolerance."""
 
     __slots__ = ("estimate", "iterations", "loglik_trace", "converged", "gap")
 
@@ -64,75 +55,49 @@ class IbuResult:
         self.gap = gap
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate.to_dict(),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "gap": self.gap,
-            "loglik": [float(v) for v in self.loglik_trace],
-        }
+        return {"estimate": self.estimate.to_dict(), "iterations": self.iterations,
+                "converged": self.converged, "gap": self.gap,
+                "loglik": [float(v) for v in self.loglik_trace]}
 
     def __repr__(self):
-        return (
-            f"IbuResult(iterations={self.iterations}, converged={self.converged}, "
-            f"gap={self.gap:.3g}, loglik={self.loglik_trace[-1]:.6g})"
-        )
+        return (f"IbuResult(iterations={self.iterations}, converged={self.converged}, "
+                f"gap={self.gap:.3g}, loglik={self.loglik_trace[-1]:.6g})")
 
 
 def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
         max_iter: int = DEFAULT_MAX_ITER) -> IbuResult:
-    """Iterative Bayesian update, accelerated by SQUAREM and stopped on a
-    certified likelihood gap.
+    """The maximum-likelihood estimate that the iterative Bayesian update
+    (EM, theta[x] <- theta[x] g[x], g = A (q / (theta A))) converges to.
 
-    The EM map is theta[x] <- theta[x] g[x] with g = A (q / (theta A)).  By
-    Jensen's inequality the maximum log-likelihood exceeds L(theta) by at
-    most n log max_x g[x], so the run stops at the first iterate whose gap
-    is at most ``tol`` nats.  Iterates alternate between a plain EM step
-    theta1 = F(theta) and a SQUAREM jump from theta,
-    theta - 2 a r + a^2 v with r = theta1 - theta, v = F(theta1) - 2 theta1
-    + theta and the SqS3 step a = -|r|/|v| (Varadhan & Roland, Scand. J.
-    Stat. 2008).  A jump with a negative entry, or with a lower likelihood
-    than theta1, is retried with a shorter step, down to F(theta1) itself
-    (a = -1).  So ``loglik_trace``, one entry per iterate, does not fall
-    beyond rounding.  Entries below ``FLUSH_BELOW`` are set to zero; the
-    certificate covers them too.
-
-    ``max_iter`` caps the EM-map evaluations, counted in ``iterations``;
-    reaching it returns ``converged=False``.  ``max_iter=1`` is one plain EM
-    step.  The start must have full support; every observed column must have
-    at least one strictly positive entry.
-    """
+    The maximum log-likelihood exceeds L(theta) by at most n log max_x g[x]
+    (Jensen); the run stops once that gap is at most ``tol`` nats.  After one
+    EM step, the default (uniform) start takes interior-point Newton steps
+    (``_newton_step``), or the EM step where those are not finite or lower the
+    likelihood.  An explicit ``theta0`` takes EM steps only, so it ends at its
+    own fixed point where the maximizer is not unique.  ``iterations`` counts
+    gap tests; at ``max_iter`` the run returns ``converged=False``."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    A = G.matrix
-    weights = G.weights
-    q = G.q
-    n = G.n
-
+    A, weights, q, n = G.matrix, G.weights, G.q, G.n
     dead = np.flatnonzero(~(A > 0).any(axis=0))
     if dead.size:
         raise DeadColumnError(
             f"observed value {G.values[dead[0]]!r} has zero probability under every alphabet element"
         )
-    if theta0 is None:
-        theta0 = uniform_distribution(G.alphabet)
-    if theta0.alphabet != G.alphabet:
+    start = uniform_distribution(G.alphabet) if theta0 is None else theta0
+    if start.alphabet != G.alphabet:
         raise AlphabetMismatchError("the starting distribution is over a different alphabet")
-    if np.any(theta0.probs <= 0):
+    if np.any(start.probs <= 0):
         raise ZeroSupportStartError("the starting distribution must have full support")
 
-    theta = theta0.probs.copy()
+    theta = start.probs.copy()
     mix = theta.dot(A)
     loglik = float(weights.dot(np.log(mix)))
     trace = [loglik]
-    base = None  # when theta is a plain EM step, the iterate it was taken from
-    iterations = 0
-    converged = False
-    gap = math.inf
-    # ndarray.dot has less call overhead than the @ operator, which matters
-    # at small alphabet sizes.  A report made impossible gives log 0 = -inf.
+    duals, iterations, converged, gap = None, 0, False, math.inf
+    # ndarray.dot has less call overhead than @.  An impossible report gives log 0 = -inf.
     with np.errstate(divide="ignore"):
         while iterations < max_iter:
             g = A.dot(q / mix)
@@ -141,40 +106,74 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
             if gap <= tol:
                 converged = True
                 break
-            step = theta * g
-            if base is None:
-                candidates, base = (step,), theta
-            else:
-                candidates, base = chain(_squarem_jumps(base, theta, step), (step,)), None
-            for new in candidates:
+            candidates = [(theta * g, duals)]
+            # within 4 rounding units of the maximum, cheap EM steps re-round the gap
+            if theta0 is None and iterations > 1 and gap > 4.0 * n * np.finfo(float).eps:
+                candidates = [*_newton_step(A, q, theta, mix, g, duals), *candidates]
+            for new, new_duals in candidates:
                 new /= new.sum()
-                new[new < FLUSH_BELOW] = 0.0
                 new_mix = new.dot(A)
-                # The change is taken on the mixture ratios: it keeps its
-                # precision long after the two large log-likelihoods stop
-                # resolving it.
+                # The gain is taken on the mixture ratios: it keeps its precision
+                # long after the two large log-likelihoods stop resolving it.
                 gain = float(weights.dot(np.log(new_mix / mix)))
-                if gain >= 0.0 or new is step:
+                if gain >= 0.0 or new_duals is duals:
                     break
-            theta, mix = new, new_mix
+            theta, mix, duals = new, new_mix, new_duals
             loglik += gain
             trace.append(loglik)
     return IbuResult(Distribution(G.alphabet, theta), iterations, trace, converged, gap)
 
 
-def _squarem_jumps(theta, theta1, theta2):
-    """The non-negative SqS3 extrapolations from theta through the EM steps
-    theta1 and theta2, longest step first, each ``BACKTRACK`` times shorter
-    than the last, down to the plain double step theta2 (not included)."""
-    r = theta1 - theta
-    v = theta2 - theta1 - r
-    vv = v.dot(v)
-    alpha = -math.sqrt(r.dot(r) / vv) if vv > 0.0 else -1.0
-    while alpha < -1.0:
-        jump = theta - 2.0 * alpha * r + alpha * alpha * v
-        if jump.min() >= 0.0:
-            yield jump
-        alpha /= BACKTRACK
+def _newton_step(A, q, theta, mix, g, duals):
+    """Primal-dual interior-point steps (Wright, 1997) for max q log(theta A)
+    on the simplex, multipliers lam for sum(theta) = 1 and z for theta >= 0
+    (first read off the certificate); yields (theta, (z, lam)) for finite ones.
+    Newton's method on g - lam + z = 0, theta z = sigma mu (mu the mean of
+    theta z) solves M dtheta = b - dlam, M = D + A W A^T, D = z / theta, W =
+    q / mix^2, b = g - lam + sigma mu / theta, for a centred step (sigma =
+    min(0.1, sqrt mu)) and an affine one (sigma = 0, which raises the
+    likelihood when short enough).  Rows with D above their curvature M_xx
+    go through an m x m system (Woodbury) when they outnumber the m reports.
+    Steps stop 0.995 of the way to the boundary."""
+    z, lam = duals or (np.maximum(g.max() - g, (g.max() - 1.0) / g.size), g.max())
+    free = theta > 1e-200  # entries below are held still
+    t, zf, Af = theta[free], z[free], A[free]
+    k, m = Af.shape
+    mu = t.dot(zf) / k
+    sigma_mu = min(0.1, math.sqrt(mu)) * mu
+    d, w = zf / t, q / mix / mix
+    R = np.column_stack([g[free] - lam + sigma_mu / t, g[free] - lam, np.ones(k)])
+    out = d >= (Af * Af).dot(w)
+    try:
+        if np.count_nonzero(out) <= m:
+            X = _solve_scaled((Af * w).dot(Af.T), d, R)
+        else:  # V = P^-1 [A^T, A^T D^-1 R] on the kept and out rows, P = W^-1 + A^T D^-1 A
+            Ak, DA = Af[~out], Af[out] / d[out, None]
+            V = np.linalg.solve(Af[out].T.dot(DA) + np.diag(1.0 / w),
+                                np.column_stack([Ak.T, DA.T.dot(R[out])]))
+            s, X = Ak.shape[0], np.empty((k, 3))
+            X[~out] = _solve_scaled(Ak.dot(V[:, :s]), d[~out], R[~out] - Ak.dot(V[:, s:]))
+            X[out] = (R[out] - Af[out].dot(V[:, :s].dot(X[~out]) + V[:, s:])) / d[out, None]
+    except np.linalg.LinAlgError:
+        return
+    for col, target in ((0, sigma_mu), (1, 0.0)):
+        dlam = X[:, col].sum() / X[:, 2].sum()
+        step = X[:, col] - dlam * X[:, 2]
+        if np.isfinite(step).all():
+            dz = (target - zf * step) / t - zf
+            a_primal = min(1.0, 0.995 * (t[step < 0] / -step[step < 0]).min(initial=np.inf))
+            a_dual = min(1.0, 0.995 * (zf[dz < 0] / -dz[dz < 0]).min(initial=np.inf))
+            new, new_z = theta.copy(), z.copy()
+            new[free], new_z[free] = t + a_primal * step, zf + a_dual * dz
+            yield new, (new_z, lam + a_dual * dlam)
+
+
+def _solve_scaled(H, d, R):
+    """(H + diag d)^-1 R, solved at unit diagonal as d spans hundreds of
+    decades; H is overwritten."""
+    H.flat[::H.shape[0] + 1] += d
+    scale = np.sqrt(np.maximum(H.diagonal(), 1e-300))[:, None]
+    return np.linalg.solve(H / scale / scale.T, R / scale) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -58,16 +58,16 @@ def build_identity(alphabet: Alphabet) -> FiniteMechanism:
 
 def build_krr(alphabet: Alphabet, eps_ldp: float) -> FiniteMechanism:
     """k-ary randomized response: keep the true value with probability
-    e^eps / (k - 1 + e^eps), otherwise report one of the others uniformly."""
+    e^eps / (k - 1 + e^eps), otherwise report one of the others uniformly.
+    Both are computed through e^(-eps), which cannot overflow."""
     k = alphabet.size
     if k < 2:
         raise AlphabetTooSmallError("k-RR needs at least two alphabet elements")
-    if eps_ldp < 0:
-        raise NonPositiveEpsilonError("eps_ldp must be non-negative")
-    e = math.exp(eps_ldp)
-    denom = k - 1 + e
-    matrix = np.full((k, k), 1.0 / denom)
-    np.fill_diagonal(matrix, e / denom)
+    if not eps_ldp >= 0:
+        raise NonPositiveEpsilonError(f"eps_ldp must be non-negative, got {eps_ldp}")
+    keep = 1.0 / (1.0 + (k - 1) * math.exp(-eps_ldp))
+    matrix = np.full((k, k), keep * math.exp(-eps_ldp))
+    np.fill_diagonal(matrix, keep)
     return FiniteMechanism(
         alphabet, alphabet.values, matrix, kind="krr", params={"eps_ldp": eps_ldp}
     )
@@ -371,11 +371,11 @@ def build_exponential(alphabet: Alphabet, metric, eps_geo: float) -> FiniteMecha
 # ---------------------------------------------------------------------------
 
 def rappor_keep_prob(eps_ldp: float) -> float:
-    """Per-bit probability of keeping a bit: e^(eps/2) / (1 + e^(eps/2))."""
-    if eps_ldp < 0:
-        raise NonPositiveEpsilonError("eps_ldp must be non-negative")
-    e = math.exp(eps_ldp / 2.0)
-    return e / (1.0 + e)
+    """Per-bit probability of keeping a bit: e^(eps/2) / (1 + e^(eps/2)),
+    computed as 1 / (1 + e^(-eps/2)), which cannot overflow."""
+    if not eps_ldp >= 0:
+        raise NonPositiveEpsilonError(f"eps_ldp must be non-negative, got {eps_ldp}")
+    return 1.0 / (1.0 + math.exp(-eps_ldp / 2.0))
 
 
 class BitVectorMechanism(Mechanism):
@@ -390,8 +390,8 @@ class BitVectorMechanism(Mechanism):
     distance_monotone = False
 
     def __init__(self, alphabet: Alphabet, eps_ldp: float):
-        if eps_ldp < 0:
-            raise NonPositiveEpsilonError("eps_ldp must be non-negative")
+        if not eps_ldp >= 0:
+            raise NonPositiveEpsilonError(f"eps_ldp must be non-negative, got {eps_ldp}")
         super().__init__(alphabet)
         self.eps_ldp = float(eps_ldp)
 
@@ -420,8 +420,10 @@ class BitVectorMechanism(Mechanism):
         bits = self._report_bits(zs)
         rows = [self.input_alphabet.index(x) for x in xs]
         pk = self.keep_prob ** k
+        # e = 0 is the report with no bit flipped: its factor is 1, also at eps = inf
         table = np.array([
-            [pk * math.exp(-(0.5 + 0.5 * float(s) - float(b)) * self.eps_ldp) for s in range(k + 1)]
+            [pk * math.exp(-e * self.eps_ldp) if e else pk
+             for e in (0.5 + 0.5 * float(s) - float(b) for s in range(k + 1))]
             for b in (0, 1)
         ])
         return table[bits[:, rows].T, bits.sum(axis=1)[None, :]]

@@ -14,6 +14,7 @@ from privdist.core import (
     FiniteMechanism,
     LinearAlphabet,
     ObservationSet,
+    PlanarAlphabet,
     distribution_new,
     obs_matrix,
     to_empirical,
@@ -27,7 +28,7 @@ from privdist.errors import (
     SingularMechanismError,
     ZeroSupportStartError,
 )
-from privdist.dataio import Explicit, sample_synthetic
+from privdist.dataio import Binomial, Explicit, sample_synthetic
 from privdist.estimators import (
     DEFAULT_TOL,
     ibu,
@@ -37,15 +38,17 @@ from privdist.estimators import (
     project_to_simplex,
     rappor_decode,
 )
+from privdist.experiment import derive_rng
 from privdist.mechanisms import (
     build_geometric_linear,
+    build_geometric_planar,
     build_geometric_truncated,
     build_krr,
     build_rappor,
     obfuscate_dataset,
 )
 from privdist.reduction import likely_linear, restrict_and_lift, restricted_alphabet
-from test_acceptance import ages_shaped_distribution
+from test_acceptance import MASTER, ages_shaped_distribution
 
 AB = CategoricalAlphabet(["a", "b"])
 SYM = FiniteMechanism(AB, AB.values, [[0.75, 0.25], [0.25, 0.75]])
@@ -206,12 +209,76 @@ class TestIbuCertificate:
         assert np.all(np.diff(res.loglik_trace) >= -1e-9)
 
     def test_unreachable_tol_stops_at_cap(self, ages_data):
+        # the interior point meets even tol=1e-30 on this input (the gap
+        # rounds to exactly 0), so the cap is set below the steps it needs
         G = _ages_matrix(build_geometric_truncated(0, 99, 0.5), ages_data)
-        res = ibu(G, tol=1e-30, max_iter=400)
-        assert not res.converged and res.iterations == 400
+        res = ibu(G, tol=1e-30, max_iter=3)
+        assert not res.converged and res.iterations == 3
         assert res.gap > 1e-30
         assert abs(res.estimate.probs.sum() - 1.0) < 1e-12
         assert np.all(np.diff(res.loglik_trace) >= -1e-9)
+
+    def test_flat_geometric_inputs_all_certified(self):
+        # criterion 4's ten inputs: at eps=0.05 the likelihood is so flat
+        # that EM needs 15k to over 100k steps on them
+        data = sample_synthetic(Explicit(ages_shaped_distribution(AGES)), 48_842,
+                                derive_rng(MASTER, 4, 0)).values
+        mech = build_geometric_truncated(0, 99, 0.05)
+        for rep in range(10):
+            G = obs_matrix(mech, obfuscate_dataset(mech, data, derive_rng(MASTER, 4, 1, rep)))
+            res = ibu(G)
+            assert res.converged and certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
+
+    def test_wide_window_with_tiny_kernel_entries(self):
+        # criterion 10's wide window: 105 rows, kernel entries down to 1e-29
+        mech = build_geometric_linear(1.0)
+        data = sample_synthetic(Binomial(10, 0.5), 10_000, derive_rng(1010, 0))
+        obs = obfuscate_dataset(mech, data.values, derive_rng(1010, 1))
+        G = obs_matrix(mech, obs, alphabet=LinearAlphabet.range(-50, 54))
+        assert G.matrix.min() < 1e-28
+        res = ibu(G, tol=1e-12)
+        assert res.converged and res.iterations <= 50
+
+    def test_wide_integer_window_keeps_newton_steps(self):
+        # 20 rows beyond the ages on each side at eps=1: from the first
+        # iterates the centred Newton step lowers the likelihood, so the
+        # solver needs the affine step to stay off thousands of EM steps
+        data = sample_synthetic(Explicit(ages_shaped_distribution(AGES)), 2_000,
+                                np.random.default_rng(41)).values
+        mech = build_geometric_linear(1.0)
+        obs = obfuscate_dataset(mech, data, np.random.default_rng(101))
+        G = obs_matrix(mech, obs, alphabet=LinearAlphabet.range(-20, 119))
+        res = ibu(G)
+        assert res.converged and res.iterations <= 50
+        assert certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
+
+    def test_explicit_start_takes_plain_em_steps(self):
+        rng = np.random.default_rng(71)
+        alpha = LinearAlphabet.range(0, 4)
+        mech = FiniteMechanism(alpha, tuple(range(7)), rng.dirichlet(np.ones(7), size=5))
+        G = obs_matrix(mech, ObservationSet({z: int(c) for z, c in enumerate(rng.integers(1, 40, 7))}))
+        start = distribution_new(alpha, rng.dirichlet(np.ones(5)))
+        theta = start.probs
+        for _ in range(3):
+            theta = theta * (G.matrix @ (G.q / (theta @ G.matrix)))
+            theta /= theta.sum()
+        res = ibu(G, theta0=start, max_iter=3)
+        np.testing.assert_allclose(res.estimate.probs, theta, rtol=1e-12, atol=1e-15)
+
+    def test_planar_with_fewer_reports_than_cells(self):
+        # 100 cells and 45 distinct reports: most rows of the Newton system
+        # are eliminated through the report dimension
+        grid = PlanarAlphabet.grid(10, 10, 1.0)
+        mech = build_geometric_planar(grid, grid, 1.0)
+        rng = np.random.default_rng(61)
+        data = [grid.values[i] for i in rng.choice(grid.size, size=60)]
+        G = obs_matrix(mech, obfuscate_dataset(mech, data, rng))
+        assert G.matrix.shape[1] < grid.size
+        res = ibu(G)
+        assert res.converged and certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
+        em = ibu(G, theta0=distribution_new(grid, np.ones(grid.size)), max_iter=1_000_000)
+        assert em.converged
+        assert abs(log_likelihood(G, res.estimate) - log_likelihood(G, em.estimate)) <= DEFAULT_TOL
 
 
 class TestInvRaw:

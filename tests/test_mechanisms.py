@@ -31,6 +31,7 @@ from privdist.mechanisms import (
     build_rappor,
     load_mechanism_dict,
     obfuscate_dataset,
+    rappor_keep_prob,
 )
 
 
@@ -48,6 +49,16 @@ class TestKrr:
     def test_zero_epsilon_uniform(self):
         m = build_krr(CategoricalAlphabet(["a", "b"]), 0.0)
         np.testing.assert_allclose(m.matrix, 0.5)
+
+    @pytest.mark.parametrize("eps", [800.0, math.inf])
+    def test_huge_epsilon_is_identity(self, eps):
+        # e^800 overflows a float; the kernel must still be the identity
+        m = build_krr(CategoricalAlphabet(["a", "b", "c"]), eps)
+        np.testing.assert_array_equal(m.matrix, np.eye(3))
+
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(NonPositiveEpsilonError):
+            build_krr(CategoricalAlphabet(["a", "b"]), math.nan)
 
     def test_alphabet_too_small(self):
         with pytest.raises(AlphabetTooSmallError):
@@ -275,6 +286,22 @@ class TestRappor:
         alpha = LinearAlphabet.range(0, 3)
         counts = build_rappor(alpha, 50.0).sample_counts(1, 200, np.random.default_rng(1))
         assert counts == {(0, 1, 0, 0): 200}
+
+    @pytest.mark.parametrize("eps", [800.0, math.inf])
+    def test_huge_epsilon_keeps_every_bit(self, eps):
+        assert rappor_keep_prob(eps) == 1.0
+        mech = build_rappor(LinearAlphabet.range(0, 3), eps)
+        assert mech.sample_counts(2, 50, np.random.default_rng(1)) == {(0, 0, 1, 0): 50}
+        # one flipped bit has probability e^(-eps/2): 2e-174 at 800, 0 at inf
+        f = math.exp(-eps / 2.0)
+        kernel = mech.kernel([0, 1, 2, 3], [(1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)])
+        np.testing.assert_allclose(kernel, [[1, 0, 0], [0, 1, f], [0, 0, f], [0, 0, 0]], rtol=1e-12)
+
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(NonPositiveEpsilonError):
+            rappor_keep_prob(math.nan)
+        with pytest.raises(NonPositiveEpsilonError):
+            build_rappor(LinearAlphabet.range(0, 2), math.nan)
 
     def test_cond_prob_matches_per_bit_product(self):
         # |X| = 2, p = 3/4 (eps = 2 ln 3): P((1,0) | first) = (3/4)^2 = 9/16
