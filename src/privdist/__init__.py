@@ -13,7 +13,6 @@ from .core import (
     Alphabet,
     CategoricalAlphabet,
     Distribution,
-    Empirical,
     FiniteMechanism,
     LinearAlphabet,
     Mechanism,
@@ -66,7 +65,7 @@ from .reduction import (
     likely_planar,
     restrict_and_lift,
 )
-from .metrics import MetricValue, emd, emd_1d, emd_planar, l2sq, min_cost_transport, tv
+from .metrics import emd, emd_1d, emd_planar, l2sq, min_cost_transport, tv
 from .dataio import (
     Binomial,
     Explicit,

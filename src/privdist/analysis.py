@@ -22,10 +22,9 @@ from .errors import (
     AlphabetTooLargeError,
     AlphaTooSmallError,
     LengthMismatchError,
-    NonPositiveEpsilonError,
     TooFewObservationsError,
 )
-from .mechanisms import rappor_keep_prob
+from .mechanisms import rappor_keep_prob, require_eps
 
 RANK_TOL = 1e-10
 
@@ -160,18 +159,16 @@ def inv_krr_error_bound(k: int, eps_ldp: float, n: int) -> float:
         raise ValueError("k must be at least 2")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if eps_ldp <= 0:
-        raise NonPositiveEpsilonError("eps_ldp must be strictly positive")
-    e = math.exp(eps_ldp)
-    return ((e + k - 1.0) / (e - 1.0)) ** 2 / n
+    require_eps(eps_ldp)
+    a = math.exp(-eps_ldp)  # e^-eps cannot overflow; the bound is 1/n at eps = inf
+    return ((1.0 + (k - 1.0) * a) / (1.0 - a)) ** 2 / n
 
 
 def inv_geometric_error_lower_bound(eps_geo: float, n: int) -> float:
     """Lower bound on the expected squared error of the inverted vector under
     geometric noise: (b^3 - 2ab^2 - 2) / n with a = e^-eps, b = 1/(1 - a).
     Requires a > 1/2, i.e. eps < ln 2."""
-    if eps_geo <= 0:
-        raise NonPositiveEpsilonError("eps_geo must be strictly positive")
+    require_eps(eps_geo)
     if n < 1:
         raise ValueError("n must be at least 1")
     a = math.exp(-eps_geo)

@@ -43,8 +43,9 @@ from .errors import (
     PrivDistError,
     TooManyMalformedRowsError,
 )
-from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL, ibu
+from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .experiment import (
+    ESTIMATORS,
     ExperimentConfig,
     build_alphabet,
     build_mechanism,
@@ -126,8 +127,6 @@ def _reconcile_values(obs: ObservationSet, mech) -> ObservationSet:
             fixed[v] = fixed.get(v, 0) + c
         elif str(v) in known:
             fixed[str(v)] = fixed.get(str(v), 0) + c
-        elif isinstance(v, list) and tuple(v) in known:
-            fixed[tuple(v)] = fixed.get(tuple(v), 0) + c
         else:
             fixed[v] = fixed.get(v, 0) + c
     return ObservationSet(fixed)
@@ -142,26 +141,18 @@ def cmd_estimate(args) -> int:
     obs = _load_observations(args.observations, mech)
     alphabet = mech.input_alphabet if isinstance(mech.input_alphabet, Alphabet) else None
 
-    diagnostics = None
+    subset = None
     try:
-        if args.estimator == "ibu":
-            subset = _build_subset(mech, obs) if args.likely_subset else None
-            if subset is None and alphabet is None:
-                raise IncompatibleEstimatorError(
-                    "plain ibu needs a finite input alphabet; use --likely-subset"
-                )
-            rows = alphabet if subset is None else restricted_alphabet(subset)
-            result = ibu(obs_matrix(mech, obs, alphabet=rows),
-                         tol=args.tol, max_iter=args.max_iter)
-            estimate = result.estimate if subset is None else lift(subset, result.estimate)
-            diagnostics = {"iterations": result.iterations, "converged": result.converged,
-                           "gap": result.gap, "loglik": result.loglik_trace[-1]}
-            if subset is not None:
-                diagnostics["likely_subset"] = subset.to_dict()
-        else:
-            if alphabet is None:
-                raise IncompatibleEstimatorError(f"{args.estimator} needs a finite mechanism")
-            estimate, _ = run_estimator(args.estimator, mech, obs, alphabet)
+        if args.estimator == "ibu" and args.likely_subset:
+            subset = _build_subset(mech, obs)
+            alphabet = restricted_alphabet(subset)
+        if alphabet is None:
+            hint = "; use --likely-subset" if args.estimator == "ibu" else ""
+            raise IncompatibleEstimatorError(f"{args.estimator} needs a finite input alphabet{hint}")
+        estimate, result = run_estimator(args.estimator, mech, obs, alphabet,
+                                         tol=args.tol, max_iter=args.max_iter)
+        if subset is not None:
+            estimate = lift(subset, estimate)
     except IncompatibleEstimatorError:
         raise
     except PrivDistError as exc:
@@ -169,8 +160,11 @@ def cmd_estimate(args) -> int:
         return 1
 
     payload = estimate.to_dict()
-    if diagnostics:
-        payload["diagnostics"] = diagnostics
+    if result is not None:
+        payload["diagnostics"] = {"iterations": result.iterations, "converged": result.converged,
+                                  "gap": result.gap, "loglik": result.loglik_trace[-1]}
+        if subset is not None:
+            payload["diagnostics"]["likely_subset"] = subset.to_dict()
     _write_json(args.out, payload)
     print(f"wrote estimate to {args.out}")
     return 0
@@ -266,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run one estimator on saved artifacts")
     p.add_argument("--mechanism", required=True)
     p.add_argument("--observations", required=True)
-    p.add_argument("--estimator", required=True,
-                   choices=["ibu", "inv-n", "inv-p", "rappor-decode"])
+    p.add_argument("--estimator", required=True, choices=ESTIMATORS)
     p.add_argument("--likely-subset", action="store_true",
                    help="restrict ibu to a likely subset before estimating")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,

@@ -392,39 +392,14 @@ class ObservationSet:
         return obs
 
 
-class Empirical:
-    """Observed-frequency distribution over the distinct reported values."""
-
-    __slots__ = ("values", "probs", "n")
-
-    def __init__(self, values: tuple, probs, n: int):
-        probs = np.asarray(probs, dtype=float)
-        if len(values) != probs.size:
-            raise LengthMismatchError("values and probabilities differ in length")
-        probs = probs.copy()
-        probs.flags.writeable = False
-        object.__setattr__(self, "values", tuple(values))
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "n", int(n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Empirical is immutable")
-
-    def prob(self, v) -> float:
-        try:
-            return float(self.probs[self.values.index(v)])
-        except ValueError:
-            return 0.0
-
-
-def to_empirical(obs: ObservationSet) -> Empirical:
-    """Frequencies of the distinct observed values (count divided by n)."""
+def to_empirical(obs: ObservationSet) -> Distribution:
+    """Frequencies of the distinct observed values (count divided by n), as a
+    distribution over ``Alphabet(observed values)``."""
     if obs.n < 1:
         raise EmptyObservationsError("cannot build an empirical distribution from zero reports")
     items = obs.items()
-    values = tuple(v for v, _ in items)
     counts = np.array([c for _, c in items], dtype=float)
-    return Empirical(values, counts / obs.n, obs.n)
+    return Distribution(Alphabet(v for v, _ in items), counts / obs.n)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +463,8 @@ class FiniteMechanism(Mechanism):
                 f"kernel shape {matrix.shape} does not match "
                 f"{input_alphabet.size} inputs x {len(outputs)} outputs"
             )
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("kernel entries must be finite")
         if np.any(matrix < 0):
             raise ValueError("kernel entries must be non-negative")
         rows = matrix.sum(axis=1)

@@ -17,7 +17,6 @@ import numpy as np
 from .core import (
     Alphabet,
     Distribution,
-    Empirical,
     FiniteMechanism,
     ObsMatrix,
     uniform_distribution,
@@ -180,9 +179,10 @@ def _solve_scaled(H, d, R):
 # Matrix inversion
 # ---------------------------------------------------------------------------
 
-def inv_raw(q: Empirical, mech: FiniteMechanism,
+def inv_raw(q: Distribution, mech: FiniteMechanism,
             condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Invert the mechanism on the empirical output frequencies: v = q M^-1.
+    """Invert the mechanism on the empirical output frequencies: v = q M^-1,
+    with ``q`` over the observed values (``to_empirical``).
 
     The result may have negative components and is therefore returned as a
     plain vector for post-processing.
@@ -191,7 +191,7 @@ def inv_raw(q: Empirical, mech: FiniteMechanism,
         raise NonSquareMechanismError("matrix inversion requires a square finite mechanism")
     M = mech.matrix
     qvec = np.zeros(len(mech.outputs))
-    for v, p in zip(q.values, q.probs):
+    for v, p in zip(q.alphabet.values, q.probs):
         qvec[mech.output_index(v)] = p
     cond = mech.condition_number
     if not np.isfinite(cond) or cond > condition_limit:

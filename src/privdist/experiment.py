@@ -56,13 +56,9 @@ from .mechanisms import (
     build_rappor,
     obfuscate_dataset,
 )
-from .metrics import metric_value
+from .metrics import METRICS
 
 ESTIMATORS = ("ibu", "inv-n", "inv-p", "rappor-decode")
-MECHANISMS = (
-    "identity", "krr", "rappor", "geometric", "geometric-linear",
-    "laplace", "exponential", "planar-geometric", "planar-laplace",
-)
 FAILURE_THRESHOLD = 0.10
 
 
@@ -106,6 +102,9 @@ class ExperimentConfig:
         name = self.mechanism.get("name")
         if name not in MECHANISMS:
             raise ConfigError(f"unknown mechanism {name!r}; choose from {MECHANISMS}")
+        for metric in self.metrics:
+            if metric not in METRICS:
+                raise ConfigError(f"unknown metric {metric!r}; choose from {tuple(METRICS)}")
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ConfigError(f"unknown estimator {est!r}; choose from {ESTIMATORS}")
@@ -136,43 +135,39 @@ def build_alphabet(spec: dict) -> Alphabet:
     raise ConfigError(f"unknown alphabet kind {kind!r}")
 
 
+def _distances(alphabet) -> np.ndarray:
+    """Euclidean distances between the elements of a linear or planar alphabet."""
+    points = np.array(alphabet.values, dtype=float).reshape(alphabet.size, -1)
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
+
+# config name -> (the alphabet types it accepts, its builder from (alphabet, eps))
+_BUILDERS = {
+    "identity": ((Alphabet,), lambda a, eps: build_identity(a)),
+    "krr": ((Alphabet,), build_krr),
+    "rappor": ((Alphabet,), build_rappor),
+    "geometric": ((LinearAlphabet,),
+                  lambda a, eps: build_geometric_truncated(a.values[0], a.values[-1], eps)),
+    "geometric-linear": ((LinearAlphabet,), lambda a, eps: build_geometric_linear(eps)),
+    "laplace": ((LinearAlphabet,), build_laplace_linear_discretized),
+    "exponential": ((LinearAlphabet, PlanarAlphabet),
+                    lambda a, eps: build_exponential(a, _distances(a), eps)),
+    "planar-geometric": ((PlanarAlphabet,), lambda a, eps: build_geometric_planar(a, a, eps)),
+    "planar-laplace": ((PlanarAlphabet,), build_laplace_planar_discretized),
+}
+MECHANISMS = tuple(_BUILDERS)
+
+
 def build_mechanism(name: str, alphabet: Alphabet, eps: float) -> Mechanism:
-    if name == "identity":
-        return build_identity(alphabet)
-    if name == "krr":
-        return build_krr(alphabet, eps)
-    if name == "rappor":
-        return build_rappor(alphabet, eps)
-    if name == "geometric":
-        if not isinstance(alphabet, LinearAlphabet) or not alphabet.is_contiguous:
-            raise ConfigError("the truncated geometric mechanism needs a contiguous linear alphabet")
-        return build_geometric_truncated(alphabet.values[0], alphabet.values[-1], eps)
-    if name == "geometric-linear":
-        return build_geometric_linear(eps)
-    if name == "laplace":
-        if not isinstance(alphabet, LinearAlphabet):
-            raise ConfigError("the discretized Laplace mechanism needs a linear alphabet")
-        return build_laplace_linear_discretized(alphabet, eps)
-    if name == "exponential":
-        if isinstance(alphabet, PlanarAlphabet):
-            centers = alphabet.centers_array()
-            diff = centers[:, None, :] - centers[None, :, :]
-            metric = np.sqrt((diff ** 2).sum(axis=2))
-        elif isinstance(alphabet, LinearAlphabet):
-            vals = np.asarray(alphabet.values, dtype=float)
-            metric = np.abs(vals[:, None] - vals[None, :])
-        else:
-            raise ConfigError("the exponential mechanism needs a linear or planar alphabet")
-        return build_exponential(alphabet, metric, eps)
-    if name == "planar-geometric":
-        if not isinstance(alphabet, PlanarAlphabet):
-            raise ConfigError("planar-geometric needs a planar alphabet")
-        return build_geometric_planar(alphabet, alphabet, eps)
-    if name == "planar-laplace":
-        if not isinstance(alphabet, PlanarAlphabet):
-            raise ConfigError("planar-laplace needs a planar alphabet")
-        return build_laplace_planar_discretized(alphabet, eps)
-    raise ConfigError(f"unknown mechanism {name!r}")
+    if name not in _BUILDERS:
+        raise ConfigError(f"unknown mechanism {name!r}; choose from {MECHANISMS}")
+    kinds, build = _BUILDERS[name]
+    if not isinstance(alphabet, kinds) or (name == "geometric" and not alphabet.is_contiguous):
+        needs = " or ".join(k.kind for k in kinds)
+        raise ConfigError(f"the {name} mechanism needs a "
+                          f"{'contiguous ' if name == 'geometric' else ''}{needs} alphabet")
+    return build(alphabet, eps)
 
 
 def load_dataset(spec: dict, alphabet: Alphabet, master_seed: int) -> RawDataset:
@@ -202,26 +197,26 @@ def load_dataset(spec: dict, alphabet: Alphabet, master_seed: int) -> RawDataset
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def run_estimator(name: str, mech: Mechanism, obs, alphabet: Alphabet) -> tuple:
-    """Apply one estimator to an observation set.
+def run_estimator(name: str, mech: Mechanism, obs, alphabet: Alphabet, **ibu_options) -> tuple:
+    """Apply one estimator to an observation set, over the rows ``alphabet``.
 
-    Returns the estimate and whether it converged; only ``ibu`` iterates,
-    and it converges when its certified likelihood gap met the tolerance.
+    Returns the estimate and, for ``ibu``, its IbuResult (None for the
+    others).  ``ibu_options`` (``tol``, ``max_iter``) go to ``ibu`` as given.
     """
     if name == "ibu":
-        result = ibu(obs_matrix(mech, obs, alphabet=alphabet))
-        return result.estimate, result.converged
+        result = ibu(obs_matrix(mech, obs, alphabet=alphabet), **ibu_options)
+        return result.estimate, result
     if name in ("inv-n", "inv-p"):
         if not isinstance(mech, FiniteMechanism) or not mech.is_square:
             raise IncompatibleEstimatorError(f"{name} requires a square finite mechanism")
         v = inv_raw(to_empirical(obs), mech)
         post = inv_normalize if name == "inv-n" else inv_project
-        return post(v, alphabet), True
+        return post(v, alphabet), None
     if name == "rappor-decode":
         if not isinstance(mech, BitVectorMechanism):
             raise IncompatibleEstimatorError("rappor-decode requires the rappor mechanism")
         counts = rappor_bit_counts(obs, alphabet)
-        return rappor_decode(counts, obs.n, alphabet, mech.eps_ldp, post="project"), True
+        return rappor_decode(counts, obs.n, alphabet, mech.eps_ldp, post="project"), None
     raise IncompatibleEstimatorError(f"unknown estimator {name!r}")
 
 
@@ -266,7 +261,7 @@ def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
                 runs += 1
                 start = time.perf_counter()
                 try:
-                    estimate, converged = run_estimator(est, mech, obs, alphabet)
+                    estimate, result = run_estimator(est, mech, obs, alphabet)
                 except PrivDistError as exc:
                     runtime_ms = 1000.0 * (time.perf_counter() - start)
                     failures += 1
@@ -274,12 +269,12 @@ def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
                                  f"{runtime_ms:.3f}", f"error:{type(exc).__name__}"])
                     continue
                 runtime_ms = 1000.0 * (time.perf_counter() - start)
-                status = "ok" if converged else "unconverged"
+                status = "unconverged" if result is not None and not result.converged else "ok"
                 for metric in config.metrics:
-                    mv = metric_value(metric, estimate, truth)
+                    value = METRICS[metric](estimate, truth)
                     rows.append([mech_name, eps, est, rep, metric,
-                                 f"{mv.value:.10g}", f"{runtime_ms:.3f}", status])
-                    cells.setdefault((mech_name, eps, est, metric), []).append(mv.value)
+                                 f"{value:.10g}", f"{runtime_ms:.3f}", status])
+                    cells.setdefault((mech_name, eps, est, metric), []).append(value)
 
     with open(raw_path, "w", newline="") as fh:
         writer = csv.writer(fh)

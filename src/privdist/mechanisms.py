@@ -40,9 +40,13 @@ from .errors import (
 _RING_MASS_TOL = 1e-12
 
 
-def _require_positive_eps(eps: float):
-    if not (eps > 0):
-        raise NonPositiveEpsilonError(f"epsilon must be strictly positive, got {eps}")
+def require_eps(eps: float, zero_ok: bool = False):
+    """The one epsilon rule: NaN and negative values are rejected, and so is 0
+    unless ``zero_ok`` (k-RR and RAPPOR, whose eps = 0 kernel is uniform).
+    eps = inf is accepted, and every builder gives the identity there."""
+    if not (eps >= 0 if zero_ok else eps > 0):
+        needs = "non-negative" if zero_ok else "strictly positive"
+        raise NonPositiveEpsilonError(f"epsilon must be {needs}, got {eps}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +67,7 @@ def build_krr(alphabet: Alphabet, eps_ldp: float) -> FiniteMechanism:
     k = alphabet.size
     if k < 2:
         raise AlphabetTooSmallError("k-RR needs at least two alphabet elements")
-    if not eps_ldp >= 0:
-        raise NonPositiveEpsilonError(f"eps_ldp must be non-negative, got {eps_ldp}")
+    require_eps(eps_ldp, zero_ok=True)
     keep = 1.0 / (1.0 + (k - 1) * math.exp(-eps_ldp))
     matrix = np.full((k, k), keep * math.exp(-eps_ldp))
     np.fill_diagonal(matrix, keep)
@@ -95,7 +98,7 @@ class IntegerLineMechanism(Mechanism):
     distance_monotone = True
 
     def __init__(self, eps_geo: float):
-        _require_positive_eps(eps_geo)
+        require_eps(eps_geo)
         super().__init__(INTEGER_LINE)
         self.eps_geo = float(eps_geo)
         self._a = math.exp(-self.eps_geo)
@@ -147,7 +150,7 @@ def build_geometric_truncated(r1: int, r2: int, eps_geo: float) -> FiniteMechani
     """
     if r1 >= r2:
         raise EmptyRangeError(f"need r1 < r2, got [{r1}, {r2}]")
-    _require_positive_eps(eps_geo)
+    require_eps(eps_geo)
     alphabet = LinearAlphabet.range(int(r1), int(r2))
     vals = np.array(alphabet.values, dtype=np.int64)
     a = math.exp(-eps_geo)
@@ -166,6 +169,8 @@ def build_geometric_truncated(r1: int, r2: int, eps_geo: float) -> FiniteMechani
 
 
 def _check_same_lattice(input_grid: PlanarAlphabet, output_grid: PlanarAlphabet):
+    if not (isinstance(input_grid, PlanarAlphabet) and isinstance(output_grid, PlanarAlphabet)):
+        raise GridMismatchError("the planar mechanisms need planar input and output grids")
     w = input_grid.cell_width_km
     if abs(w - output_grid.cell_width_km) > 1e-9 * max(1.0, w):
         raise GridMismatchError("input and output grids must share the cell width")
@@ -191,9 +196,12 @@ def _ring_cells(nx: int, ny: int, margin: int) -> np.ndarray:
 
 def _geometric_weights(rows: np.ndarray, cells: np.ndarray, w: float, eps: float) -> np.ndarray:
     """e^(-eps * d) from each row to each super-grid cell, both in lattice
-    units of cell width ``w`` km."""
+    units of cell width ``w`` km.  At eps = inf all weight is on the row's own
+    cell (rows lie on the lattice, up to rounding)."""
     diff = rows[:, None, :] - cells[None, :, :].astype(float)
     dist = np.sqrt((diff ** 2).sum(axis=2)) * w
+    if eps == math.inf:
+        return (dist < 0.5 * w).astype(float)
     return np.exp(-eps * dist)
 
 
@@ -208,7 +216,8 @@ def _super_grid_margin(nx: int, ny: int, in_coords: np.ndarray, w: float, eps: f
     while True:
         ring = _ring_cells(nx, ny, margin + 1)
         ring_mass = _geometric_weights(in_coords, ring, w, eps).sum(axis=1)
-        if np.max(ring_mass / totals) < _RING_MASS_TOL:
+        # a product, not a ratio: a row outside the output grid may have no mass yet
+        if np.all(ring_mass < _RING_MASS_TOL * totals):
             return margin
         totals += ring_mass
         margin += 1
@@ -253,7 +262,7 @@ def build_geometric_planar(input_grid: PlanarAlphabet, output_grid: PlanarAlphab
     and every super-grid cell outside the output grid is remapped to its
     nearest output cell.  The output grid may be smaller than the input grid.
     """
-    _require_positive_eps(eps_geo)
+    require_eps(eps_geo)
     _check_same_lattice(input_grid, output_grid)
     w = output_grid.cell_width_km
     ox, oy = output_grid.origin
@@ -290,7 +299,7 @@ def build_laplace_linear_discretized(alphabet: LinearAlphabet, eps_geo: float) -
     Cell boundaries sit at midpoints between adjacent values; the two extreme
     cells absorb the tails, so each row is an exact CDF telescope.
     """
-    _require_positive_eps(eps_geo)
+    require_eps(eps_geo)
     if not isinstance(alphabet, LinearAlphabet) or not alphabet.is_contiguous:
         raise NonContiguousAlphabetError("the alphabet must be a contiguous integer range")
     vals = alphabet.values
@@ -337,7 +346,7 @@ def build_laplace_planar_discretized(grid: PlanarAlphabet, eps_geo: float) -> Fi
 def build_exponential(alphabet: Alphabet, metric, eps_geo: float) -> FiniteMechanism:
     """Exponential mechanism over a finite alphabet with ground metric d:
     P(z | x) proportional to e^(-eps * d(x, z) / 2)."""
-    _require_positive_eps(eps_geo)
+    require_eps(eps_geo)
     k = alphabet.size
     if callable(metric):
         dist = np.empty((k, k))
@@ -354,7 +363,10 @@ def build_exponential(alphabet: Alphabet, metric, eps_geo: float) -> FiniteMecha
         raise InvalidMetricError("distances must be zero on the diagonal")
     if np.any(np.abs(dist - dist.T) > 1e-12 * (1.0 + np.abs(dist))):
         raise InvalidMetricError("the metric must be symmetric")
-    weight = np.exp(-eps_geo * dist / 2.0)
+    if eps_geo == math.inf:  # the limit: uniform over the zero-distance outputs
+        weight = (dist == 0).astype(float)
+    else:
+        weight = np.exp(-eps_geo * dist / 2.0)
     matrix = weight / weight.sum(axis=1, keepdims=True)
     return FiniteMechanism(
         alphabet,
@@ -373,8 +385,7 @@ def build_exponential(alphabet: Alphabet, metric, eps_geo: float) -> FiniteMecha
 def rappor_keep_prob(eps_ldp: float) -> float:
     """Per-bit probability of keeping a bit: e^(eps/2) / (1 + e^(eps/2)),
     computed as 1 / (1 + e^(-eps/2)), which cannot overflow."""
-    if not eps_ldp >= 0:
-        raise NonPositiveEpsilonError(f"eps_ldp must be non-negative, got {eps_ldp}")
+    require_eps(eps_ldp, zero_ok=True)
     return 1.0 / (1.0 + math.exp(-eps_ldp / 2.0))
 
 
@@ -390,8 +401,7 @@ class BitVectorMechanism(Mechanism):
     distance_monotone = False
 
     def __init__(self, alphabet: Alphabet, eps_ldp: float):
-        if not eps_ldp >= 0:
-            raise NonPositiveEpsilonError(f"eps_ldp must be non-negative, got {eps_ldp}")
+        require_eps(eps_ldp, zero_ok=True)
         super().__init__(alphabet)
         self.eps_ldp = float(eps_ldp)
 

@@ -12,8 +12,6 @@ the final basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Distribution, LinearAlphabet, PlanarAlphabet
@@ -21,16 +19,6 @@ from .errors import AlphabetMismatchError, LengthMismatchError, SolverNonConverg
 
 # Complementary-slackness residual accepted as an optimality certificate.
 CERT_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    """A named metric outcome; units follow the alphabet (years, km) for EMD
-    and are dimensionless otherwise."""
-
-    name: str
-    value: float
-    units: str = ""
 
 
 def tv(p: Distribution, q: Distribution) -> float:
@@ -88,15 +76,7 @@ def emd(p: Distribution, q: Distribution) -> float:
     return emd_1d(p, q)
 
 
-def metric_value(name: str, estimate: Distribution, truth: Distribution) -> MetricValue:
-    if name == "emd":
-        units = "km" if isinstance(truth.alphabet, PlanarAlphabet) else "alphabet units"
-        return MetricValue("emd", emd(estimate, truth), units)
-    if name == "tv":
-        return MetricValue("tv", tv(estimate, truth))
-    if name == "l2sq":
-        return MetricValue("l2sq", l2sq(estimate, truth))
-    raise ValueError(f"unknown metric {name!r}")
+METRICS = {"emd": emd, "tv": tv, "l2sq": l2sq}
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,7 @@ def restricted_alphabet(subset: LikelySubset) -> Alphabet:
 
 
 def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset,
-                      theta0: Distribution = None, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> Distribution:
+                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> Distribution:
     """Run IBU on the subset rows only, then lift by assigning probability
     zero to every excluded element.
 
@@ -180,7 +179,7 @@ def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset
     the finite member window (everything outside it is zero by construction).
     """
     G = obs_matrix(mech, obs, alphabet=restricted_alphabet(subset))
-    return lift(subset, ibu(G, theta0=theta0, tol=tol, max_iter=max_iter).estimate)
+    return lift(subset, ibu(G, tol=tol, max_iter=max_iter).estimate)
 
 
 def lift(subset: LikelySubset, estimate: Distribution) -> Distribution:

@@ -223,6 +223,11 @@ class TestBounds:
         # ((3 + 1) / 2)^2 = 4
         assert inv_krr_error_bound(2, math.log(3.0), 1) == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [800.0, math.inf])
+    def test_krr_bound_at_huge_eps(self, eps):
+        # e^800 overflows and inf / inf is NaN; the kernel tends to the identity, so 1/n
+        assert inv_krr_error_bound(5, eps, 10) == pytest.approx(0.1, rel=1e-15)
+
     def test_krr_bound_scales_inversely(self):
         assert inv_krr_error_bound(5, 1.0, 10) == pytest.approx(
             inv_krr_error_bound(5, 1.0, 1) / 10.0

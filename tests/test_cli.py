@@ -9,6 +9,8 @@ import pytest
 
 from privdist import experiment
 from privdist.cli import main
+from privdist.errors import ConfigError
+from privdist.experiment import ESTIMATORS, MECHANISMS, ExperimentConfig
 from privdist.core import ObservationSet, PlanarAlphabet
 from privdist.mechanisms import build_geometric_planar
 
@@ -242,6 +244,69 @@ class TestExperiment:
         assert len(rows) == 8  # 2 estimators x 2 replications x 2 metrics
         emds = [float(r["value"]) for r in rows if r["metric"] == "emd"]
         assert all(0.0 <= v < 3.0 for v in emds)
+
+
+# one spec of each alphabet kind, all of size 4, for datasets of explicit probabilities
+ALPHABETS = {
+    "linear": {"kind": "linear", "lo": 0, "hi": 3},
+    "planar": {"kind": "planar", "nx": 2, "ny": 2, "cell_km": 1.0},
+    "categorical": {"kind": "categorical", "labels": ["a", "b", "c", "d"]},
+}
+
+
+def grid_config(tmp_path, name, kind, estimators) -> dict:
+    """A tiny run of one config mechanism on one alphabet kind."""
+    return {
+        "dataset": {"kind": "synthetic", "family": "explicit", "probs": [0.4, 0.3, 0.2, 0.1], "n": 120},
+        "alphabet": ALPHABETS[kind],
+        "mechanism": {"name": name, "eps": [1.0]},
+        "estimators": estimators,
+        "replications": 2,
+        "master_seed": 424242,
+        "metrics": ["emd", "tv", "l2sq"],
+        "out": str(tmp_path / "results"),
+    }
+
+
+class TestMechanismTable:
+    @pytest.mark.parametrize("name", MECHANISMS)
+    def test_every_mechanism_runs_end_to_end(self, tmp_path, name):
+        kind = "planar" if name.startswith("planar-") else "linear"
+        applies = []
+        for est in ESTIMATORS:
+            try:
+                ExperimentConfig.from_dict(grid_config(tmp_path, name, kind, [est]))
+                applies.append(est)
+            except ConfigError:  # e.g. rappor-decode off rappor
+                pass
+        cfg = write_json(tmp_path / "config.json", grid_config(tmp_path, name, kind, applies))
+        assert main(["experiment", "--config", cfg]) == 0
+        with open(tmp_path / "results_raw.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(r["estimator"], r["metric"]) for r in rows} == {
+            (est, metric) for est in applies for metric in ("emd", "tv", "l2sq")
+        }
+        assert len(rows) == 2 * 3 * len(applies)
+        assert all(r["status"] == "ok" for r in rows)
+
+    @pytest.mark.parametrize("name, kind", [
+        ("geometric", "planar"), ("geometric", "categorical"),
+        ("geometric-linear", "planar"), ("geometric-linear", "categorical"),
+        ("laplace", "planar"), ("laplace", "categorical"),
+        ("exponential", "categorical"),
+        ("planar-geometric", "linear"), ("planar-geometric", "categorical"),
+        ("planar-laplace", "linear"), ("planar-laplace", "categorical"),
+    ])
+    def test_wrong_alphabet_kind_exits_3(self, tmp_path, capsys, name, kind):
+        cfg = write_json(tmp_path / "config.json", grid_config(tmp_path, name, kind, ["ibu"]))
+        assert main(["experiment", "--config", cfg]) == 3
+        assert f"the {name} mechanism needs a" in capsys.readouterr().err
+
+    def test_unknown_metric_is_a_config_error(self, tmp_path):
+        cfg = grid_config(tmp_path, "krr", "linear", ["ibu"])
+        cfg["metrics"] = ["emd", "wasserstein"]
+        with pytest.raises(ConfigError, match="wasserstein"):
+            ExperimentConfig.from_dict(cfg)
 
 
 class TestAnalyzeAndReduce:

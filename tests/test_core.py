@@ -110,7 +110,10 @@ class TestEmpirical:
         # hand oracle: 3/4 and 1/4
         q = to_empirical(ObservationSet.from_reports(["a", "a", "a", "b"]))
         assert q.prob("a") == 0.75 and q.prob("b") == 0.25
-        assert q.n == 4
+
+    def test_distribution_over_observed_values(self):
+        q = to_empirical(ObservationSet({"b": 1, "a": 3}))
+        assert isinstance(q, Distribution) and q.alphabet == Alphabet(("a", "b"))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyObservationsError):
@@ -175,6 +178,12 @@ class TestFiniteMechanism:
     def test_rows_must_be_stochastic(self):
         with pytest.raises(ValueError):
             FiniteMechanism(AB, AB.values, [[0.6, 0.6], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN fails every comparison, so neither the sign nor the row-sum check sees it
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMechanism(AB, AB.values, [[bad, 0.5], [0.5, 0.5]])
 
     def test_sampler_matches_kernel(self):
         # statistical contract: 1e5 draws, frequencies within 4 sigma of the

@@ -10,7 +10,6 @@ from privdist.core import (
     INTEGER_LINE,
     CategoricalAlphabet,
     Distribution,
-    Empirical,
     FiniteMechanism,
     LinearAlphabet,
     ObservationSet,

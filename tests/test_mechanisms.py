@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from privdist.core import CategoricalAlphabet, LinearAlphabet, ObservationSet, PlanarAlphabet, obs_matrix
+from privdist.analysis import inv_geometric_error_lower_bound, inv_krr_error_bound
+from privdist.core import (
+    INTEGER_LINE,
+    CategoricalAlphabet,
+    LinearAlphabet,
+    ObservationSet,
+    PlanarAlphabet,
+    obs_matrix,
+)
 from privdist.errors import (
     AlphabetTooSmallError,
     ElementOutsideAlphabetError,
@@ -20,6 +28,7 @@ from privdist.errors import (
     ObservationOutsideDomainError,
 )
 from privdist.mechanisms import (
+    BitVectorMechanism,
     build_exponential,
     build_geometric_linear,
     build_geometric_planar,
@@ -188,6 +197,28 @@ class TestGeometricPlanar:
         with pytest.raises(GridMismatchError):
             build_geometric_planar(a, shifted, 1.0)
 
+    def test_non_planar_alphabet_rejected(self):
+        line, grid = LinearAlphabet.range(0, 3), PlanarAlphabet.grid(2, 2, 1.0)
+        for inp, out in ((line, grid), (grid, line), (line, line)):
+            with pytest.raises(GridMismatchError):
+                build_geometric_planar(inp, out, 1.0)
+        with pytest.raises(GridMismatchError):
+            build_laplace_planar_discretized(line, 1.0)
+
+    @pytest.mark.parametrize("eps", [800.0, math.inf])
+    def test_huge_epsilon_is_identity(self, eps):
+        # e^(-inf * 0) is NaN, so at inf the self weight must be taken as the limit
+        g = PlanarAlphabet.grid(3, 3, 1.0)
+        np.testing.assert_array_equal(build_geometric_planar(g, g, eps).matrix, np.eye(9))
+        np.testing.assert_array_equal(build_laplace_planar_discretized(g, eps).matrix, np.eye(9))
+
+    def test_infinite_epsilon_clamps_outside_cells(self):
+        # input cells beyond the output grid report the nearest output cell
+        inp, out = PlanarAlphabet.grid(5, 5, 1.0), PlanarAlphabet.grid(4, 4, 1.0)
+        m = build_geometric_planar(inp, out, math.inf).matrix
+        nearest = [out.index((min(x, 3.5), min(y, 3.5))) for x, y in inp.values]
+        np.testing.assert_array_equal(m, np.eye(16)[nearest])
+
 
 class TestLaplaceLinear:
     def test_single_value(self):
@@ -274,6 +305,12 @@ class TestExponential:
         asym = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(InvalidMetricError):
             build_exponential(alpha, asym, 1.0)
+
+    def test_infinite_epsilon_spreads_over_zero_distance(self):
+        # the limit of e^(-eps d / 2), normalized, is uniform over the outputs at distance 0
+        m = build_exponential(CategoricalAlphabet(["u", "v", "w"]),
+                              lambda a, b: 0.0 if a == b or {a, b} == {"u", "v"} else 1.0, math.inf)
+        np.testing.assert_array_equal(m.matrix, [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 1]])
 
 
 class TestRappor:
@@ -449,3 +486,52 @@ class TestSerialization:
         m = build_geometric_linear(0.25)
         back = load_mechanism_dict(json.loads(json.dumps(m.to_dict())))
         assert back.cond_prob(3, 5) == m.cond_prob(3, 5)
+
+
+# ---------------------------------------------------------------------------
+# One epsilon rule
+# ---------------------------------------------------------------------------
+
+LINE4 = LinearAlphabet.range(0, 3)
+GRID4 = PlanarAlphabet.grid(2, 2, 1.0)
+# builder name -> (builder from eps, whether eps = 0 is accepted)
+EPS_BUILDERS = {
+    "krr": (lambda eps: build_krr(LINE4, eps), True),
+    "rappor": (lambda eps: build_rappor(LINE4, eps), True),
+    "geometric-linear": (build_geometric_linear, False),
+    "geometric-truncated": (lambda eps: build_geometric_truncated(0, 3, eps), False),
+    "geometric-planar": (lambda eps: build_geometric_planar(GRID4, GRID4, eps), False),
+    "laplace-linear": (lambda eps: build_laplace_linear_discretized(LINE4, eps), False),
+    "laplace-planar": (lambda eps: build_laplace_planar_discretized(GRID4, eps), False),
+    "exponential": (lambda eps: build_exponential(LINE4, lambda a, b: abs(a - b), eps), False),
+}
+EPS_USERS = {
+    **EPS_BUILDERS,
+    "rappor_keep_prob": (rappor_keep_prob, True),
+    "inv_krr_error_bound": (lambda eps: inv_krr_error_bound(4, eps, 10), False),
+    "inv_geometric_error_lower_bound": (lambda eps: inv_geometric_error_lower_bound(eps, 10), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EPS_USERS))
+def test_one_epsilon_rule(name):
+    use, zero_ok = EPS_USERS[name]
+    for eps in (math.nan, -1.0, -math.inf):
+        with pytest.raises(NonPositiveEpsilonError):
+            use(eps)
+    if zero_ok:
+        use(0.0)
+    else:
+        with pytest.raises(NonPositiveEpsilonError):
+            use(0.0)
+
+
+@pytest.mark.parametrize("name", sorted(EPS_BUILDERS))
+def test_infinite_epsilon_is_identity(name):
+    mech = EPS_BUILDERS[name][0](math.inf)
+    xs = LINE4.values if mech.input_alphabet is INTEGER_LINE else mech.input_alphabet.values
+    if isinstance(mech, BitVectorMechanism):  # the one-hot reports, in input order
+        zs = [tuple(int(i == j) for j in range(len(xs))) for i in range(len(xs))]
+    else:
+        zs = xs
+    np.testing.assert_array_equal(mech.kernel(xs, zs), np.eye(len(xs)))

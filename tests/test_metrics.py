@@ -10,13 +10,11 @@ from scipy.optimize import linprog
 from privdist.core import Distribution, LinearAlphabet, PlanarAlphabet
 from privdist.errors import AlphabetMismatchError, SolverNonConvergenceError
 from privdist.metrics import (
-    MetricValue,
     _least_cost_tree,
     emd,
     emd_1d,
     emd_planar,
     l2sq,
-    metric_value,
     min_cost_transport,
     tv,
 )
@@ -327,14 +325,6 @@ class TestOtherMetrics:
     def test_l2sq_zero_on_equal(self):
         p = Distribution(LIN, [0.25, 0.75])
         assert l2sq(p, p) == 0.0
-
-    def test_metric_value_units(self):
-        g = PlanarAlphabet.grid(2, 1, 0.5)
-        p = Distribution(g, [1.0, 0.0])
-        mv = metric_value("emd", p, p)
-        assert isinstance(mv, MetricValue) and mv.units == "km"
-        lp = Distribution(LIN, [1.0, 0.0])
-        assert metric_value("emd", lp, lp).units == "alphabet units"
 
     def test_emd_dispatch(self):
         lp = Distribution(LIN, [1.0, 0.0])
