@@ -82,8 +82,8 @@ def log_likelihood(G: ObsMatrix, phi) -> float:
     return float(G.weights @ np.log(mix))
 
 
-def _numeric_rank(matrix: np.ndarray, tol: float):
-    """Rank by singular values above tol * sigma_max * max(dims), plus the
+def _numeric_rank(matrix: np.ndarray):
+    """Rank by singular values above RANK_TOL * sigma_max * max(dims), plus the
     left-null basis vectors for the discarded directions.
 
     U is always square; the right singular vectors are only built in full
@@ -93,12 +93,12 @@ def _numeric_rank(matrix: np.ndarray, tol: float):
     u, s, _ = np.linalg.svd(matrix, full_matrices=matrix.shape[1] < matrix.shape[0])
     if s.size == 0 or s[0] == 0:
         return 0, u
-    thresh = tol * s[0] * max(matrix.shape)
+    thresh = RANK_TOL * s[0] * max(matrix.shape)
     rank = int(np.sum(s > thresh))
     return rank, u
 
 
-def strict_concavity_check(G: ObsMatrix, tol: float = RANK_TOL) -> ConcavityReport:
+def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     """Decide strict concavity of the log-likelihood on the simplex.
 
     Strict concavity holds iff rank([matrix | ones]) equals the alphabet
@@ -115,7 +115,7 @@ def strict_concavity_check(G: ObsMatrix, tol: float = RANK_TOL) -> ConcavityRepo
     augmented = np.hstack([G.matrix, np.ones((k, 1))])
     scale = augmented.max(axis=0)
     augmented /= np.where(scale > 0, scale, 1.0)
-    rank, u = _numeric_rank(augmented, tol)
+    rank, u = _numeric_rank(augmented)
     if rank >= k:
         return ConcavityReport(True, rank, k)
     w = u[:, rank]
@@ -124,11 +124,11 @@ def strict_concavity_check(G: ObsMatrix, tol: float = RANK_TOL) -> ConcavityRepo
     return ConcavityReport(False, rank, k, witness=w)
 
 
-def identification_check(mech: FiniteMechanism, tol: float = RANK_TOL) -> bool:
+def identification_check(mech: FiniteMechanism) -> bool:
     """True iff the mechanism matrix has as many linearly independent columns
     as alphabet elements, i.e. distinct inputs induce distinct output
     distributions."""
-    rank, _ = _numeric_rank(mech.matrix, tol)
+    rank, _ = _numeric_rank(mech.matrix)
     return rank == mech.input_alphabet.size
 
 

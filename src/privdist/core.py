@@ -339,19 +339,20 @@ def _value_from_key(k: str):
 
 
 class ObservationSet:
-    """A counted multiset of noisy reports."""
+    """A counted multiset of noisy reports.
+
+    The distinct reports are sorted once, at construction, into canonical
+    order (by JSON key, ties in insertion order); ``count_array`` holds their
+    counts in that order, read-only and int64."""
 
     def __init__(self, counts: dict):
-        clean = {}
-        total = 0
-        for v, c in counts.items():
-            c = int(c)
-            if c <= 0:
-                raise ValueError("stored counts must be positive")
-            clean[v] = c
-            total += c
-        self._counts = clean
-        self.n = total
+        self._counts = {v: int(counts[v]) for v in sorted(counts, key=_value_key)}
+        self.count_array = np.fromiter(self._counts.values(), dtype=np.int64,
+                                       count=len(self._counts))
+        if np.any(self.count_array <= 0):
+            raise ValueError("stored counts must be positive")
+        self.count_array.flags.writeable = False
+        self.n = int(self.count_array.sum())
 
     @classmethod
     def from_reports(cls, reports: Iterable) -> "ObservationSet":
@@ -369,10 +370,10 @@ class ObservationSet:
 
     def values(self) -> list:
         """Distinct observed values in canonical (sorted) order."""
-        return sorted(self._counts.keys(), key=_value_key)
+        return list(self._counts)
 
     def items(self):
-        return [(v, self._counts[v]) for v in self.values()]
+        return list(self._counts.items())
 
     def __len__(self):
         return self.n
@@ -381,7 +382,7 @@ class ObservationSet:
         return f"ObservationSet(n={self.n}, distinct={len(self._counts)})"
 
     def to_dict(self) -> dict:
-        return {"reports": {_value_key(v): c for v, c in self.items()}, "n": self.n}
+        return {"reports": {_value_key(v): c for v, c in self._counts.items()}, "n": self.n}
 
     @staticmethod
     def from_dict(d: dict) -> "ObservationSet":
@@ -397,9 +398,7 @@ def to_empirical(obs: ObservationSet) -> Distribution:
     distribution over ``Alphabet(observed values)``."""
     if obs.n < 1:
         raise EmptyObservationsError("cannot build an empirical distribution from zero reports")
-    items = obs.items()
-    counts = np.array([c for _, c in items], dtype=float)
-    return Distribution(Alphabet(v for v, _ in items), counts / obs.n)
+    return Distribution(Alphabet(obs.values()), obs.count_array / obs.n)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +605,5 @@ def obs_matrix(mech: Mechanism, obs: ObservationSet, alphabet: Alphabet = None) 
             )
     if obs.n < 1:
         raise EmptyObservationsError("cannot build an observation matrix from zero reports")
-    items = obs.items()
-    values = tuple(v for v, _ in items)
-    weights = np.array([c for _, c in items], dtype=float)
-    return ObsMatrix(alphabet, values, mech.kernel(alphabet.values, values), weights)
+    values = obs.values()
+    return ObsMatrix(alphabet, values, mech.kernel(alphabet.values, values), obs.count_array)

@@ -31,7 +31,7 @@ from .errors import (
     SingularMechanismError,
     ZeroSupportStartError,
 )
-from .mechanisms import rappor_keep_prob
+from .mechanisms import rappor_bits, rappor_keep_prob
 
 DEFAULT_TOL = 1e-6  # certified log-likelihood gap, in nats
 DEFAULT_MAX_ITER = 100_000
@@ -179,8 +179,7 @@ def _solve_scaled(H, d, R):
 # Matrix inversion
 # ---------------------------------------------------------------------------
 
-def inv_raw(q: Distribution, mech: FiniteMechanism,
-            condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
+def inv_raw(q: Distribution, mech: FiniteMechanism) -> np.ndarray:
     """Invert the mechanism on the empirical output frequencies: v = q M^-1,
     with ``q`` over the observed values (``to_empirical``).
 
@@ -194,9 +193,9 @@ def inv_raw(q: Distribution, mech: FiniteMechanism,
     for v, p in zip(q.alphabet.values, q.probs):
         qvec[mech.output_index(v)] = p
     cond = mech.condition_number
-    if not np.isfinite(cond) or cond > condition_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularMechanismError(
-            f"mechanism condition number {cond:.3e} exceeds the limit {condition_limit:.1e}"
+            f"mechanism condition number {cond:.3e} exceeds the limit {CONDITION_LIMIT:.1e}"
         )
     return np.linalg.solve(M.T, qvec)
 
@@ -247,12 +246,7 @@ def inv_project(v, alphabet: Alphabet) -> Distribution:
 
 def rappor_bit_counts(obs, alphabet: Alphabet) -> np.ndarray:
     """Per-position counts of set bits over an ObservationSet of bit vectors."""
-    counts = np.zeros(alphabet.size, dtype=np.int64)
-    for beta, c in obs.items():
-        if len(beta) != alphabet.size:
-            raise LengthMismatchError("bit vector length does not match the alphabet")
-        counts += c * np.asarray(beta, dtype=np.int64)
-    return counts
+    return obs.count_array @ rappor_bits(obs.values(), alphabet.size)
 
 
 def rappor_decode(bit_counts, n: int, alphabet: Alphabet, eps_ldp: float,

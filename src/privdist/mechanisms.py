@@ -107,7 +107,9 @@ class IntegerLineMechanism(Mechanism):
     def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
         # One scalar c * a^d per distinct distance d keeps every entry
         # bit-identical to the scalar formula; a vectorized power may differ
-        # by an ulp, and IBU's stopping iteration is sensitive to that.
+        # by an ulp, and IBU estimates on flat likelihoods move with such
+        # rounding (README, Estimators), so bit-identical entries keep them
+        # reproducible.
         x = _integers(xs, ElementOutsideAlphabetError)
         z = _integers(zs, ObservationOutsideDomainError)
         dists, where = np.unique(np.abs(z[None, :] - x[:, None]), return_inverse=True)
@@ -205,52 +207,33 @@ def _geometric_weights(rows: np.ndarray, cells: np.ndarray, w: float, eps: float
     return np.exp(-eps * dist)
 
 
-def _super_grid_margin(nx: int, ny: int, in_coords: np.ndarray, w: float, eps: float) -> int:
-    """Grow rings around the nx-by-ny rectangle until the mass a new ring adds
-    is below tolerance, relative to the running total, for every input row."""
-    base = np.array(
-        [(sx, sy) for sy in range(ny) for sx in range(nx)], dtype=np.int64
-    )
-    totals = _geometric_weights(in_coords, base, w, eps).sum(axis=1)
-    margin = 0
+def _remapped_kernel(in_coords: np.ndarray, nx: int, ny: int, w: float, eps: float) -> np.ndarray:
+    """Super-grid weights folded onto the nx-by-ny output grid in one pass.
+
+    The super-grid grows ring by ring from the output rectangle.  Each ring's
+    weights are folded onto the nearest output cell, which on a rectangular
+    grid is the coordinate-wise clamp (unique, so no tie-breaking is needed),
+    and added to the running row totals.  Growth stops at the first ring
+    whose mass is below tolerance, relative to the running total, for every
+    input row; that ring is left out.  Rows are normalized at the end
+    (remapping conserves mass, so this equals normalizing over the super-grid
+    first).  Every super-grid weight is computed once.
+    """
+    base = np.array([(sx, sy) for sy in range(ny) for sx in range(nx)], dtype=np.int64)
+    acc = _geometric_weights(in_coords, base, w, eps)
+    totals = acc.sum(axis=1)
+    margin = 1
     while True:
-        ring = _ring_cells(nx, ny, margin + 1)
-        ring_mass = _geometric_weights(in_coords, ring, w, eps).sum(axis=1)
+        ring = _ring_cells(nx, ny, margin)
+        weight = _geometric_weights(in_coords, ring, w, eps)
+        ring_mass = weight.sum(axis=1)
         # a product, not a ratio: a row outside the output grid may have no mass yet
         if np.all(ring_mass < _RING_MASS_TOL * totals):
-            return margin
+            return acc / acc.sum(axis=1, keepdims=True)
+        folded = np.clip(ring[:, 1], 0, ny - 1) * nx + np.clip(ring[:, 0], 0, nx - 1)
+        np.add.at(acc.T, folded, weight.T)
         totals += ring_mass
         margin += 1
-
-
-def _remapped_kernel(in_coords: np.ndarray, nx: int, ny: int, n_out: int,
-                     w: float, eps: float) -> np.ndarray:
-    """Accumulate super-grid weights into the output grid.
-
-    Every super-grid cell outside the output rectangle is remapped to its
-    nearest output cell; on a rectangular grid that is the coordinate-wise
-    clamp, which is unique, so no tie-breaking is needed.  Rows are
-    normalized at the end (remapping conserves mass, so this equals
-    normalizing over the super-grid first).
-    """
-    n_in = in_coords.shape[0]
-    margin = _super_grid_margin(nx, ny, in_coords, w, eps)
-    sx = np.arange(-margin, nx + margin)
-    sy = np.arange(-margin, ny + margin)
-    gx, gy = np.meshgrid(sx, sy, indexing="xy")
-    super_cells = np.stack([gx.ravel(), gy.ravel()], axis=1)
-
-    acc = np.zeros((n_out, n_in))
-    chunk = max(1, 2_000_000 // max(1, n_in))
-    for start in range(0, super_cells.shape[0], chunk):
-        cells = super_cells[start:start + chunk]
-        weight = _geometric_weights(in_coords, cells, w, eps)
-        tx = np.clip(cells[:, 0], 0, nx - 1)
-        ty = np.clip(cells[:, 1], 0, ny - 1)
-        np.add.at(acc, ty * nx + tx, weight.T)
-    matrix = acc.T.copy()
-    matrix /= matrix.sum(axis=1, keepdims=True)
-    return matrix
 
 
 def build_geometric_planar(input_grid: PlanarAlphabet, output_grid: PlanarAlphabet,
@@ -260,7 +243,10 @@ def build_geometric_planar(input_grid: PlanarAlphabet, output_grid: PlanarAlphab
     Weights e^(-eps * d(x, s)) are laid on a super-grid that extends the
     output grid until the remaining tail is negligible, normalized per row,
     and every super-grid cell outside the output grid is remapped to its
-    nearest output cell.  The output grid may be smaller than the input grid.
+    nearest output cell.  One pass walks the super-grid ring by ring from the
+    output rectangle, folding each ring onto the output grid as it goes and
+    stopping at the first negligible ring (``_remapped_kernel``).  The output
+    grid may be smaller than the input grid.
     """
     require_eps(eps_geo)
     _check_same_lattice(input_grid, output_grid)
@@ -272,7 +258,7 @@ def build_geometric_planar(input_grid: PlanarAlphabet, output_grid: PlanarAlphab
     in_coords = np.empty((input_grid.size, 2))
     in_coords[:, 0] = (in_centers[:, 0] - ox) / w
     in_coords[:, 1] = (in_centers[:, 1] - oy) / w
-    matrix = _remapped_kernel(in_coords, nx, ny, output_grid.size, w, eps_geo)
+    matrix = _remapped_kernel(in_coords, nx, ny, w, eps_geo)
     return FiniteMechanism(
         input_grid,
         output_grid.values,
@@ -389,6 +375,19 @@ def rappor_keep_prob(eps_ldp: float) -> float:
     return 1.0 / (1.0 + math.exp(-eps_ldp / 2.0))
 
 
+def rappor_bits(zs: Sequence, k: int) -> np.ndarray:
+    """RAPPOR reports as a (len(zs), k) 0/1 matrix."""
+    try:
+        bits = np.array(zs) if len(zs) else np.zeros((0, k))
+    except ValueError:  # reports of different lengths
+        bits = None
+    if bits is None or bits.ndim != 2 or bits.shape[1] != k:
+        raise LengthMismatchError(f"reports must be bit vectors of length {k}, the alphabet size")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ObservationOutsideDomainError("report entries must be 0 or 1")
+    return bits.astype(np.intp)
+
+
 class BitVectorMechanism(Mechanism):
     """Basic one-time RAPPOR: one-hot encoding with independent bit flips.
 
@@ -409,25 +408,12 @@ class BitVectorMechanism(Mechanism):
     def keep_prob(self) -> float:
         return rappor_keep_prob(self.eps_ldp)
 
-    def _report_bits(self, zs: Sequence) -> np.ndarray:
-        """The reports as a (len(zs), k) 0/1 matrix."""
-        k = self.input_alphabet.size
-        try:
-            bits = np.array(zs) if len(zs) else np.zeros((0, k))
-        except ValueError:  # reports of different lengths
-            bits = None
-        if bits is None or bits.ndim != 2 or bits.shape[1] != k:
-            raise LengthMismatchError(f"reports must be bit vectors of length {k}, the alphabet size")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ObservationOutsideDomainError("report entries must be 0 or 1")
-        return bits.astype(np.intp)
-
     def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
         # The kernel depends on a report only through (beta_x, S), so the
         # closed form is evaluated once per pair, in the same scalar
         # arithmetic as a single-cell evaluation.
         k = self.input_alphabet.size
-        bits = self._report_bits(zs)
+        bits = rappor_bits(zs, k)
         rows = [self.input_alphabet.index(x) for x in xs]
         pk = self.keep_prob ** k
         # e = 0 is the report with no bit flipped: its factor is 1, also at eps = inf
@@ -481,14 +467,13 @@ def obfuscate_dataset(mech: Mechanism, data: Sequence, rng: np.random.Generator)
     for x in (*grouped, *dict(zip(map(type, data), data)).values()):
         if not mech.contains_input(x):
             raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
-    counts: dict = {}
+    counts = Counter()
     if isinstance(mech.input_alphabet, Alphabet):
         ordered = sorted(grouped, key=mech.input_alphabet.index)
     else:
         ordered = sorted(grouped)
     for x in ordered:
-        for z, c in mech.sample_counts(x, grouped[x], rng).items():
-            counts[z] = counts.get(z, 0) + c
+        counts.update(mech.sample_counts(x, grouped[x], rng))
     return ObservationSet(counts)
 
 

@@ -30,7 +30,7 @@ from .errors import (
     EmptyObservationsError,
     ObservationOutsideDomainError,
 )
-from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL, ibu
+from .estimators import DEFAULT_TOL, ibu
 from .geometry import convex_hull, distance_to_hull, max_pairwise_distance
 
 
@@ -42,7 +42,7 @@ class LikelySubset:
     subset and ``meta`` its parameters (interval ends, hull, radii).
     """
 
-    CONSTRUCTIONS = ("linear-interval", "planar-hull", "krr-observed", "explicit")
+    CONSTRUCTIONS = ("linear-interval", "planar-hull", "krr-observed")
 
     def __init__(self, parent, members, construction: str, meta: dict = None):
         if construction not in self.CONSTRUCTIONS:
@@ -170,7 +170,7 @@ def restricted_alphabet(subset: LikelySubset) -> Alphabet:
 
 
 def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset,
-                      tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> Distribution:
+                      tol: float = DEFAULT_TOL) -> Distribution:
     """Run IBU on the subset rows only, then lift by assigning probability
     zero to every excluded element.
 
@@ -179,7 +179,7 @@ def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset
     the finite member window (everything outside it is zero by construction).
     """
     G = obs_matrix(mech, obs, alphabet=restricted_alphabet(subset))
-    return lift(subset, ibu(G, tol=tol, max_iter=max_iter).estimate)
+    return lift(subset, ibu(G, tol=tol).estimate)
 
 
 def lift(subset: LikelySubset, estimate: Distribution) -> Distribution:

@@ -135,6 +135,31 @@ class TestObservationSet:
         d = obs.to_dict()
         assert d == {"reports": {"x": 2, "y": 1}, "n": 3}
 
+    def test_store_independent_of_insertion_order(self):
+        counts = {(0, 1): 3, "b": 2, 7: 5, (1, 0): 1, (0.5, 2.0): 4}
+        obs = ObservationSet(counts)
+        reordered = ObservationSet(dict(reversed(list(counts.items()))))
+        back = ObservationSet.from_dict(json.loads(json.dumps(obs.to_dict())))
+        for other in (reordered, back):
+            assert other.values() == obs.values() and other.items() == obs.items()
+            np.testing.assert_array_equal(other.count_array, obs.count_array)
+
+    def test_count_array_read_only_int64(self):
+        obs = ObservationSet({"y": 5, "x": 2})
+        assert obs.count_array.dtype == np.int64 and obs.count_array.sum() == obs.n
+        np.testing.assert_array_equal(obs.count_array, [2, 5])
+        with pytest.raises(ValueError):
+            obs.count_array[0] = 1
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            ObservationSet({"a": 2, "b": -1})
+
+    def test_equal_json_keys_keep_insertion_order(self):
+        # 1 and "1" share the JSON key "1"; sorting (key, value) pairs would compare int with str
+        assert ObservationSet({1: 1, "1": 2}).values() == [1, "1"]
+        assert ObservationSet({"1": 2, 1: 1}).values() == ["1", 1]
+
 
 class TestObsMatrix:
     def test_identity_mechanism(self):

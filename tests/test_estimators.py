@@ -22,6 +22,7 @@ from privdist.errors import (
     AllNonPositiveError,
     DeadColumnError,
     DegeneratePError,
+    LengthMismatchError,
     NonSquareMechanismError,
     ObservationOutsideDomainError,
     SingularMechanismError,
@@ -35,6 +36,7 @@ from privdist.estimators import (
     inv_project,
     inv_raw,
     project_to_simplex,
+    rappor_bit_counts,
     rappor_decode,
 )
 from privdist.experiment import derive_rng
@@ -415,3 +417,25 @@ class TestRapporDecode:
             counts += c * np.array(beta)
         d = rappor_decode(counts, obs.n, alpha, 2.0, post="project")
         assert 0.5 * np.abs(d.probs - theta).sum() < 0.03
+
+    def test_bit_counts_equal_per_report_sum(self):
+        alpha = LinearAlphabet.range(0, 7)
+        rng = np.random.default_rng(5)
+        data = [int(v) for v in rng.integers(0, 8, size=2_000)]
+        obs = obfuscate_dataset(build_rappor(alpha, 1.0), data, rng)
+        expected = np.zeros(8, dtype=np.int64)
+        for beta, c in obs.items():
+            expected += c * np.array(beta, dtype=np.int64)
+        counts = rappor_bit_counts(obs, alpha)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_bit_counts_reject_wrong_lengths(self):
+        alpha = LinearAlphabet.range(0, 2)
+        for reports in ({(0, 1): 2}, {(0, 1, 0): 1, (1, 0): 3}):
+            with pytest.raises(LengthMismatchError):
+                rappor_bit_counts(ObservationSet(reports), alpha)
+
+    def test_bit_counts_of_empty_set(self):
+        counts = rappor_bit_counts(ObservationSet({}), LinearAlphabet.range(0, 3))
+        np.testing.assert_array_equal(counts, np.zeros(4, dtype=np.int64))

@@ -212,6 +212,23 @@ class TestGeometricPlanar:
         np.testing.assert_array_equal(build_geometric_planar(g, g, eps).matrix, np.eye(9))
         np.testing.assert_array_equal(build_laplace_planar_discretized(g, eps).matrix, np.eye(9))
 
+    @pytest.mark.parametrize("eps", [0.7, 2.0])
+    def test_entries_match_fixed_super_grid(self, eps):
+        # reference: weights over a super-grid of fixed margin 80, each cell
+        # folded onto its clamped output cell, rows normalized; inputs in the
+        # last column and row lie outside the output grid
+        inp, out = PlanarAlphabet.grid(4, 3, 1.0), PlanarAlphabet.grid(3, 2, 1.0)
+        margin = 80
+        sx, sy = np.meshgrid(np.arange(-margin, 3 + margin), np.arange(-margin, 2 + margin))
+        target = (np.clip(sy, 0, 1) * 3 + np.clip(sx, 0, 2)).ravel()
+        expected = np.empty((inp.size, out.size))
+        for i, (ix, iy) in enumerate(inp.lattice_coords()):
+            weight = np.exp(-eps * np.sqrt((sx - ix) ** 2 + (sy - iy) ** 2)).ravel()
+            expected[i] = np.bincount(target, weight, minlength=out.size)
+        expected /= expected.sum(axis=1, keepdims=True)
+        m = build_geometric_planar(inp, out, eps).matrix
+        np.testing.assert_allclose(m, expected, rtol=0, atol=1e-10)
+
     def test_infinite_epsilon_clamps_outside_cells(self):
         # input cells beyond the output grid report the nearest output cell
         inp, out = PlanarAlphabet.grid(5, 5, 1.0), PlanarAlphabet.grid(4, 4, 1.0)
