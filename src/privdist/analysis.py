@@ -86,11 +86,15 @@ def _numeric_rank(matrix: np.ndarray):
     """Rank by singular values above RANK_TOL * sigma_max * max(dims), plus the
     left-null basis vectors for the discarded directions.
 
-    U is always square; the right singular vectors are only built in full
-    when they are the smaller factor, so memory stays linear in the number
-    of columns.
+    U is always square.  A wide matrix A (more columns than rows) equals
+    R^T Q^T for the QR factors of A^T, so U and the singular values are those
+    of the small square R^T, and no right singular vectors are built.
     """
-    u, s, _ = np.linalg.svd(matrix, full_matrices=matrix.shape[1] < matrix.shape[0])
+    rows, cols = matrix.shape
+    if cols > rows:
+        u, s, _ = np.linalg.svd(np.linalg.qr(matrix.T, mode="r").T)
+    else:
+        u, s, _ = np.linalg.svd(matrix, full_matrices=cols < rows)
     if s.size == 0 or s[0] == 0:
         return 0, u
     thresh = RANK_TOL * s[0] * max(matrix.shape)

@@ -328,6 +328,12 @@ def _value_key(v) -> str:
     raise TypeError(f"cannot serialize observation value {v!r}")
 
 
+def _canonical_order(values: Sequence) -> list:
+    """Indices of ``values`` in canonical order: by JSON key, ties in index
+    order."""
+    return sorted(range(len(values)), key=lambda j: _value_key(values[j]))
+
+
 def _value_from_key(k: str):
     try:
         v = json.loads(k)
@@ -346,9 +352,20 @@ class ObservationSet:
     counts in that order, read-only and int64."""
 
     def __init__(self, counts: dict):
-        self._counts = {v: int(counts[v]) for v in sorted(counts, key=_value_key)}
-        self.count_array = np.fromiter(self._counts.values(), dtype=np.int64,
-                                       count=len(self._counts))
+        ordered = sorted(counts, key=_value_key)
+        self._store(ordered, [int(counts[v]) for v in ordered])
+
+    @classmethod
+    def _canonical(cls, values: Sequence, counts) -> "ObservationSet":
+        """Store distinct ``values`` that are already in canonical order, with
+        their ``counts``; the mechanisms' ``draw`` emits that order."""
+        obs = cls.__new__(cls)
+        obs._store(values, counts)
+        return obs
+
+    def _store(self, values: Sequence, counts):
+        self.count_array = np.array(counts, dtype=np.int64)
+        self._counts = dict(zip(values, self.count_array.tolist()))
         if np.any(self.count_array <= 0):
             raise ValueError("stored counts must be positive")
         self.count_array.flags.writeable = False
@@ -409,8 +426,9 @@ class Mechanism:
     """Conditional probability kernel from an input alphabet to noisy outputs.
 
     Subclasses provide ``kernel`` (P(z | x) for whole batches of inputs and
-    outputs) and ``sample_counts`` (drawing with the kernel's probabilities
-    from a caller-owned Generator).  ``distance_monotone`` marks kernels that
+    outputs) and ``draw`` (reports for a batch of inputs, drawn with the
+    kernel's probabilities from a caller-owned Generator and counted in
+    canonical order).  ``distance_monotone`` marks kernels that
     are strictly decreasing in the input-output distance for every fixed
     output, the premise of the interval/hull reduction constructions.
     """
@@ -430,9 +448,19 @@ class Mechanism:
     def cond_prob(self, x, z) -> float:
         return float(self.kernel([x], [z])[0, 0])
 
+    def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
+        """Draw ``counts[i]`` independent reports for each input ``xs[i]``.
+
+        Inputs draw one after another, in the order given, each with the same
+        generator calls as a draw for that input alone.  Returns the distinct
+        reports in canonical order (``ObservationSet``'s) and an int64 array
+        of their counts, summed over the inputs."""
+        raise NotImplementedError
+
     def sample_counts(self, x, count: int, rng: np.random.Generator) -> dict:
         """Draw ``count`` independent reports for input ``x``; returns value -> count."""
-        raise NotImplementedError
+        values, counts = self.draw([x], [count], rng)
+        return dict(zip(values, counts.tolist()))
 
     def output_values(self):
         """Finite tuple of output values, or None when the output domain is infinite."""
@@ -511,10 +539,22 @@ class FiniteMechanism(Mechanism):
     def row(self, x) -> np.ndarray:
         return self.matrix[self.input_alphabet.index(x)]
 
-    def sample_counts(self, x, count: int, rng: np.random.Generator) -> dict:
-        idx = rng.choice(len(self.outputs), size=count, p=self.row(x))
-        binned = np.bincount(idx, minlength=len(self.outputs))
-        return {self.outputs[j]: int(c) for j, c in enumerate(binned) if c > 0}
+    @cached_property
+    def _canonical_outputs(self) -> np.ndarray:
+        """Output indices in canonical order, sorted once per mechanism."""
+        return np.array(_canonical_order(self.outputs), dtype=np.intp)
+
+    def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
+        # Per input, rng.random(count) searched in the row's normalized
+        # cumulative sum: the calls and arithmetic of rng.choice(p=row).
+        binned = np.zeros(len(self.outputs), dtype=np.int64)
+        for x, count in zip(xs, counts):
+            cdf = self.row(x).cumsum()
+            cdf /= cdf[-1]
+            picks = cdf.searchsorted(rng.random(count), side="right")
+            binned += np.bincount(picks, minlength=len(self.outputs))
+        order = self._canonical_outputs[binned[self._canonical_outputs] > 0]
+        return [self.outputs[j] for j in order], binned[order]
 
     def params_dict(self) -> dict:
         return dict(self._params)

@@ -22,6 +22,7 @@ from .core import (
     Mechanism,
     ObservationSet,
     PlanarAlphabet,
+    _canonical_order,
 )
 from .errors import (
     AlphabetTooSmallError,
@@ -116,21 +117,30 @@ class IntegerLineMechanism(Mechanism):
         table = np.array([self._c * self._a ** int(d) for d in dists])
         return table[where].reshape(x.size, z.size)
 
-    def sample_counts(self, x, count: int, rng: np.random.Generator) -> dict:
-        if x not in INTEGER_LINE:
-            raise ElementOutsideAlphabetError(f"{x!r} is not an integer")
-        stay = rng.random(count) < self._c
-        m = int(count - stay.sum())
-        noise = np.zeros(count, dtype=np.int64)
-        if m:
-            signs = np.where(rng.random(m) < 0.5, 1, -1)
-            mags = rng.geometric(1.0 - self._a, size=m)
-            noise[~stay] = signs * mags
-        out: dict = {}
-        vals, cnts = np.unique(int(x) + noise, return_counts=True)
-        for v, c in zip(vals, cnts):
-            out[int(v)] = int(c)
-        return out
+    def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
+        # The stay, sign and magnitude draws interleave per input, so the
+        # loop over inputs stays.  Each input's reports are counted at once,
+        # so only the distinct ones are kept, and only they are sorted.
+        vals, cnts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for x, count in zip(xs, counts):
+            if x not in INTEGER_LINE:
+                raise ElementOutsideAlphabetError(f"{x!r} is not an integer")
+            stay = rng.random(count) < self._c
+            m = int(count - stay.sum())
+            noise = np.zeros(count, dtype=np.int64)
+            if m:
+                signs = np.where(rng.random(m) < 0.5, 1, -1)
+                mags = rng.geometric(1.0 - self._a, size=m)
+                noise[~stay] = signs * mags
+            v, c = np.unique(int(x) + noise, return_counts=True)
+            vals.append(v)
+            cnts.append(c)
+        distinct, where = np.unique(np.concatenate(vals), return_inverse=True)
+        merged = np.zeros(distinct.size, dtype=np.int64)
+        np.add.at(merged, where, np.concatenate(cnts))
+        distinct = distinct.tolist()
+        order = _canonical_order(distinct)
+        return [distinct[j] for j in order], merged[order]
 
     def params_dict(self):
         return {"eps_geo": self.eps_geo}
@@ -376,16 +386,17 @@ def rappor_keep_prob(eps_ldp: float) -> float:
 
 
 def rappor_bits(zs: Sequence, k: int) -> np.ndarray:
-    """RAPPOR reports as a (len(zs), k) 0/1 matrix."""
-    try:
-        bits = np.array(zs) if len(zs) else np.zeros((0, k))
-    except ValueError:  # reports of different lengths
-        bits = None
-    if bits is None or bits.ndim != 2 or bits.shape[1] != k:
+    """RAPPOR reports, tuples or lists of k ints, as a (len(zs), k) uint8
+    0/1 matrix."""
+    if not all(isinstance(z, (tuple, list)) and len(z) == k for z in zs):
         raise LengthMismatchError(f"reports must be bit vectors of length {k}, the alphabet size")
-    if not np.all((bits == 0) | (bits == 1)):
+    try:
+        bits = np.frombuffer(b"".join(map(bytes, zs)), dtype=np.uint8).reshape(len(zs), k)
+    except (TypeError, ValueError):  # bytes() takes only ints in 0..255
+        bits = None
+    if bits is None or np.any(bits > 1):
         raise ObservationOutsideDomainError("report entries must be 0 or 1")
-    return bits.astype(np.intp)
+    return bits
 
 
 class BitVectorMechanism(Mechanism):
@@ -424,14 +435,25 @@ class BitVectorMechanism(Mechanism):
         ])
         return table[bits[:, rows].T, bits.sum(axis=1)[None, :]]
 
-    def sample_counts(self, x, count: int, rng: np.random.Generator) -> dict:
+    def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
+        # Per input, one (count, k) uniform block: a bit is flipped where its
+        # draw is not below keep_prob, so the report is the flips with the
+        # own bit inverted.  Reports are packed to bytes as they are drawn,
+        # so no (n, k) float buffer exists; for 0/1 rows of equal length,
+        # byte order is canonical (JSON-key) order.
         k = self.input_alphabet.size
-        i = self.input_alphabet.index(x)
-        bits = np.zeros(k, dtype=np.int64)
-        bits[i] = 1
-        keep = rng.random((count, k)) < self.keep_prob
-        noisy = np.where(keep, bits[None, :], 1 - bits[None, :])
-        return dict(Counter(map(tuple, noisy.tolist())))
+        width = (k + 7) // 8
+        keep = self.keep_prob
+        packed = [np.zeros((0, width), dtype=np.uint8)]
+        for x, count in zip(xs, counts):
+            i = self.input_alphabet.index(x)
+            noisy = rng.random((count, k)) >= keep
+            noisy[:, i] ^= True
+            packed.append(np.packbits(noisy, axis=1))
+        rows = np.concatenate(packed)
+        keys, cnts = np.unique(rows.view(np.dtype((np.void, width))).ravel(), return_counts=True)
+        raw = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=k).tobytes()
+        return [tuple(raw[j:j + k]) for j in range(0, len(raw), k)], cnts
 
     def params_dict(self):
         return {"eps_ldp": self.eps_ldp}
@@ -467,14 +489,11 @@ def obfuscate_dataset(mech: Mechanism, data: Sequence, rng: np.random.Generator)
     for x in (*grouped, *dict(zip(map(type, data), data)).values()):
         if not mech.contains_input(x):
             raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
-    counts = Counter()
     if isinstance(mech.input_alphabet, Alphabet):
         ordered = sorted(grouped, key=mech.input_alphabet.index)
     else:
         ordered = sorted(grouped)
-    for x in ordered:
-        counts.update(mech.sample_counts(x, grouped[x], rng))
-    return ObservationSet(counts)
+    return ObservationSet._canonical(*mech.draw(ordered, [grouped[x] for x in ordered], rng))
 
 
 def load_mechanism_dict(d: dict) -> Mechanism:

@@ -115,6 +115,22 @@ class TestStrictConcavity:
         assert abs(w.sum()) < 1e-9
         assert np.max(np.abs(w @ G.matrix)) < 1e-9
 
+    def test_wide_rank_deficient_witness(self):
+        # rows 1 and 3 are equal over 40 columns, so [A | 1] has rank k - 1;
+        # the rank must match a full SVD's, and the witness must be annihilated
+        rng = np.random.default_rng(12)
+        k, m = 5, 40
+        matrix = rng.uniform(0.05, 1.0, size=(k, m))
+        matrix[3] = matrix[1]
+        G = ObsMatrix(LinearAlphabet.range(0, k - 1), range(m), matrix, np.ones(m))
+        rep = strict_concavity_check(G)
+        augmented = np.hstack([matrix, np.ones((k, 1))])
+        s = np.linalg.svd(augmented / augmented.max(axis=0), compute_uv=False)
+        assert rep.rank_found == int(np.sum(s > 1e-10 * s[0] * (m + 1))) == k - 1
+        assert not rep.strictly_concave
+        assert np.max(np.abs(rep.witness @ augmented)) < 1e-9
+        np.testing.assert_allclose(rep.witness / rep.witness[1], [0, 1, 0, -1, 0], atol=1e-9)
+
     def test_two_columns_concave(self):
         G = obs_matrix(ROTATING, ObservationSet({"2": 1, "1": 1}))
         assert strict_concavity_check(G).strictly_concave

@@ -11,6 +11,7 @@ from privdist.analysis import inv_geometric_error_lower_bound, inv_krr_error_bou
 from privdist.core import (
     INTEGER_LINE,
     CategoricalAlphabet,
+    FiniteMechanism,
     LinearAlphabet,
     ObservationSet,
     PlanarAlphabet,
@@ -40,6 +41,7 @@ from privdist.mechanisms import (
     build_rappor,
     load_mechanism_dict,
     obfuscate_dataset,
+    rappor_bits,
     rappor_keep_prob,
 )
 
@@ -381,6 +383,24 @@ class TestRappor:
         with pytest.raises(ObservationOutsideDomainError):
             obs_matrix(mech, ObservationSet({(0, 1, 0): 3, (0, 2, 0): 1}))
 
+    def test_bits_of_reports(self):
+        reports = [(0, 1, 0), [1, 1, 0], (True, False, True)]
+        bits = rappor_bits(reports, 3)
+        assert bits.tolist() == [[0, 1, 0], [1, 1, 0], [1, 0, 1]]
+        assert rappor_bits([], 3).shape == (0, 3)
+
+    @pytest.mark.parametrize("entry", [2, 256, -1, 1.0, "1", None])
+    def test_report_entry_outside_domain(self, entry):
+        # 256, -1 and non-ints make bytes() itself fail; 1.0 is a float, not a bit
+        with pytest.raises(ObservationOutsideDomainError):
+            rappor_bits([(0, 1, 0), (0, entry, 0)], 3)
+
+    @pytest.mark.parametrize("reports", [[(0, 1)], [(0, 1, 0), (1, 0)], [5], ["010"], [None]],
+                             ids=["short", "mixed", "int", "str", "none"])
+    def test_report_not_a_bit_vector(self, reports):
+        with pytest.raises(LengthMismatchError):
+            rappor_bits(reports, 3)
+
     def test_kernel_equals_scalar_formula_exactly(self):
         # p^k * e^(-(1/2 + S/2 - beta_x) eps), evaluated cell by cell
         alpha = LinearAlphabet.range(0, 5)
@@ -459,6 +479,66 @@ def _obfuscate_per_datum(mech, data, rng):
         for z, c in mech.sample_counts(x, grouped[x], rng).items():
             counts[z] = counts.get(z, 0) + c
     return ObservationSet(counts)
+
+
+def _draw_with_numpy(mech, data, rng):
+    """Reference for the random stream: per distinct input, in alphabet order,
+    the generator calls of a plain-numpy draw, with the reports counted in a
+    dict."""
+    grouped = {}
+    for x in data:
+        grouped[x] = grouped.get(x, 0) + 1
+    alphabet = mech.input_alphabet
+    counts = {}
+    for x in sorted(grouped) if alphabet is INTEGER_LINE else sorted(grouped, key=alphabet.index):
+        c = grouped[x]
+        if isinstance(mech, BitVectorMechanism):
+            own = np.arange(alphabet.size) == alphabet.index(x)
+            keep = rng.random((c, alphabet.size)) < mech.keep_prob
+            reports = map(tuple, np.where(keep, own, ~own).astype(int).tolist())
+        elif alphabet is INTEGER_LINE:
+            a = math.exp(-mech.eps_geo)
+            stay = rng.random(c) < (1.0 - a) / (1.0 + a)
+            m = int(c - stay.sum())
+            noise = np.zeros(c, dtype=np.int64)
+            if m:
+                signs = np.where(rng.random(m) < 0.5, 1, -1)
+                noise[~stay] = signs * rng.geometric(1.0 - a, size=m)
+            reports = (x + noise).tolist()
+        else:
+            reports = [mech.outputs[j] for j in rng.choice(len(mech.outputs), size=c, p=mech.row(x))]
+        for z in reports:
+            counts[z] = counts.get(z, 0) + 1
+    return ObservationSet(counts)
+
+
+GRID54 = PlanarAlphabet.grid(5, 4, 1.0)
+
+
+class TestObfuscateStream:
+    @pytest.mark.parametrize("mech", [
+        build_krr(CategoricalAlphabet(["10", "2", "b", "a", "1"]), 0.8),
+        build_geometric_planar(GRID54, GRID54, 0.7),
+        build_rappor(LinearAlphabet.range(0, 11), 1.5),
+        build_geometric_linear(0.4),
+    ], ids=["krr-strings", "planar-geometric", "rappor-k12", "integer-line"])
+    def test_same_stream_as_plain_numpy(self, mech):
+        inputs = LinearAlphabet.range(-3, 8) if mech.input_alphabet is INTEGER_LINE else mech.input_alphabet
+        picks = np.random.default_rng(31).integers(0, inputs.size, size=3_000)
+        data = [inputs.values[i] for i in picks]
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        obs = obfuscate_dataset(mech, data, rng)
+        assert obs.items() == _draw_with_numpy(mech, data, ref_rng).items()
+        assert rng.random() == ref_rng.random()
+        # the draw's canonical order is the one ObservationSet sorts into
+        assert ObservationSet(obs.counts).items() == obs.items()
+
+    def test_equal_json_keys_in_output_order(self):
+        # 1 and "1" share the JSON key "1".  Input "a" reports "1" and is drawn
+        # first, but the draw orders reports by output index, not first appearance.
+        mech = FiniteMechanism(CategoricalAlphabet(["a", "b"]), [1, "1"], [[0, 1], [1, 0]])
+        obs = obfuscate_dataset(mech, ["b", "a"], np.random.default_rng(0))
+        assert obs.values() == [1, "1"]
 
 
 class TestObfuscateGrouping:
