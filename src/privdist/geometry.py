@@ -21,13 +21,15 @@ def convex_hull(points) -> np.ndarray:
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
+    # Python floats: on numpy scalars each cross product costs several times more.
+    rows = pts.tolist()
     lower = []
-    for p in pts:
+    for p in rows:
         while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     upper = []
-    for p in pts[::-1]:
+    for p in rows[::-1]:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)

@@ -485,8 +485,10 @@ def obfuscate_dataset(mech: Mechanism, data: Sequence, rng: np.random.Generator)
             f"a datum is not in the mechanism's input alphabet: {exc}"
         ) from exc
     # Equal values share one key (3 and 3.0), but membership of the integer
-    # line depends on the type, so one datum of each type is checked too.
-    for x in (*grouped, *dict(zip(map(type, data), data)).values()):
+    # line depends on the type, so with mixed types one datum of each type is
+    # checked too.  With one type the keys carry it.
+    mixed = len(set(map(type, data))) > 1
+    for x in (*grouped, *(dict(zip(map(type, data), data)).values() if mixed else ())):
         if not mech.contains_input(x):
             raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
     if isinstance(mech.input_alphabet, Alphabet):

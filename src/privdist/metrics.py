@@ -4,8 +4,11 @@ squared Euclidean error.
 EMD is exact optimal transport.  On the line it reduces to the integral of
 the absolute CDF difference; on planar grids it is solved as a transportation
 problem by the transportation simplex.  The simplex starts from a least-cost
-basis, prices reduced costs one block of rows at a time, and after each pivot
-shifts only the duals of the re-hung subtree.  The result is certified by
+basis and prices reduced costs one block of rows at a time.  A pivot walks
+parent links from the entering cell's two ends up to their apex, runs the
+ratio test and the flow update over that cycle's cells in Python, and
+re-hangs one subtree, shifting only its duals; its Python work grows with
+the cycle, not with the tree.  The result is certified by
 checking dual feasibility and complementary slackness of duals rebuilt from
 the final basis.
 """
@@ -96,12 +99,17 @@ def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
     of about ``PRICING_BLOCK`` cells at a time, from the current duals,
     starting at the block that gave the last entering cell, and enters the
     most negative reduced cost of the first block that has one below
-    ``-opt_tol``; a full round of blocks without one ends the solve.  Among
-    cells that tie for leaving, the last one met going round the cycle from
-    its apex leaves, which keeps the basis strongly feasible (Cunningham's
-    rule), so degenerate pivots do not cycle.  After a pivot only the
-    re-hung subtree changes: its preorder range moves and its duals shift by
-    the entering reduced cost.
+    ``-opt_tol``; a full round of blocks without one ends the solve.  The
+    cycle the entering cell closes is found by walking parent links up from
+    its two ends, always from the end with the smaller subtree, until they
+    meet at the apex.  One pass over the cycle's losing cells finds the
+    leaving one: among cells that tie, the last one met going round the
+    cycle from its apex leaves, which keeps the basis strongly feasible
+    (Cunningham's rule), so degenerate pivots do not cycle.  A second pass
+    moves the flow by ±theta.  Tree cells keep their flows as Python floats
+    on the nodes, and the flow matrix is built once at the end.  After a
+    pivot only the re-hung subtree changes: its preorder range moves and its
+    duals shift by the entering reduced cost.
 
     Returns ``(flow, total_cost)``; raises SolverNonConvergenceError when the
     pivot limit of 100 (ns + nd) is reached or the dual certificate fails.
@@ -130,16 +138,23 @@ def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
     # The basis is a spanning tree over rows 0..ns-1 and columns
     # ns..ns+nd-1, kept in preorder: order[t] is the node at position t, and
     # the subtree of node a fills positions pos[a] .. pos[a] + size[a] - 1.
-    # pot holds the duals, u then v, with the root at 0.
-    flow, order, parent = _least_cost_tree(cost, supply, demand)
+    # x[a] is the flow on the cell joining a to parent[a].  The pivot walks
+    # read parent, size and x one entry at a time, so those are lists.  pot
+    # holds u then -v, with the root at 0, so a cell's reduced cost is
+    # c_ij - pot[i] + pot[ns + j] and a subtree's duals shift together.
+    tree_flow, order, parent = _least_cost_tree(cost, supply, demand)
     n = ns + nd
     size = [1] * n
     for a in reversed(order[1:]):
         size[parent[a]] += size[a]
-    order, parent, size = np.array(order), np.array(parent), np.array(size)
+    order = np.array(order)
     pos = np.empty(n, dtype=np.intp)
     pos[order] = at = np.arange(n)
+    x = np.zeros(n)
+    x[order[1:]] = tree_flow[_tree_cells(order, parent, ns)]
+    x = x.tolist()
     pot = _tree_duals(cost, order, parent)
+    pot[ns:] *= -1.0
 
     # Reduced costs above -opt_tol are rounding in the duals; stopping there
     # moves the total by at most opt_tol per unit of mass.  Random
@@ -147,7 +162,7 @@ def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
     opt_tol = 1e-12 * max(1.0, float(np.abs(cost).max(initial=0.0)))
     rows_per_block = max(1, PRICING_BLOCK // nd)
     blocks = -(-ns // rows_per_block)
-    u, v = pot[:ns], pot[ns:]
+    u, minus_v = pot[:ns], pot[ns:]
     block = 0
     for _ in range(100 * n):
         # Price from the block that gave the last entering cell; a full round
@@ -155,7 +170,7 @@ def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
         for _ in range(blocks):
             r0 = block * rows_per_block
             reduced = cost[r0:r0 + rows_per_block] - u[r0:r0 + rows_per_block, None]
-            reduced -= v
+            reduced += minus_v
             k = int(reduced.argmin())
             delta = float(reduced.flat[k])
             if delta < -opt_tol:
@@ -165,42 +180,46 @@ def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
             break
         p, q = r0 + k // nd, ns + k % nd
 
-        # The tree paths from the apex (the deepest common ancestor) down to
-        # p and from q back up to it close the cycle with (p, q).  Ancestors
-        # of a node at position x are the positions t <= x whose subtree
-        # reaches past x, and they come in root-to-node order.
-        ends = at + size[order]
-        xp, xq = int(pos[p]), int(pos[q])
-        up_p = np.flatnonzero(ends[:xp + 1] > xp)
-        up_q = np.flatnonzero(ends[:xq + 1] > xq)
-        m = np.count_nonzero((up_p <= xq) & (ends[up_p] > xq))
-        cycle = np.concatenate([order[up_p[m - 1:]], order[up_q[m - 1:]][::-1]])
-        ip = up_p.size - m  # cycle[ip] is p, cycle[ip + 1] is q
-        frm, to = cycle[:-1], cycle[1:]
-        ci, cj = np.minimum(frm, to), np.maximum(frm, to) - ns
-        # Oriented along (p, q), a step from a column to a row loses mass.
-        # The cycle starts at the apex, so the last cell of least mass is the
-        # one the strongly feasible rule drops.
-        loses = np.flatnonzero(frm >= ns)
-        mass = flow[ci[loses], cj[loses]]
-        theta = mass.min()
-        out = int(loses[np.flatnonzero(mass == theta)[-1]])
+        # The tree paths from p and from q up to the apex (their deepest
+        # common ancestor) close the cycle with (p, q).  Of two distinct
+        # nodes, the one with the smaller subtree is not an ancestor of the
+        # other, so it is below the apex and the walk goes up from it.
+        side_p, side_q = [], []
+        a, b = p, q
+        while a != b:
+            if size[a] < size[b]:
+                side_p.append(a)
+                a = parent[a]
+            else:
+                side_q.append(b)
+                b = parent[b]
+        # Oriented along (p, q), the cells of the rows on p's side and of
+        # the columns on q's side lose mass: every other node, from p and
+        # from q.  Going round the cycle from the apex, p's side comes top
+        # down and then q's side bottom up; the last cell of least mass on
+        # that round is the one the strongly feasible rule drops.
+        theta = np.inf
+        for t in range(0, len(side_p), 2):
+            if x[side_p[t]] < theta:
+                theta, side, out = x[side_p[t]], side_p, t
+        for t in range(0, len(side_q), 2):
+            if x[side_q[t]] <= theta:
+                theta, side, out = x[side_q[t]], side_q, t
         if theta > 0:
-            gains = np.flatnonzero(frm < ns)
-            flow[ci[gains], cj[gains]] += theta
-            flow[ci[loses], cj[loses]] -= theta
+            for path in side_p, side_q:
+                for a in path[::2]:
+                    x[a] -= theta
+                for a in path[1::2]:
+                    x[a] += theta
 
-        # Dropping cell ``out`` cuts off the subtree below its lower end,
-        # low, which holds p or q; call that one e.  The subtree is re-rooted
-        # at e and hung from the other end f of (p, q): the chain e .. low
-        # reverses its parent links.
-        if out < ip:
-            chain, e, f = cycle[ip:out:-1], p, q
-            shrink, grow = cycle[:out + 1], cycle[ip + 1:]
-        else:
-            chain, e, f = cycle[ip + 1:out + 1], q, p
-            shrink, grow = cycle[out + 1:], cycle[:ip + 1]
-        starts, sizes = pos[chain].tolist(), size[chain].tolist()
+        # Dropping the cell of node low = side[out] cuts off its subtree,
+        # which holds e, p or q.  The subtree is re-rooted at e and hung from
+        # the other end f of (p, q): the chain e .. low reverses its parent
+        # links, each of its cells passes to the node nearer low, and e
+        # takes (p, q).
+        e, f, other = (p, q, side_q) if side is side_p else (q, p, side_p)
+        chain = side[:out + 1]
+        starts, sizes = pos[chain].tolist(), [size[c] for c in chain]
         a, s = starts[-1], sizes[-1]
         # In preorder the re-rooted subtree is e's old subtree, then for each
         # later node of the chain its old subtree less the one before it.
@@ -208,24 +227,34 @@ def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
         for t in range(1, len(chain)):
             ranges += [order[starts[t]:starts[t - 1]],
                        order[starts[t - 1] + sizes[t - 1]:starts[t] + sizes[t]]]
-        moved = np.concatenate(ranges)
+        # It moves to just after f, and the positions between shift by s.
         pf = int(pos[f])
         if pf < a:
-            order = np.concatenate([order[:pf + 1], moved, order[pf + 1:a], order[a + s:]])
+            lo, hi = pf + 1, a + s
+            order[lo:hi] = np.concatenate(ranges + [order[lo:a]])
+            moved = order[lo:lo + s]
         else:
-            order = np.concatenate([order[:a], order[a + s:pf + 1], moved, order[pf + 1:]])
-        pos[order] = at
-        size[shrink] -= s
-        size[grow] += s
-        size[chain] = s - np.array([0] + sizes[:-1])
-        parent[chain[1:]] = chain[:-1]
-        parent[e] = f
-        # Keep u_i + v_j = c_ij on the new cell: the nodes of the moved
-        # subtree on e's side shift by delta and the others by -delta.
-        pot[moved] += np.where((moved < ns) == (e < ns), delta, -delta)
+            lo, hi = a, pf + 1
+            order[lo:hi] = np.concatenate([order[a + s:hi]] + ranges)
+            moved = order[hi - s:hi]
+        pos[order[lo:hi]] = at[lo:hi]
+        for c in side[out + 1:]:
+            size[c] -= s
+        for c in other:
+            size[c] += s
+        for t in range(len(chain) - 1, 0, -1):
+            size[chain[t]] = s - sizes[t - 1]
+            parent[chain[t]] = chain[t - 1]
+            x[chain[t]] = x[chain[t - 1]]
+        size[e], parent[e], x[e] = s, f, theta
+        # Keep u_i + v_j = c_ij on the new cell: shift the moved subtree.
+        pot[moved] += delta if e < ns else -delta
     else:
         raise SolverNonConvergenceError("pivot limit exceeded")
 
+    # Only tree cells carry flow.
+    flow = np.zeros((ns, nd))
+    flow[_tree_cells(order, parent, ns)] = np.array(x)[order[1:]]
     # Certificate: dual feasibility and complementary slackness of duals
     # rebuilt from the final tree.
     pot = _tree_duals(cost, order, parent)
@@ -338,12 +367,17 @@ def _preorder(adj, root):
     return order, parent
 
 
+def _tree_cells(order, parent, ns):
+    """Row and column indices of the cells joining order[1:] to their parents."""
+    nodes = order[1:]
+    up = np.asarray(parent)[nodes]
+    return np.minimum(nodes, up), np.maximum(nodes, up) - ns
+
+
 def _tree_duals(cost, order, parent):
     """Duals u then v with u_i + v_j = c_ij on every tree cell, 0 at the root."""
-    ns = cost.shape[0]
-    nodes, up = np.asarray(order[1:]), np.asarray(parent)[order[1:]]
-    edge = cost[np.minimum(nodes, up), np.maximum(nodes, up) - ns].tolist()
+    edge = cost[_tree_cells(order, parent, cost.shape[0])].tolist()
     pot = [0.0] * len(parent)
-    for a, b, c in zip(nodes.tolist(), up.tolist(), edge):
-        pot[a] = c - pot[b]
+    for a, c in zip(order[1:].tolist(), edge):
+        pot[a] = c - pot[parent[a]]
     return np.array(pot)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from privdist.core import Distribution, LinearAlphabet, PlanarAlphabet
@@ -23,18 +24,15 @@ LIN = LinearAlphabet.range(0, 1)
 
 
 def lp_transport_cost(cost, supply, demand):
-    """Reference LP solution of the transportation problem."""
+    """Reference LP solution of the transportation problem.
+
+    Row i of the constraints sums the cells i*nd .. (i+1)*nd - 1, row ns + j
+    the cells j, j + nd, ...; the matrix is sparse so that bench-sized
+    problems fit in memory."""
     ns, nd = cost.shape
-    a_eq = []
-    for i in range(ns):
-        row = np.zeros(ns * nd)
-        row[i * nd:(i + 1) * nd] = 1.0
-        a_eq.append(row)
-    for j in range(nd):
-        row = np.zeros(ns * nd)
-        row[j::nd] = 1.0
-        a_eq.append(row)
-    res = linprog(cost.ravel(), A_eq=np.array(a_eq),
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(ns), np.ones((1, nd))),
+                          sparse.kron(np.ones((1, ns)), sparse.eye(nd))], format="csr")
+    res = linprog(cost.ravel(), A_eq=a_eq,
                   b_eq=np.concatenate([supply, demand]), method="highs")
     assert res.status == 0
     return res.fun
@@ -123,8 +121,9 @@ class TestTransportSolver:
             cost = rng.random((ns, nd)) * 10.0
             supply = rng.dirichlet(np.ones(ns))
             demand = rng.dirichlet(np.ones(nd))
-            _, total = min_cost_transport(cost, supply, demand)
+            flow, total = min_cost_transport(cost, supply, demand)
             assert total == pytest.approx(lp_transport_cost(cost, supply, demand), abs=1e-8)
+            assert np.count_nonzero(flow) <= ns + nd - 1  # a basic solution
 
     def test_flow_is_feasible(self):
         rng = np.random.default_rng(6)
@@ -149,6 +148,7 @@ def _solve_and_check(cost, supply, demand):
     np.testing.assert_allclose(flow.sum(axis=1), supply, atol=1e-9)
     np.testing.assert_allclose(flow.sum(axis=0), demand, atol=1e-9)
     assert flow.min() >= 0.0
+    assert np.count_nonzero(flow) <= sum(cost.shape) - 1  # a basic solution
     assert total == pytest.approx(lp_transport_cost(cost, supply, demand), abs=1e-9)
     return total
 
@@ -190,18 +190,29 @@ class TestTransportDegenerate:
         _solve_and_check(rng.random((12, 12)), uniform, uniform)
 
     def test_sparse_planar_at_bench_scale(self):
-        # clustered truth with a support cutoff against a noisy estimate of it
-        rng = np.random.default_rng(10)
-        g = PlanarAlphabet.grid(12, 12, 1.0)
-        c = g.lattice_coords().astype(float)
-        truth = np.zeros(g.size)
-        for cx, cy, sigma, weight in ((3.0, 3.5, 1.2, 0.5), (8.5, 4.0, 1.0, 0.3), (6.0, 9.0, 1.5, 0.2)):
-            truth += weight * np.exp(-((c[:, 0] - cx) ** 2 + (c[:, 1] - cy) ** 2) / (2 * sigma ** 2))
-        truth[truth < 0.04 * truth.max()] = 0.0
-        estimate = np.maximum(truth + rng.normal(0.0, 0.05 * truth.max(), g.size), 0.0)
-        si, di = np.flatnonzero(estimate), np.flatnonzero(truth)
-        _solve_and_check(_grid_cost(g, si, di), estimate[si] / estimate[si].sum(),
-                         truth[di] / truth[di].sum())
+        clusters = ((3.0, 3.5, 1.2, 0.5), (8.5, 4.0, 1.0, 0.3), (6.0, 9.0, 1.5, 0.2))
+        _clustered_against_noisy(12, clusters, seed=10)
+
+    def test_planar_20x20_bench_shape(self):
+        # the clusters of the planar-20x20 benchmark; a 257 x 146 problem
+        clusters = ((4.5, 5.0, 1.6, 0.5), (14.0, 6.5, 1.3, 0.3), (9.5, 14.5, 2.0, 0.2))
+        _clustered_against_noisy(20, clusters, seed=17)
+
+
+def _clustered_against_noisy(k, clusters, seed):
+    """Solve and check a clustered truth on a k x k grid, with cells under
+    4% of its peak cut to zero, against a noisy estimate of it."""
+    rng = np.random.default_rng(seed)
+    g = PlanarAlphabet.grid(k, k, 1.0)
+    c = g.lattice_coords().astype(float)
+    truth = np.zeros(g.size)
+    for cx, cy, sigma, weight in clusters:
+        truth += weight * np.exp(-((c[:, 0] - cx) ** 2 + (c[:, 1] - cy) ** 2) / (2 * sigma ** 2))
+    truth[truth < 0.04 * truth.max()] = 0.0
+    estimate = np.maximum(truth + rng.normal(0.0, 0.05 * truth.max(), g.size), 0.0)
+    si, di = np.flatnonzero(estimate), np.flatnonzero(truth)
+    _solve_and_check(_grid_cost(g, si, di), estimate[si] / estimate[si].sum(),
+                     truth[di] / truth[di].sum())
 
 
 def _lattice_cost(k):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from privdist.analysis import log_likelihood
 from privdist.core import (
@@ -251,6 +252,22 @@ class TestGeometryHelpers:
         hull = convex_hull([(0, 0), (1, 1), (2, 2), (3, 3)])
         assert hull.shape[0] == 2
         np.testing.assert_allclose(hull, [[0, 0], [3, 3]])
+
+    def test_hull_vertices_match_scipy(self):
+        # lattice points repeat and lie on hull edges; only corners are kept
+        rng = np.random.default_rng(16)
+        for size in (3, 5, 12, 40, 200):
+            for _ in range(20):
+                pts = rng.integers(0, 6, (size, 2)).astype(float)
+                hull = convex_hull(pts)
+                uniq = np.unique(pts, axis=0)
+                if np.linalg.matrix_rank(uniq - uniq[0]) < 2:
+                    expected = {tuple(uniq[0]), tuple(uniq[-1])}
+                else:
+                    expected = set(map(tuple, pts[ConvexHull(pts).vertices]))
+                    x, y = hull.T
+                    assert x @ np.roll(y, -1) - y @ np.roll(x, -1) > 0  # counter-clockwise
+                assert set(map(tuple, hull)) == expected and len(hull) == len(expected)
 
     def test_point_distance(self):
         hull = convex_hull([(0, 0), (2, 0), (2, 2), (0, 2)])
