@@ -53,13 +53,11 @@ from .analysis import (
     inv_geometric_error_lower_bound,
     inv_krr_error_bound,
     log_likelihood,
-    mle_oracle,
     rappor_concavity_prob_bound,
     strict_concavity_check,
 )
 from .reduction import (
     LikelySubset,
-    is_unlikely,
     likely_krr,
     likely_linear,
     likely_planar,

@@ -1,5 +1,5 @@
-"""Likelihood evaluation, strict-concavity and identification tests, error
-bounds for the inversion estimator, and a brute-force likelihood oracle.
+"""Likelihood evaluation, strict-concavity and identification tests, and
+error bounds for the inversion estimator.
 
 The log-likelihood of a candidate distribution phi, given the observation
 matrix, is sum_z count(z) * log(phi . column_z); it is strictly concave on
@@ -11,7 +11,6 @@ has full row rank, i.e. as many linearly independent columns as inputs.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .core import Distribution, FiniteMechanism, ObsMatrix
 from .errors import (
     AlphabetMismatchError,
-    AlphabetTooLargeError,
     AlphaTooSmallError,
     LengthMismatchError,
     TooFewObservationsError,
@@ -82,26 +80,6 @@ def log_likelihood(G: ObsMatrix, phi) -> float:
     return float(G.weights @ np.log(mix))
 
 
-def _numeric_rank(matrix: np.ndarray):
-    """Rank by singular values above RANK_TOL * sigma_max * max(dims), plus the
-    left-null basis vectors for the discarded directions.
-
-    U is always square.  A wide matrix A (more columns than rows) equals
-    R^T Q^T for the QR factors of A^T, so U and the singular values are those
-    of the small square R^T, and no right singular vectors are built.
-    """
-    rows, cols = matrix.shape
-    if cols > rows:
-        u, s, _ = np.linalg.svd(np.linalg.qr(matrix.T, mode="r").T)
-    else:
-        u, s, _ = np.linalg.svd(matrix, full_matrices=cols < rows)
-    if s.size == 0 or s[0] == 0:
-        return 0, u
-    thresh = RANK_TOL * s[0] * max(matrix.shape)
-    rank = int(np.sum(s > thresh))
-    return rank, u
-
-
 def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     """Decide strict concavity of the log-likelihood on the simplex.
 
@@ -119,7 +97,15 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     augmented = np.hstack([G.matrix, np.ones((k, 1))])
     scale = augmented.max(axis=0)
     augmented /= np.where(scale > 0, scale, 1.0)
-    rank, u = _numeric_rank(augmented)
+    # The rank counts singular values above RANK_TOL * sigma_max * max(dims).
+    # A wide matrix (more columns than rows) equals R^T Q^T for the QR factors
+    # of its transpose, so U and the singular values are those of the small
+    # square R^T, and no right singular vectors are built.
+    size = max(augmented.shape)
+    if augmented.shape[1] > k:
+        augmented = np.linalg.qr(augmented.T, mode="r").T
+    u, s, _ = np.linalg.svd(augmented)
+    rank = int(np.sum(s > RANK_TOL * s[0] * size))
     if rank >= k:
         return ConcavityReport(True, rank, k)
     w = u[:, rank]
@@ -131,8 +117,10 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
 def identification_check(mech: FiniteMechanism) -> bool:
     """True iff the mechanism matrix has as many linearly independent columns
     as alphabet elements, i.e. distinct inputs induce distinct output
-    distributions."""
-    rank, _ = _numeric_rank(mech.matrix)
+    distributions.  The rank counts the mechanism's cached singular values
+    above RANK_TOL * sigma_max * max(dims)."""
+    s = mech.singular_values
+    rank = int(np.sum(s > RANK_TOL * s[0] * max(mech.matrix.shape)))
     return rank == mech.input_alphabet.size
 
 
@@ -180,75 +168,3 @@ def inv_geometric_error_lower_bound(eps_geo: float, n: int) -> float:
         raise AlphaTooSmallError(f"requires eps < ln 2, got eps={eps_geo}")
     b = 1.0 / (1.0 - a)
     return (b ** 3 - 2.0 * a * b ** 2 - 2.0) / n
-
-
-# ---------------------------------------------------------------------------
-# Brute-force likelihood oracle
-# ---------------------------------------------------------------------------
-
-def _lattice_points(dim: int, steps: int) -> np.ndarray:
-    """All probability vectors with entries that are multiples of 1/steps."""
-    points = []
-    for bars in itertools.combinations(range(steps + dim - 1), dim - 1):
-        prev = -1
-        comp = []
-        for b in bars:
-            comp.append(b - prev - 1)
-            prev = b
-        comp.append(steps + dim - 2 - prev)
-        points.append(comp)
-    return np.array(points, dtype=float) / steps
-
-
-def _batch_loglik(points: np.ndarray, G: ObsMatrix) -> np.ndarray:
-    mix = points @ G.matrix
-    out = np.full(points.shape[0], -np.inf)
-    ok = np.all(mix > 0, axis=1)
-    if np.any(ok):
-        out[ok] = np.log(mix[ok]) @ G.weights
-    return out
-
-
-def mle_oracle(G: ObsMatrix, grid_step: float = 0.05) -> Distribution:
-    """Exhaustive likelihood search over a simplex lattice, refined locally.
-
-    Evaluates every lattice point with spacing ``grid_step``, then performs
-    ten rounds of halving the step and hill-climbing over single mass moves
-    between coordinate pairs.  Deliberately independent of the EM iteration
-    so it can serve as a cross-check.
-    """
-    dim = G.alphabet.size
-    if dim > 5:
-        raise AlphabetTooLargeError("the oracle is restricted to alphabets of size <= 5")
-    if grid_step > 0.05:
-        raise ValueError("grid_step must be at most 0.05")
-    steps = max(1, round(1.0 / grid_step))
-    points = _lattice_points(dim, steps)
-    ll = _batch_loglik(points, G)
-    best = points[int(np.argmax(ll))].copy()
-    best_ll = float(np.max(ll))
-
-    step = 1.0 / steps
-    pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
-    for _ in range(10):
-        step /= 2.0
-        for _ in range(400):
-            candidates = []
-            for i, j in pairs:
-                if best[j] >= step:
-                    cand = best.copy()
-                    cand[i] += step
-                    cand[j] -= step
-                    candidates.append(cand)
-            if not candidates:
-                break
-            cand_arr = np.array(candidates)
-            cand_ll = _batch_loglik(cand_arr, G)
-            top = int(np.argmax(cand_ll))
-            if cand_ll[top] > best_ll:
-                best = cand_arr[top]
-                best_ll = float(cand_ll[top])
-            else:
-                break
-    best = np.maximum(best, 0.0)
-    return Distribution(G.alphabet, best / best.sum())

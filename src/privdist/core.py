@@ -371,13 +371,6 @@ class ObservationSet:
         self.count_array.flags.writeable = False
         self.n = int(self.count_array.sum())
 
-    @classmethod
-    def from_reports(cls, reports: Iterable) -> "ObservationSet":
-        counts: dict = {}
-        for r in reports:
-            counts[r] = counts.get(r, 0) + 1
-        return cls(counts)
-
     @property
     def counts(self) -> dict:
         return dict(self._counts)
@@ -445,9 +438,6 @@ class Mechanism:
         the domain and ObservationOutsideDomainError for a malformed output."""
         raise NotImplementedError
 
-    def cond_prob(self, x, z) -> float:
-        return float(self.kernel([x], [z])[0, 0])
-
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
         """Draw ``counts[i]`` independent reports for each input ``xs[i]``.
 
@@ -456,11 +446,6 @@ class Mechanism:
         reports in canonical order (``ObservationSet``'s) and an int64 array
         of their counts, summed over the inputs."""
         raise NotImplementedError
-
-    def sample_counts(self, x, count: int, rng: np.random.Generator) -> dict:
-        """Draw ``count`` independent reports for input ``x``; returns value -> count."""
-        values, counts = self.draw([x], [count], rng)
-        return dict(zip(values, counts.tolist()))
 
     def output_values(self):
         """Finite tuple of output values, or None when the output domain is infinite."""
@@ -512,10 +497,19 @@ class FiniteMechanism(Mechanism):
         return self.matrix.shape[0] == self.matrix.shape[1]
 
     @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the matrix, largest first, from one values-only
+        SVD; the matrix is read-only, so it is computed once per mechanism."""
+        s = np.linalg.svd(self.matrix, compute_uv=False)
+        s.flags.writeable = False
+        return s
+
+    @property
     def condition_number(self) -> float:
-        """2-norm condition number of the matrix, from one SVD; the matrix is
-        read-only, so it is computed once per mechanism."""
-        return float(np.linalg.cond(self.matrix))
+        """2-norm condition number s_max / s_min, as ``np.linalg.cond``
+        computes it; inf for a singular matrix."""
+        s = self.singular_values
+        return float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
 
     def output_index(self, z) -> int:
         try:
@@ -527,14 +521,12 @@ class FiniteMechanism(Mechanism):
         return self.outputs
 
     def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
-        cols = [self.output_index(z) for z in zs]
-        if xs is self.input_alphabet.values:
-            # A plain column slice.  Its column-major layout fixes the BLAS
-            # summation order in IBU, so estimates on the full alphabet stay
-            # bit-identical with earlier releases.
-            return self.matrix[:, cols]
         rows = [self.input_alphabet.index(x) for x in xs]
-        return self.matrix[np.ix_(rows, cols)]
+        cols = [self.output_index(z) for z in zs]
+        # The column gather comes last, so the result is column-major.  That
+        # layout fixes the BLAS summation order in IBU, so estimates on the
+        # full alphabet stay bit-identical with earlier releases.
+        return self.matrix[rows][:, cols]
 
     def row(self, x) -> np.ndarray:
         return self.matrix[self.input_alphabet.index(x)]

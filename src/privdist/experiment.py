@@ -235,7 +235,9 @@ def _quantiles(values: list) -> dict:
 def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
     """Run the replicated sweep and write raw + summary CSV files.
 
-    Returns a dict with the file paths and the failure count.  Raises
+    Returns a dict with the file paths and the failure count.  A run fails
+    when its estimator or one of its metrics raises a PrivDistError; the
+    failure is a row with status ``error:<Type>``.  Raises
     FailureThresholdExceededError (after writing the files) when more than
     10% of the estimator runs failed.
     """
@@ -270,11 +272,19 @@ def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
                     continue
                 runtime_ms = 1000.0 * (time.perf_counter() - start)
                 status = "unconverged" if result is not None and not result.converged else "ok"
+                failed = False
                 for metric in config.metrics:
-                    value = METRICS[metric](estimate, truth)
+                    try:
+                        value = METRICS[metric](estimate, truth)
+                    except PrivDistError as exc:
+                        failed = True
+                        rows.append([mech_name, eps, est, rep, metric, "",
+                                     f"{runtime_ms:.3f}", f"error:{type(exc).__name__}"])
+                        continue
                     rows.append([mech_name, eps, est, rep, metric,
                                  f"{value:.10g}", f"{runtime_ms:.3f}", status])
                     cells.setdefault((mech_name, eps, est, metric), []).append(value)
+                failures += failed
 
     with open(raw_path, "w", newline="") as fh:
         writer = csv.writer(fh)

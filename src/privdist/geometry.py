@@ -79,12 +79,3 @@ def distance_to_hull(points, hull: np.ndarray) -> np.ndarray:
     out[inside] = 0.0
     return out
 
-
-def max_pairwise_distance(points) -> float:
-    """Diameter of a point set (computed on its hull vertices)."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 1:
-        return 0.0
-    hull = convex_hull(pts)
-    diff = hull[:, None, :] - hull[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())

@@ -90,7 +90,7 @@ METRICS = {"emd": emd, "tv": tv, "l2sq": l2sq}
 PRICING_BLOCK = 4096
 
 
-def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
+def min_cost_transport(cost, supply, demand):
     """Solve the balanced transportation problem exactly.
 
     Transportation simplex: network simplex on the complete bipartite graph.
@@ -259,12 +259,12 @@ def min_cost_transport(cost, supply, demand, cert_tol: float = CERT_TOL):
     # rebuilt from the final tree.
     pot = _tree_duals(cost, order, parent)
     reduced = cost - pot[:ns, None] - pot[ns:]
-    if reduced.min() < -cert_tol:
+    if reduced.min() < -CERT_TOL:
         raise SolverNonConvergenceError(
             f"dual infeasibility {reduced.min():.3e} exceeds the certificate tolerance"
         )
     slack = np.abs(flow * reduced).max()
-    if slack > cert_tol:
+    if slack > CERT_TOL:
         raise SolverNonConvergenceError(
             f"complementary slackness residual {slack:.3e} exceeds the certificate tolerance"
         )

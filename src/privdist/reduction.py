@@ -31,7 +31,7 @@ from .errors import (
     ObservationOutsideDomainError,
 )
 from .estimators import DEFAULT_TOL, ibu
-from .geometry import convex_hull, distance_to_hull, max_pairwise_distance
+from .geometry import convex_hull, distance_to_hull
 
 
 class LikelySubset:
@@ -72,17 +72,6 @@ class LikelySubset:
             "construction": self.construction,
             "meta": self.meta,
         }
-
-
-def is_unlikely(mech: Mechanism, obs: ObservationSet, x_prime, x_candidate) -> bool:
-    """True iff ``x_candidate`` dominates ``x_prime``: its kernel value is at
-    least as large for every observed report and strictly larger for one.
-    Comparisons are exact; ties alone never make an element unlikely."""
-    for x in (x_prime, x_candidate):
-        if not mech.contains_input(x):
-            raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
-    a, b = mech.kernel([x_prime, x_candidate], obs.values())
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def likely_linear(alphabet, obs: ObservationSet) -> LikelySubset:
@@ -127,10 +116,11 @@ def likely_planar(grid: PlanarAlphabet, obs: ObservationSet) -> LikelySubset:
     if obs.n < 1:
         raise EmptyObservationsError("cannot reduce without observations")
     points = np.array([list(z) for z in obs.values()], dtype=float)
-    delta = grid.cell_width_km / math.sqrt(2.0)
-    d_max = max_pairwise_distance(points)
-    delta_prime = math.sqrt(delta ** 2 + 2.0 * delta * d_max)
     hull = convex_hull(points)
+    delta = grid.cell_width_km / math.sqrt(2.0)
+    diff = hull[:, None, :] - hull[None, :, :]  # the diameter joins two hull vertices
+    d_max = float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    delta_prime = math.sqrt(delta ** 2 + 2.0 * delta * d_max)
     centers = grid.centers_array()
     dist = distance_to_hull(centers, hull)
     members = tuple(

@@ -1,0 +1,117 @@
+"""Test oracles and shorthands built on privdist's public API.
+
+Nothing in the library needs these: they are independent cross-checks (the
+brute-force likelihood search, the pairwise dominance test) and one-pair or
+one-input forms of the batch calls, which read more plainly in tests.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from privdist.core import Distribution, Mechanism, ObservationSet, ObsMatrix
+from privdist.errors import AlphabetTooLargeError, ElementOutsideAlphabetError
+
+
+def from_reports(reports) -> ObservationSet:
+    """Count an iterable of reports into an ObservationSet."""
+    counts: dict = {}
+    for r in reports:
+        counts[r] = counts.get(r, 0) + 1
+    return ObservationSet(counts)
+
+
+def cond_prob(mech: Mechanism, x, z) -> float:
+    """The kernel at one pair: P(z | x)."""
+    return float(mech.kernel([x], [z])[0, 0])
+
+
+def sample_counts(mech: Mechanism, x, count: int, rng: np.random.Generator) -> dict:
+    """Draw ``count`` independent reports for input ``x``; returns value -> count."""
+    values, counts = mech.draw([x], [count], rng)
+    return dict(zip(values, counts.tolist()))
+
+
+def is_unlikely(mech: Mechanism, obs: ObservationSet, x_prime, x_candidate) -> bool:
+    """True iff ``x_candidate`` dominates ``x_prime``: its kernel value is at
+    least as large for every observed report and strictly larger for one.
+    Comparisons are exact; ties alone never make an element unlikely."""
+    for x in (x_prime, x_candidate):
+        if not mech.contains_input(x):
+            raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
+    a, b = mech.kernel([x_prime, x_candidate], obs.values())
+    return bool(np.all(a <= b) and np.any(a < b))
+
+
+# ---------------------------------------------------------------------------
+# Brute-force likelihood oracle
+# ---------------------------------------------------------------------------
+
+def _lattice_points(dim: int, steps: int) -> np.ndarray:
+    """All probability vectors with entries that are multiples of 1/steps."""
+    points = []
+    for bars in itertools.combinations(range(steps + dim - 1), dim - 1):
+        prev = -1
+        comp = []
+        for b in bars:
+            comp.append(b - prev - 1)
+            prev = b
+        comp.append(steps + dim - 2 - prev)
+        points.append(comp)
+    return np.array(points, dtype=float) / steps
+
+
+def _batch_loglik(points: np.ndarray, G: ObsMatrix) -> np.ndarray:
+    mix = points @ G.matrix
+    out = np.full(points.shape[0], -np.inf)
+    ok = np.all(mix > 0, axis=1)
+    if np.any(ok):
+        out[ok] = np.log(mix[ok]) @ G.weights
+    return out
+
+
+def mle_oracle(G: ObsMatrix, grid_step: float = 0.05) -> Distribution:
+    """Exhaustive likelihood search over a simplex lattice, refined locally.
+
+    Evaluates every lattice point with spacing ``grid_step``, then performs
+    ten rounds of halving the step and hill-climbing over single mass moves
+    between coordinate pairs.  Deliberately independent of the EM iteration
+    so it can serve as a cross-check.
+    """
+    dim = G.alphabet.size
+    if dim > 5:
+        raise AlphabetTooLargeError("the oracle is restricted to alphabets of size <= 5")
+    if grid_step > 0.05:
+        raise ValueError("grid_step must be at most 0.05")
+    steps = max(1, round(1.0 / grid_step))
+    points = _lattice_points(dim, steps)
+    ll = _batch_loglik(points, G)
+    best = points[int(np.argmax(ll))].copy()
+    best_ll = float(np.max(ll))
+
+    step = 1.0 / steps
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if i != j]
+    for _ in range(10):
+        step /= 2.0
+        for _ in range(400):
+            candidates = []
+            for i, j in pairs:
+                if best[j] >= step:
+                    cand = best.copy()
+                    cand[i] += step
+                    cand[j] -= step
+                    candidates.append(cand)
+            if not candidates:
+                break
+            cand_arr = np.array(candidates)
+            cand_ll = _batch_loglik(cand_arr, G)
+            top = int(np.argmax(cand_ll))
+            if cand_ll[top] > best_ll:
+                best = cand_arr[top]
+                best_ll = float(cand_ll[top])
+            else:
+                break
+    best = np.maximum(best, 0.0)
+    return Distribution(G.alphabet, best / best.sum())

@@ -16,7 +16,6 @@ from privdist.analysis import (
     inv_geometric_error_lower_bound,
     inv_krr_error_bound,
     log_likelihood,
-    mle_oracle,
     rappor_concavity_prob_bound,
     strict_concavity_check,
 )
@@ -46,6 +45,8 @@ from privdist.mechanisms import (
 )
 from privdist.metrics import emd_1d, emd_planar, l2sq
 from privdist.reduction import likely_krr, likely_linear, restrict_and_lift
+
+from oracles import mle_oracle
 
 MASTER = 20_240_808
 

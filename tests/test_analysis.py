@@ -11,7 +11,6 @@ from privdist.analysis import (
     inv_geometric_error_lower_bound,
     inv_krr_error_bound,
     log_likelihood,
-    mle_oracle,
     rappor_concavity_prob_bound,
     strict_concavity_check,
 )
@@ -34,6 +33,8 @@ from privdist.errors import (
 from privdist.estimators import ibu
 from privdist.mechanisms import build_geometric_planar, build_krr, build_rappor, obfuscate_dataset
 from privdist.core import PlanarAlphabet
+
+from oracles import mle_oracle
 
 A3 = CategoricalAlphabet(["1", "2", "3"])
 # rows keep 0.10 for themselves, spread 0.45 to the other two outputs

@@ -9,7 +9,7 @@ import pytest
 
 from privdist import experiment
 from privdist.cli import main
-from privdist.errors import ConfigError
+from privdist.errors import ConfigError, SolverNonConvergenceError
 from privdist.experiment import ESTIMATORS, MECHANISMS, ExperimentConfig
 from privdist.core import ObservationSet, PlanarAlphabet
 from privdist.mechanisms import build_geometric_planar
@@ -226,6 +226,47 @@ class TestExperiment:
             statuses = {(r["estimator"], r["metric"]): r["status"] for r in csv.DictReader(fh)}
         assert statuses == {("ibu", "emd"): "unconverged", ("ibu", "tv"): "unconverged",
                             ("inv-p", "emd"): "ok", ("inv-p", "tv"): "ok"}
+
+    def test_failing_metric_is_an_error_row(self, tmp_path, monkeypatch):
+        # a metric that raises fails its run like an estimator does: the row
+        # names the error, both CSVs are still written, and every run failing
+        # crosses the threshold
+        def unsolved(p, q):
+            raise SolverNonConvergenceError("pivot limit exceeded")
+
+        monkeypatch.setitem(experiment.METRICS, "tv", unsolved)
+        cfg = base_config(tmp_path)
+        assert main(["experiment", "--config", cfg]) == 1
+        with open(tmp_path / "results_raw.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8  # 2 estimators x 2 replications x 2 metrics
+        for r in rows:
+            if r["metric"] == "tv":
+                assert (r["value"], r["status"]) == ("", "error:SolverNonConvergenceError")
+            else:
+                assert r["status"] == "ok" and float(r["value"]) >= 0.0
+        with open(tmp_path / "results_summary.csv") as fh:
+            summary = list(csv.DictReader(fh))
+        assert {r["metric"] for r in summary} == {"emd"}
+
+    def test_one_failing_metric_counts_one_failed_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def first_call_fails(p, q):
+            calls.append(None)
+            if len(calls) == 1:
+                raise SolverNonConvergenceError("pivot limit exceeded")
+            return 0.0
+
+        monkeypatch.setitem(experiment.METRICS, "tv", first_call_fails)
+        base_config(tmp_path, estimators=["ibu"], replications=10)
+        cfg = ExperimentConfig.from_dict(json.loads((tmp_path / "config.json").read_text()))
+        result = experiment.run_experiment(cfg)
+        assert (result["failures"], result["runs"]) == (1, 10)
+        with open(result["raw"]) as fh:
+            statuses = [(r["replication"], r["metric"], r["status"]) for r in csv.DictReader(fh)]
+        assert statuses[:2] == [("0", "emd", "ok"), ("0", "tv", "error:SolverNonConvergenceError")]
+        assert all(s == "ok" for _, _, s in statuses[2:])
 
     def test_planar_experiment_end_to_end(self, tmp_path):
         cfg = base_config(

@@ -2,10 +2,12 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
+import privdist
 from privdist.core import (
     INTEGER_LINE,
     Alphabet,
@@ -28,6 +30,8 @@ from privdist.errors import (
     ZeroSumError,
 )
 from privdist.mechanisms import build_geometric_truncated, build_krr
+
+from oracles import from_reports, sample_counts
 
 AB = CategoricalAlphabet(["a", "b"])
 
@@ -103,12 +107,12 @@ class TestDistributionNew:
 
 class TestEmpirical:
     def test_half_half(self):
-        q = to_empirical(ObservationSet.from_reports(["a", "a", "b", "b"]))
+        q = to_empirical(from_reports(["a", "a", "b", "b"]))
         assert q.prob("a") == 0.5 and q.prob("b") == 0.5
 
     def test_counts_over_total(self):
         # hand oracle: 3/4 and 1/4
-        q = to_empirical(ObservationSet.from_reports(["a", "a", "a", "b"]))
+        q = to_empirical(from_reports(["a", "a", "a", "b"]))
         assert q.prob("a") == 0.75 and q.prob("b") == 0.25
 
     def test_distribution_over_observed_values(self):
@@ -131,7 +135,7 @@ class TestObservationSet:
         assert back.counts == obs.counts and back.n == obs.n
 
     def test_json_matches_documented_schema(self):
-        obs = ObservationSet.from_reports(["x", "x", "y"])
+        obs = from_reports(["x", "x", "y"])
         d = obs.to_dict()
         assert d == {"reports": {"x": 2, "y": 1}, "n": 3}
 
@@ -164,7 +168,7 @@ class TestObservationSet:
 class TestObsMatrix:
     def test_identity_mechanism(self):
         mech = FiniteMechanism(AB, AB.values, np.eye(2), kind="identity")
-        G = obs_matrix(mech, ObservationSet.from_reports(["a", "b"]))
+        G = obs_matrix(mech, from_reports(["a", "b"]))
         np.testing.assert_allclose(G.matrix, np.eye(2))
 
     def test_single_observed_column(self):
@@ -172,7 +176,7 @@ class TestObsMatrix:
         # straight off the matrix definition
         m = np.array([[0.10, 0.45, 0.45], [0.45, 0.10, 0.45], [0.45, 0.45, 0.10]])
         mech = FiniteMechanism(CategoricalAlphabet(["1", "2", "3"]), ("1", "2", "3"), m)
-        G = obs_matrix(mech, ObservationSet.from_reports(["2"]))
+        G = obs_matrix(mech, from_reports(["2"]))
         np.testing.assert_allclose(G.matrix[:, 0], [0.45, 0.10, 0.45])
         assert G.weights.tolist() == [1.0]
 
@@ -181,22 +185,33 @@ class TestObsMatrix:
         # probabilities gives 2/4 on the diagonal and 1/4 off it
         alpha = CategoricalAlphabet(["1", "2", "3"])
         mech = build_krr(alpha, math.log(2.0))
-        G = obs_matrix(mech, ObservationSet.from_reports(["1"]))
+        G = obs_matrix(mech, from_reports(["1"]))
         np.testing.assert_allclose(G.matrix[:, 0], [0.5, 0.25, 0.25])
 
     def test_columns_permutation_invariant(self):
         mech = build_geometric_truncated(0, 5, 0.7)
         reports = [0, 3, 3, 5, 2, 2, 2]
-        a = obs_matrix(mech, ObservationSet.from_reports(reports))
-        b = obs_matrix(mech, ObservationSet.from_reports(list(reversed(reports))))
+        a = obs_matrix(mech, from_reports(reports))
+        b = obs_matrix(mech, from_reports(list(reversed(reports))))
         cols_a = {(tuple(a.matrix[:, j]), a.weights[j]) for j in range(len(a.values))}
         cols_b = {(tuple(b.matrix[:, j]), b.weights[j]) for j in range(len(b.values))}
         assert cols_a == cols_b
 
+    @pytest.mark.parametrize("rows", [None, (1, 3, 4)])
+    def test_kernel_is_a_column_major_gather(self, rows):
+        # full alphabet or a subset of rows: the stored entries, gathered
+        # column-major, the layout that fixes IBU's BLAS summation order
+        mech = build_geometric_truncated(0, 5, 0.7)
+        alphabet = None if rows is None else LinearAlphabet(rows)
+        G = obs_matrix(mech, from_reports([5, 0, 3, 3]), alphabet=alphabet)
+        picked = list(range(6)) if rows is None else list(rows)
+        np.testing.assert_array_equal(G.matrix, mech.matrix[np.ix_(picked, [0, 3, 5])])
+        assert G.matrix.flags.f_contiguous
+
     def test_observation_outside_domain(self):
         mech = FiniteMechanism(AB, AB.values, np.eye(2))
         with pytest.raises(ObservationOutsideDomainError):
-            obs_matrix(mech, ObservationSet.from_reports(["a", "zzz"]))
+            obs_matrix(mech, from_reports(["a", "zzz"]))
 
 
 class TestFiniteMechanism:
@@ -216,7 +231,7 @@ class TestFiniteMechanism:
         mech = FiniteMechanism(AB, AB.values, [[0.7, 0.3], [0.2, 0.8]])
         rng = np.random.default_rng(42)
         n = 100_000
-        counts = mech.sample_counts("a", n, rng)
+        counts = sample_counts(mech, "a", n, rng)
         for j, z in enumerate(mech.outputs):
             p = mech.matrix[0, j]
             if p >= 0.01:
@@ -226,3 +241,30 @@ class TestFiniteMechanism:
     def test_uniform_start_helper(self):
         u = uniform_distribution(LinearAlphabet.range(0, 3))
         np.testing.assert_allclose(u.probs, 0.25)
+
+
+class TestPublicSurface:
+    def test_exported_names(self):
+        # test helpers live in tests/oracles.py, not in the package
+        names = {n for n in privdist.__all__
+                 if not isinstance(getattr(privdist, n), types.ModuleType)}
+        assert names == {
+            "Alphabet", "Binomial", "BitVectorMechanism", "CategoricalAlphabet",
+            "ConcavityReport", "Distribution", "ExperimentConfig", "Explicit",
+            "FiniteMechanism", "INTEGER_LINE", "IbuResult", "IntegerLineMechanism",
+            "LikelySubset", "LinearAlphabet", "Mechanism", "ObsMatrix",
+            "ObservationSet", "PlanarAlphabet", "RawDataset", "UniformOn",
+            "build_exponential", "build_geometric_linear", "build_geometric_planar",
+            "build_geometric_truncated", "build_identity", "build_krr",
+            "build_laplace_linear_discretized", "build_laplace_planar_discretized",
+            "build_rappor", "derive_rng", "distribution_new", "emd", "emd_1d",
+            "emd_planar", "empirical_distribution", "grid_for_bbox", "ibu",
+            "identification_check", "inv_geometric_error_lower_bound",
+            "inv_krr_error_bound", "inv_normalize", "inv_project", "inv_raw", "l2sq",
+            "likely_krr", "likely_linear", "likely_planar", "load_ages",
+            "load_checkins", "log_likelihood", "min_cost_transport",
+            "obfuscate_dataset", "obs_matrix", "project_to_simplex",
+            "rappor_concavity_prob_bound", "rappor_decode", "restrict_and_lift",
+            "run_experiment", "sample_synthetic", "strict_concavity_check",
+            "to_empirical", "tv", "uniform_distribution",
+        }

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from privdist.analysis import log_likelihood, strict_concavity_check
+from privdist.analysis import identification_check, log_likelihood, strict_concavity_check
 from privdist.core import (
     INTEGER_LINE,
     CategoricalAlphabet,
@@ -314,11 +314,13 @@ class TestInvRaw:
 
     def test_condition_number_computed_once_per_mechanism(self, monkeypatch):
         calls = []
-        cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda m, *a: calls.append(m) or cond(m, *a))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **kw: calls.append(m) or svd(m, *a, **kw))
         mech = FiniteMechanism(AB, AB.values, [[0.75, 0.25], [0.25, 0.75]])
         q = to_empirical(ObservationSet({"a": 3, "b": 1}))
         first, second = inv_raw(q, mech), inv_raw(q, mech)
+        assert len(calls) == 1
+        assert identification_check(mech)  # reads the same singular values
         assert len(calls) == 1
         np.testing.assert_array_equal(first, second)
         singular = FiniteMechanism(AB, AB.values, [[0.5, 0.5], [0.5, 0.5]])

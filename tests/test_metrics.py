@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from privdist.core import Distribution, LinearAlphabet, PlanarAlphabet
+from privdist import metrics
 from privdist.errors import AlphabetMismatchError, SolverNonConvergenceError
 from privdist.metrics import (
     _least_cost_tree,
@@ -318,9 +319,10 @@ class TestTransportInputs:
         flow, total = min_cost_transport(self.COST, np.zeros(2), np.zeros(2))
         assert total == 0.0 and not flow.any()
 
-    def test_failed_certificate_raises(self):
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(metrics, "CERT_TOL", -1.0)
         with pytest.raises(SolverNonConvergenceError):
-            min_cost_transport(self.COST, np.array([0.5, 0.5]), np.array([0.3, 0.7]), cert_tol=-1.0)
+            min_cost_transport(self.COST, np.array([0.5, 0.5]), np.array([0.3, 0.7]))
 
 
 class TestOtherMetrics:

