@@ -110,30 +110,8 @@ def _load_mechanism(path: str):
     return load_mechanism_dict(_read_json(path))
 
 
-def _reconcile_values(obs: ObservationSet, mech) -> ObservationSet:
-    """Align JSON-decoded observation values with the mechanism's outputs.
-
-    JSON object keys are strings, so a numeric-looking categorical label and
-    the number itself decode identically; resolve against the actual output
-    domain.
-    """
-    outputs = mech.output_values()
-    if outputs is None:
-        return obs
-    known = set(outputs)
-    fixed = {}
-    for v, c in obs.counts.items():
-        if v in known:
-            fixed[v] = fixed.get(v, 0) + c
-        elif str(v) in known:
-            fixed[str(v)] = fixed.get(str(v), 0) + c
-        else:
-            fixed[v] = fixed.get(v, 0) + c
-    return ObservationSet(fixed)
-
-
 def _load_observations(path: str, mech) -> ObservationSet:
-    return _reconcile_values(ObservationSet.from_dict(_read_json(path)), mech)
+    return ObservationSet.from_dict(_read_json(path), mech.output_values())
 
 
 def cmd_estimate(args) -> int:

@@ -8,6 +8,7 @@ the library keeps no global random state.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -25,8 +26,6 @@ from .errors import (
 
 # Tolerance used when checking that probabilities sum to one.
 PROB_ATOL = 1e-9
-# Slack accepted on user-supplied weight vectors before normalization.
-INPUT_NORM_ATOL = 1e-6
 
 
 class IntegerLineDomain:
@@ -275,17 +274,6 @@ class Distribution:
     def to_dict(self) -> dict:
         return {"alphabet": self.alphabet.to_dict(), "probs": self.probs.tolist()}
 
-    @staticmethod
-    def from_dict(d: dict) -> "Distribution":
-        """Rebuild from JSON; user-edited files may carry rounded entries, so
-        sums within INPUT_NORM_ATOL of one are renormalized."""
-        alphabet = Alphabet.from_dict(d["alphabet"])
-        probs = np.asarray(d["probs"], dtype=float)
-        total = probs.sum()
-        if abs(total - 1.0) > INPUT_NORM_ATOL:
-            raise ValueError(f"stored probabilities sum to {total!r}, expected 1")
-        return Distribution(alphabet, probs / total)
-
 
 def distribution_new(alphabet: Alphabet, weights) -> Distribution:
     """Normalize a non-negative weight vector into a Distribution.
@@ -309,6 +297,28 @@ def distribution_new(alphabet: Alphabet, weights) -> Distribution:
 
 def uniform_distribution(alphabet: Alphabet) -> Distribution:
     return Distribution(alphabet, np.full(alphabet.size, 1.0 / alphabet.size))
+
+
+def tally(domain, data: Sequence) -> tuple:
+    """The distinct ``data`` in ``domain`` order, and how often each occurs.
+
+    On a finite Alphabet membership is by equality, so 3.0 counts as 3.  On
+    the integer line it also depends on the type: equal values share one key
+    (3 and 3.0), so with mixed types one datum of each type is checked too.
+    Raises ElementOutsideAlphabetError for a datum outside the domain."""
+    try:
+        grouped = Counter(data)
+    except TypeError as exc:  # every domain element is hashable
+        raise ElementOutsideAlphabetError(f"a datum is not in the domain: {exc}") from exc
+    if domain is INTEGER_LINE:
+        mixed = len(set(map(type, data))) > 1
+        for x in (*grouped, *(dict(zip(map(type, data), data)).values() if mixed else ())):
+            if x not in INTEGER_LINE:
+                raise ElementOutsideAlphabetError(f"{x!r} is not an integer")
+        xs = sorted(grouped)
+    else:
+        xs = sorted(grouped, key=domain.index)
+    return xs, [grouped[x] for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +358,8 @@ class ObservationSet:
     """A counted multiset of noisy reports.
 
     The distinct reports are sorted once, at construction, into canonical
-    order (by JSON key, ties in insertion order); ``count_array`` holds their
-    counts in that order, read-only and int64."""
+    order (by JSON key, ties in insertion order) and kept in one tuple;
+    ``count_array`` holds their counts in that order, read-only and int64."""
 
     def __init__(self, counts: dict):
         ordered = sorted(counts, key=_value_key)
@@ -364,8 +374,8 @@ class ObservationSet:
         return obs
 
     def _store(self, values: Sequence, counts):
+        self._values = tuple(values)
         self.count_array = np.array(counts, dtype=np.int64)
-        self._counts = dict(zip(values, self.count_array.tolist()))
         if np.any(self.count_array <= 0):
             raise ValueError("stored counts must be positive")
         self.count_array.flags.writeable = False
@@ -373,30 +383,33 @@ class ObservationSet:
 
     @property
     def counts(self) -> dict:
-        return dict(self._counts)
-
-    def count(self, v) -> int:
-        return self._counts.get(v, 0)
+        return dict(self.items())
 
     def values(self) -> list:
         """Distinct observed values in canonical (sorted) order."""
-        return list(self._counts)
+        return list(self._values)
 
     def items(self):
-        return list(self._counts.items())
+        return list(zip(self._values, self.count_array.tolist()))
 
     def __len__(self):
         return self.n
 
     def __repr__(self):
-        return f"ObservationSet(n={self.n}, distinct={len(self._counts)})"
+        return f"ObservationSet(n={self.n}, distinct={len(self._values)})"
 
     def to_dict(self) -> dict:
-        return {"reports": {_value_key(v): c for v, c in self._counts.items()}, "n": self.n}
+        return {"reports": {_value_key(v): c for v, c in self.items()}, "n": self.n}
 
     @staticmethod
-    def from_dict(d: dict) -> "ObservationSet":
-        counts = {_value_from_key(k): c for k, c in d["reports"].items()}
+    def from_dict(d: dict, outputs) -> "ObservationSet":
+        """Read back what ``to_dict`` wrote.  Each key becomes the output in
+        ``outputs`` (the mechanism's finite outputs, or None) that is written
+        under it, so a label such as "null" or "1e3" stays a label; other keys
+        are decoded as JSON."""
+        known = {_value_key(z): z for z in outputs or ()}
+        counts = {known[k] if k in known else _value_from_key(k): c
+                  for k, c in d["reports"].items()}
         obs = ObservationSet(counts)
         if obs.n != d["n"]:
             raise ValueError("stored n disagrees with the report counts")
@@ -450,9 +463,6 @@ class Mechanism:
     def output_values(self):
         """Finite tuple of output values, or None when the output domain is infinite."""
         return None
-
-    def contains_input(self, x) -> bool:
-        return x in self.input_alphabet
 
     def params_dict(self) -> dict:
         return {}

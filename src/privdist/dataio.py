@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Alphabet, Distribution, PlanarAlphabet
+from .core import Alphabet, Distribution, PlanarAlphabet, tally
 from .errors import (
     BBoxGridMismatchError,
     EmptyDatasetError,
@@ -221,7 +221,8 @@ def sample_synthetic(spec, n: int, rng: np.random.Generator) -> RawDataset:
     elif isinstance(spec, Explicit):
         dist = spec.distribution
         idx = rng.choice(dist.alphabet.size, size=n, p=dist.probs)
-        values = tuple(dist.alphabet.values[i] for i in idx.tolist())
+        support = dist.alphabet.values
+        values = tuple(support[i] for i in idx.tolist())
         label = "explicit"
     else:
         raise InvalidSpecError(f"unknown synthetic spec {spec!r}")
@@ -230,7 +231,9 @@ def sample_synthetic(spec, n: int, rng: np.random.Generator) -> RawDataset:
 
 def empirical_distribution(alphabet: Alphabet, values: Sequence) -> Distribution:
     """Frequency distribution of a dataset over its alphabet."""
-    counts = np.bincount([alphabet.index(v) for v in values], minlength=alphabet.size).astype(float)
-    if counts.sum() == 0:
+    xs, tallied = tally(alphabet, values)
+    if not xs:
         raise EmptyDatasetError("no values to count")
+    counts = np.zeros(alphabet.size)
+    counts[[alphabet.index(x) for x in xs]] = tallied
     return Distribution(alphabet, counts / counts.sum())

@@ -53,11 +53,6 @@ class IbuResult:
         self.converged = converged
         self.gap = gap
 
-    def to_dict(self) -> dict:
-        return {"estimate": self.estimate.to_dict(), "iterations": self.iterations,
-                "converged": self.converged, "gap": self.gap,
-                "loglik": [float(v) for v in self.loglik_trace]}
-
     def __repr__(self):
         return (f"IbuResult(iterations={self.iterations}, converged={self.converged}, "
                 f"gap={self.gap:.3g}, loglik={self.loglik_trace[-1]:.6g})")

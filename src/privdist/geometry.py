@@ -33,15 +33,8 @@ def convex_hull(points) -> np.ndarray:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] < 2:  # all points coincident after dedup
-        return pts[:1]
-    if hull.shape[0] == 2 or np.allclose(cross(hull[0], hull[1], hull[2]), 0.0):
-        # collinear: keep the two extremes
-        i = np.argmin(pts[:, 0] + 1e-9 * pts[:, 1])
-        j = np.argmax(pts[:, 0] + 1e-9 * pts[:, 1])
-        return np.array([pts[i], pts[j]])
-    return hull
+    # The <= 0 pops drop collinear points, so collinear input leaves its two ends.
+    return np.array(lower[:-1] + upper[:-1])
 
 
 def _segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

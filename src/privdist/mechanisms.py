@@ -9,7 +9,6 @@ matrix.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from .core import (
     ObservationSet,
     PlanarAlphabet,
     _canonical_order,
+    tally,
 )
 from .errors import (
     AlphabetTooSmallError,
@@ -119,9 +119,9 @@ class IntegerLineMechanism(Mechanism):
 
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
         # The stay, sign and magnitude draws interleave per input, so the
-        # loop over inputs stays.  Each input's reports are counted at once,
-        # so only the distinct ones are kept, and only they are sorted.
-        vals, cnts = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        # loop over inputs stays.  All reports are counted at once at the
+        # end, so only the distinct ones are sorted.
+        reports = [np.zeros(0, dtype=np.int64)]
         for x, count in zip(xs, counts):
             if x not in INTEGER_LINE:
                 raise ElementOutsideAlphabetError(f"{x!r} is not an integer")
@@ -132,15 +132,11 @@ class IntegerLineMechanism(Mechanism):
                 signs = np.where(rng.random(m) < 0.5, 1, -1)
                 mags = rng.geometric(1.0 - self._a, size=m)
                 noise[~stay] = signs * mags
-            v, c = np.unique(int(x) + noise, return_counts=True)
-            vals.append(v)
-            cnts.append(c)
-        distinct, where = np.unique(np.concatenate(vals), return_inverse=True)
-        merged = np.zeros(distinct.size, dtype=np.int64)
-        np.add.at(merged, where, np.concatenate(cnts))
+            reports.append(int(x) + noise)
+        distinct, cnts = np.unique(np.concatenate(reports), return_counts=True)
         distinct = distinct.tolist()
         order = _canonical_order(distinct)
-        return [distinct[j] for j in order], merged[order]
+        return [distinct[j] for j in order], cnts[order]
 
     def params_dict(self):
         return {"eps_geo": self.eps_geo}
@@ -478,24 +474,7 @@ def build_rappor(alphabet: Alphabet, eps_ldp: float) -> BitVectorMechanism:
 def obfuscate_dataset(mech: Mechanism, data: Sequence, rng: np.random.Generator) -> ObservationSet:
     """Draw one independent report per datum; the result is counted, so it
     carries no information about the input order."""
-    try:
-        grouped = Counter(data)
-    except TypeError as exc:  # every alphabet element is hashable
-        raise ElementOutsideAlphabetError(
-            f"a datum is not in the mechanism's input alphabet: {exc}"
-        ) from exc
-    # Equal values share one key (3 and 3.0), but membership of the integer
-    # line depends on the type, so with mixed types one datum of each type is
-    # checked too.  With one type the keys carry it.
-    mixed = len(set(map(type, data))) > 1
-    for x in (*grouped, *(dict(zip(map(type, data), data)).values() if mixed else ())):
-        if not mech.contains_input(x):
-            raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
-    if isinstance(mech.input_alphabet, Alphabet):
-        ordered = sorted(grouped, key=mech.input_alphabet.index)
-    else:
-        ordered = sorted(grouped)
-    return ObservationSet._canonical(*mech.draw(ordered, [grouped[x] for x in ordered], rng))
+    return ObservationSet._canonical(*mech.draw(*tally(mech.input_alphabet, data), rng))
 
 
 def load_mechanism_dict(d: dict) -> Mechanism:

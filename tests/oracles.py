@@ -39,7 +39,7 @@ def is_unlikely(mech: Mechanism, obs: ObservationSet, x_prime, x_candidate) -> b
     least as large for every observed report and strictly larger for one.
     Comparisons are exact; ties alone never make an element unlikely."""
     for x in (x_prime, x_candidate):
-        if not mech.contains_input(x):
+        if x not in mech.input_alphabet:
             raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
     a, b = mech.kernel([x_prime, x_candidate], obs.values())
     return bool(np.all(a <= b) and np.any(a < b))

@@ -195,6 +195,13 @@ class TestIdentification:
         mech = build_krr(A3, math.log(2.0))
         assert identification_check(mech)
 
+    def test_rank_tolerance(self):
+        # 3-element k-RR: s_min / s_max is about eps / 3, so eps = 1e-7 (3.3e-8)
+        # is identified and eps = 1e-12 (3.3e-13) is not, against the cut-off
+        # RANK_TOL * max(dims) = 3e-10
+        assert identification_check(build_krr(A3, 1e-7))
+        assert not identification_check(build_krr(A3, 1e-12))
+
     def test_duplicate_rows_fail(self):
         assert not identification_check(PEAKED)
 

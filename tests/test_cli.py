@@ -10,9 +10,18 @@ import pytest
 from privdist import experiment
 from privdist.cli import main
 from privdist.errors import ConfigError, SolverNonConvergenceError
-from privdist.experiment import ESTIMATORS, MECHANISMS, ExperimentConfig
-from privdist.core import ObservationSet, PlanarAlphabet
-from privdist.mechanisms import build_geometric_planar
+from privdist.estimators import ibu
+from privdist.experiment import (
+    ESTIMATORS,
+    MECHANISMS,
+    ExperimentConfig,
+    build_alphabet,
+    build_mechanism,
+    derive_rng,
+    load_dataset,
+)
+from privdist.core import ObservationSet, PlanarAlphabet, obs_matrix
+from privdist.mechanisms import build_geometric_planar, obfuscate_dataset
 
 rng_free = np.random.default_rng(0)
 
@@ -42,7 +51,7 @@ class TestObfuscate:
         cfg = base_config(tmp_path, mechanism={"name": "identity", "eps": []})
         out = tmp_path / "obs.json"
         assert main(["obfuscate", "--config", cfg, "--out", str(out)]) == 0
-        obs = ObservationSet.from_dict(json.loads(out.read_text()))
+        obs = ObservationSet.from_dict(json.loads(out.read_text()), None)
         assert obs.n == 400
         # identity reports are exactly the drawn dataset (binomial on 0..5)
         assert set(obs.counts) <= set(range(6))
@@ -79,7 +88,7 @@ class TestEstimate:
         assert main(["estimate", "--mechanism", mech, "--observations", obs,
                      "--estimator", "ibu", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        observed = ObservationSet.from_dict(json.loads((tmp_path / "obs.json").read_text()))
+        observed = ObservationSet.from_dict(json.loads((tmp_path / "obs.json").read_text()), None)
         expect = np.zeros(6)
         for v, c in observed.counts.items():
             expect[v] = c / observed.n
@@ -108,10 +117,33 @@ class TestEstimate:
         assert main(["estimate", "--mechanism", mech, "--observations", obs,
                      "--estimator", "ibu", "--likely-subset", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        observed = ObservationSet.from_dict(json.loads((tmp_path / "obs.json").read_text()))
+        observed = ObservationSet.from_dict(json.loads((tmp_path / "obs.json").read_text()), None)
         for v in range(6):
             if v not in observed.counts:
                 assert payload["probs"][v] == 0.0
+
+    def test_categorical_labels_round_trip(self, tmp_path):
+        # labels that read as JSON values come back as the labels written
+        labels = ["true", "false", "null", "1e3", "1.50"]
+        cfg = base_config(
+            tmp_path,
+            dataset={"kind": "synthetic", "family": "uniform", "subset": labels, "n": 300},
+            alphabet={"kind": "categorical", "labels": labels},
+        )
+        obs_path, mech_path, out = tmp_path / "obs.json", tmp_path / "mech.json", tmp_path / "est.json"
+        artifacts = ["--mechanism", str(mech_path), "--observations", str(obs_path)]
+        assert main(["obfuscate", "--config", cfg, "--out", str(obs_path),
+                     "--mech-out", str(mech_path)]) == 0
+        assert main(["estimate", *artifacts, "--estimator", "ibu", "--out", str(out)]) == 0
+        assert main(["analyze", *artifacts]) == 0
+
+        config = ExperimentConfig.from_dict(json.loads((tmp_path / "config.json").read_text()))
+        alphabet = build_alphabet(config.alphabet)
+        mech = build_mechanism("krr", alphabet, 2.0)
+        data = load_dataset(config.dataset, alphabet, config.master_seed)
+        obs = obfuscate_dataset(mech, data.values, derive_rng(config.master_seed, 1, 0))
+        expect = ibu(obs_matrix(mech, obs)).estimate.probs
+        np.testing.assert_array_equal(json.loads(out.read_text())["probs"], expect)
 
     def test_likely_subset_reports_ibu_diagnostics(self, tmp_path):
         mech, obs = self._artifacts(tmp_path, mechanism="krr")

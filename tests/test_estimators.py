@@ -121,7 +121,6 @@ class TestIbu:
         res = ibu(_obs_q({"a": 3, "b": 1}), max_iter=1)
         assert not res.converged
         assert res.gap == pytest.approx(4.0 * math.log(1.25), rel=1e-12)
-        assert res.to_dict()["gap"] == res.gap
 
     def test_mass_conserved_each_run(self):
         res = ibu(_obs_q({"a": 5, "b": 2}), max_iter=17)

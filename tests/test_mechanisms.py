@@ -28,6 +28,7 @@ from privdist.errors import (
     NonPositiveEpsilonError,
     ObservationOutsideDomainError,
 )
+from privdist.dataio import empirical_distribution
 from privdist.mechanisms import (
     BitVectorMechanism,
     build_exponential,
@@ -450,7 +451,7 @@ class TestObfuscateDataset:
         alpha = CategoricalAlphabet(["1", "2", "3"])
         mech = build_krr(alpha, math.log(2.0))
         obs = obfuscate_dataset(mech, ["2"] * 100_000, np.random.default_rng(5))
-        assert abs(obs.count("2") / obs.n - 0.5) < 0.01
+        assert abs(obs.counts["2"] / obs.n - 0.5) < 0.01
 
     def test_outside_alphabet(self):
         mech = build_identity(CategoricalAlphabet(["a"]))
@@ -471,7 +472,7 @@ def _obfuscate_per_datum(mech, data, rng):
     per distinct value in alphabet order."""
     grouped = {}
     for x in data:
-        if not mech.contains_input(x):
+        if x not in mech.input_alphabet:
             raise ElementOutsideAlphabetError(repr(x))
         grouped[x] = grouped.get(x, 0) + 1
     alphabet = mech.input_alphabet
@@ -558,15 +559,26 @@ class TestObfuscateGrouping:
         slow = _obfuscate_per_datum(mech, data, np.random.default_rng(9))
         assert fast.items() == slow.items()
 
-    @pytest.mark.parametrize("mech, data", [
-        (build_krr(ALPHA, 1.0), [3, 12, 4]),
-        (build_geometric_linear(0.5), [3, 3.0]),
-        (build_geometric_linear(0.5), [3, True]),
-        (build_geometric_linear(0.5), [3, [4]]),
-    ], ids=["outside-alphabet", "float-on-line", "bool-on-line", "unhashable"])
-    def test_outside_datum_rejected(self, mech, data):
+    @pytest.mark.parametrize("mech, data, rejected", [
+        (build_krr(ALPHA, 1.0), [3, 12, 4], True),
+        (build_krr(ALPHA, 1.0), [3, 3.0], False),
+        (build_geometric_linear(0.5), [3, 3.0], True),
+        (build_geometric_linear(0.5), [3, True], True),
+        (build_geometric_linear(0.5), [3, [4]], True),
+    ], ids=["outside-alphabet", "float-on-alphabet", "float-on-line", "bool-on-line", "unhashable"])
+    def test_outside_datum_rejected(self, mech, data, rejected):
+        # Obfuscation and the empirical distribution count data by one rule:
+        # equality on a finite alphabet (3.0 is 3), the type too on the line.
+        alphabet = mech.input_alphabet
+        if not rejected:
+            assert obfuscate_dataset(mech, data, np.random.default_rng(0)).n == len(data)
+            assert empirical_distribution(alphabet, data).prob(3) == 1.0
+            return
         with pytest.raises(ElementOutsideAlphabetError):
             obfuscate_dataset(mech, data, np.random.default_rng(0))
+        if alphabet is not INTEGER_LINE:
+            with pytest.raises(ElementOutsideAlphabetError):
+                empirical_distribution(alphabet, data)
 
 
 class TestSerialization:

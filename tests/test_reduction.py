@@ -254,6 +254,14 @@ class TestGeometryHelpers:
         assert hull.shape[0] == 2
         np.testing.assert_allclose(hull, [[0, 0], [3, 3]])
 
+    def test_thin_hull_keeps_its_vertices(self):
+        # the first three vertices are collinear within 1e-9, but the hull is
+        # a real quadrilateral: a point inside it is at distance 0
+        pts = [(0, 0), (1, 0), (2, 1e-9), (1, 5)]
+        hull = convex_hull(pts)
+        assert set(map(tuple, hull)) == {(0.0, 0.0), (1.0, 0.0), (2.0, 1e-9), (1.0, 5.0)}
+        assert distance_to_hull([(1.0, 4.0)], hull)[0] == 0.0
+
     def test_hull_vertices_match_scipy(self):
         # lattice points repeat and lie on hull edges; only corners are kept
         rng = np.random.default_rng(16)
