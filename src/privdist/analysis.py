@@ -45,14 +45,6 @@ class ConcavityReport:
         self.rank_required = rank_required
         self.witness = witness
 
-    def to_dict(self) -> dict:
-        return {
-            "strictly_concave": self.strictly_concave,
-            "rank_found": self.rank_found,
-            "rank_required": self.rank_required,
-            "witness": None if self.witness is None else [float(w) for w in self.witness],
-        }
-
     def __repr__(self):
         return (
             f"ConcavityReport(strictly_concave={self.strictly_concave}, "

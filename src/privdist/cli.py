@@ -28,9 +28,12 @@ from .analysis import (
 from .core import (
     INTEGER_LINE,
     Alphabet,
+    CategoricalAlphabet,
+    FiniteMechanism,
     LinearAlphabet,
     ObservationSet,
     PlanarAlphabet,
+    _value_key,
     obs_matrix,
 )
 from .errors import (
@@ -54,13 +57,7 @@ from .experiment import (
     run_estimator,
     run_experiment,
 )
-from .mechanisms import (
-    BitVectorMechanism,
-    FiniteMechanism,
-    IntegerLineMechanism,
-    load_mechanism_dict,
-    obfuscate_dataset,
-)
+from .mechanisms import BitVectorMechanism, IntegerLineMechanism, obfuscate_dataset
 from .reduction import lift, likely_krr, likely_linear, likely_planar, restricted_alphabet
 
 _IO_ERRORS = (OSError, EmptyDatasetError, TooManyMalformedRowsError, BBoxGridMismatchError)
@@ -76,6 +73,116 @@ def _write_json(path: str, payload: dict):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# File formats, here and nowhere else.  JSON has no tuples, so a tuple value
+# (a planar cell, a RAPPOR report) is written as a list and read back as one.
+# ---------------------------------------------------------------------------
+
+def _listed(v):
+    return list(v) if isinstance(v, tuple) else v
+
+
+def _tupled(v):
+    return tuple(v) if isinstance(v, list) else v
+
+
+def alphabet_to_json(alphabet: Alphabet) -> dict:
+    if isinstance(alphabet, PlanarAlphabet):
+        return {"kind": alphabet.kind, "centers": [list(c) for c in alphabet.values],
+                "cell_width_km": alphabet.cell_width_km}
+    field = "labels" if isinstance(alphabet, CategoricalAlphabet) else "values"
+    return {"kind": alphabet.kind, field: [_listed(v) for v in alphabet.values]}
+
+
+def alphabet_from_json(d: dict) -> Alphabet:
+    kind = d["kind"]
+    if kind == "categorical":
+        return CategoricalAlphabet(d["labels"])
+    if kind == "linear":
+        return LinearAlphabet(d["values"])
+    if kind == "planar":
+        return PlanarAlphabet(d["centers"], d["cell_width_km"])
+    if kind == "explicit":
+        return Alphabet([_tupled(v) for v in d["values"]])
+    raise ValueError(f"unknown alphabet kind {kind!r}")
+
+
+def mechanism_to_json(mech) -> dict:
+    d = {"mechanism": mech.kind, "finite": isinstance(mech, FiniteMechanism),
+         "params": mech.params_dict()}
+    if isinstance(mech.input_alphabet, Alphabet):
+        d["alphabet"] = alphabet_to_json(mech.input_alphabet)
+    if isinstance(mech, FiniteMechanism):
+        d.update(outputs=[_listed(z) for z in mech.outputs], matrix=mech.matrix.tolist(),
+                 distance_monotone=mech.distance_monotone)
+    return d
+
+
+def mechanism_from_json(d: dict):
+    kind = d.get("mechanism", "custom")
+    if d.get("finite"):
+        return FiniteMechanism(alphabet_from_json(d["alphabet"]), [_tupled(z) for z in d["outputs"]],
+                               d["matrix"], kind=kind, params=d.get("params"),
+                               distance_monotone=d.get("distance_monotone", False))
+    if kind == "geometric-linear":
+        return IntegerLineMechanism(d["params"]["eps_geo"])
+    if kind == "rappor":
+        return BitVectorMechanism(alphabet_from_json(d["alphabet"]), d["params"]["eps_ldp"])
+    raise ValueError(f"unknown mechanism kind {kind!r}")
+
+
+def _decoded(key: str):
+    try:
+        return _tupled(json.loads(key))
+    except ValueError:  # a label that is not JSON, such as "a"
+        return key
+
+
+def reports_to_json(obs: ObservationSet) -> dict:
+    """Counts under each report's JSON key.  Reports that share a key (1 and
+    "1") are refused, as their counts would be merged on write."""
+    items = obs.items()
+    reports = {_value_key(v): c for v, c in items}
+    if len(reports) < len(items):
+        raise ValueError("two distinct reports share a JSON key; their counts would be merged")
+    return {"reports": reports, "n": obs.n}
+
+
+def reports_from_json(d: dict, outputs) -> ObservationSet:
+    """Read back what ``reports_to_json`` wrote.  Each key becomes the output
+    in ``outputs`` (the mechanism's finite outputs, or None) that is written
+    under it, so a label such as "null" or "1e3" stays a label; other keys
+    are decoded as JSON."""
+    known = {_value_key(z): z for z in outputs or ()}
+    counts = {known[k] if k in known else _decoded(k): c for k, c in d["reports"].items()}
+    obs = ObservationSet(counts)
+    if obs.n != d["n"]:
+        raise ValueError("stored n disagrees with the report counts")
+    return obs
+
+
+def distribution_to_json(dist) -> dict:
+    return {"alphabet": alphabet_to_json(dist.alphabet), "probs": dist.probs.tolist()}
+
+
+def subset_to_json(subset) -> dict:
+    return {
+        "parent": None if subset.parent is INTEGER_LINE else alphabet_to_json(subset.parent),
+        "members": [_listed(m) for m in subset.members],
+        "construction": subset.construction,
+        "meta": subset.meta,
+    }
+
+
+def concavity_to_json(report) -> dict:
+    return {
+        "strictly_concave": report.strictly_concave,
+        "rank_found": report.rank_found,
+        "rank_required": report.rank_required,
+        "witness": None if report.witness is None else [float(w) for w in report.witness],
+    }
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -99,19 +206,19 @@ def cmd_obfuscate(args) -> int:
     mech = build_mechanism(cfg.mechanism["name"], alphabet, eps)
     obs = obfuscate_dataset(mech, data.values, derive_rng(cfg.master_seed, 1, 0))
     out = args.out or cfg.out
-    _write_json(out, obs.to_dict())
+    _write_json(out, reports_to_json(obs))
     if args.mech_out:
-        _write_json(args.mech_out, mech.to_dict())
+        _write_json(args.mech_out, mechanism_to_json(mech))
     print(f"wrote {obs.n} reports ({len(obs.counts)} distinct) to {out}")
     return 0
 
 
 def _load_mechanism(path: str):
-    return load_mechanism_dict(_read_json(path))
+    return mechanism_from_json(_read_json(path))
 
 
 def _load_observations(path: str, mech) -> ObservationSet:
-    return ObservationSet.from_dict(_read_json(path), mech.output_values())
+    return reports_from_json(_read_json(path), mech.output_values())
 
 
 def cmd_estimate(args) -> int:
@@ -137,12 +244,12 @@ def cmd_estimate(args) -> int:
         print(f"estimation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    payload = estimate.to_dict()
+    payload = distribution_to_json(estimate)
     if result is not None:
         payload["diagnostics"] = {"iterations": result.iterations, "converged": result.converged,
                                   "gap": result.gap, "loglik": result.loglik_trace[-1]}
         if subset is not None:
-            payload["diagnostics"]["likely_subset"] = subset.to_dict()
+            payload["diagnostics"]["likely_subset"] = subset_to_json(subset)
     _write_json(args.out, payload)
     print(f"wrote estimate to {args.out}")
     return 0
@@ -165,7 +272,7 @@ def cmd_reduce(args) -> int:
     mech = _load_mechanism(args.mechanism)
     obs = _load_observations(args.observations, mech)
     subset = _build_subset(mech, obs)
-    _write_json(args.out, subset.to_dict())
+    _write_json(args.out, subset_to_json(subset))
     print(f"likely subset: {subset.size} members ({subset.construction}); wrote {args.out}")
     return 0
 
@@ -176,7 +283,7 @@ def cmd_analyze(args) -> int:
     report: dict = {}
     if isinstance(mech, FiniteMechanism):
         G = obs_matrix(mech, obs)
-        report["concavity"] = strict_concavity_check(G).to_dict()
+        report["concavity"] = concavity_to_json(strict_concavity_check(G))
         report["identification"] = identification_check(mech)
         params = mech.params_dict()
         k = mech.input_alphabet.size
@@ -190,7 +297,7 @@ def cmd_analyze(args) -> int:
             )
     elif isinstance(mech, BitVectorMechanism):
         G = obs_matrix(mech, obs)
-        report["concavity"] = strict_concavity_check(G).to_dict()
+        report["concavity"] = concavity_to_json(strict_concavity_check(G))
         k = mech.input_alphabet.size
         if obs.n >= k:
             report["concavity_probability_bound"] = rappor_concavity_prob_bound(

@@ -107,24 +107,6 @@ class Alphabet:
     def __repr__(self):
         return f"{type(self).__name__}(size={self.size})"
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "values": [list(v) if isinstance(v, tuple) else v for v in self._values]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Alphabet":
-        kind = d["kind"]
-        if kind == "categorical":
-            return CategoricalAlphabet(d["labels"])
-        if kind == "linear":
-            return LinearAlphabet(d["values"])
-        if kind == "planar":
-            return PlanarAlphabet(
-                [tuple(c) for c in d["centers"]], d["cell_width_km"]
-            )
-        if kind == "explicit":
-            return Alphabet(tuple(tuple(v) if isinstance(v, list) else v for v in d["values"]))
-        raise ValueError(f"unknown alphabet kind {kind!r}")
-
 
 class CategoricalAlphabet(Alphabet):
     """Unordered categorical labels."""
@@ -136,9 +118,6 @@ class CategoricalAlphabet(Alphabet):
         if not all(isinstance(x, str) for x in labels):
             raise ValueError("categorical labels must be strings")
         super().__init__(labels)
-
-    def to_dict(self):
-        return {"kind": self.kind, "labels": list(self._values)}
 
 
 class LinearAlphabet(Alphabet):
@@ -161,9 +140,6 @@ class LinearAlphabet(Alphabet):
     def is_contiguous(self) -> bool:
         v = self._values
         return v[-1] - v[0] == len(v) - 1
-
-    def to_dict(self):
-        return {"kind": self.kind, "values": list(self._values)}
 
 
 class PlanarAlphabet(Alphabet):
@@ -226,13 +202,6 @@ class PlanarAlphabet(Alphabet):
     def centers_array(self) -> np.ndarray:
         return np.array(self._values, dtype=float)
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "centers": [list(c) for c in self._values],
-            "cell_width_km": self.cell_width_km,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Distributions
@@ -270,9 +239,6 @@ class Distribution:
 
     def __repr__(self):
         return f"Distribution({self.alphabet!r}, {np.array2string(self.probs, precision=4)})"
-
-    def to_dict(self) -> dict:
-        return {"alphabet": self.alphabet.to_dict(), "probs": self.probs.tolist()}
 
 
 def distribution_new(alphabet: Alphabet, weights) -> Distribution:
@@ -344,16 +310,6 @@ def _canonical_order(values: Sequence) -> list:
     return sorted(range(len(values)), key=lambda j: _value_key(values[j]))
 
 
-def _value_from_key(k: str):
-    try:
-        v = json.loads(k)
-    except (json.JSONDecodeError, ValueError):
-        return k
-    if isinstance(v, list):
-        return tuple(v)
-    return v
-
-
 class ObservationSet:
     """A counted multiset of noisy reports.
 
@@ -397,23 +353,6 @@ class ObservationSet:
 
     def __repr__(self):
         return f"ObservationSet(n={self.n}, distinct={len(self._values)})"
-
-    def to_dict(self) -> dict:
-        return {"reports": {_value_key(v): c for v, c in self.items()}, "n": self.n}
-
-    @staticmethod
-    def from_dict(d: dict, outputs) -> "ObservationSet":
-        """Read back what ``to_dict`` wrote.  Each key becomes the output in
-        ``outputs`` (the mechanism's finite outputs, or None) that is written
-        under it, so a label such as "null" or "1e3" stays a label; other keys
-        are decoded as JSON."""
-        known = {_value_key(z): z for z in outputs or ()}
-        counts = {known[k] if k in known else _value_from_key(k): c
-                  for k, c in d["reports"].items()}
-        obs = ObservationSet(counts)
-        if obs.n != d["n"]:
-            raise ValueError("stored n disagrees with the report counts")
-        return obs
 
 
 def to_empirical(obs: ObservationSet) -> Distribution:
@@ -466,9 +405,6 @@ class Mechanism:
 
     def params_dict(self) -> dict:
         return {}
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
 
 
 class FiniteMechanism(Mechanism):
@@ -560,29 +496,6 @@ class FiniteMechanism(Mechanism):
 
     def params_dict(self) -> dict:
         return dict(self._params)
-
-    def to_dict(self) -> dict:
-        return {
-            "mechanism": self.kind,
-            "finite": True,
-            "alphabet": self.input_alphabet.to_dict(),
-            "outputs": [list(z) if isinstance(z, tuple) else z for z in self.outputs],
-            "matrix": self.matrix.tolist(),
-            "distance_monotone": self.distance_monotone,
-            "params": self._params,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "FiniteMechanism":
-        outputs = tuple(tuple(z) if isinstance(z, list) else z for z in d["outputs"])
-        return FiniteMechanism(
-            Alphabet.from_dict(d["alphabet"]),
-            outputs,
-            np.array(d["matrix"], dtype=float),
-            kind=d.get("mechanism", "custom"),
-            distance_monotone=d.get("distance_monotone", False),
-            params=d.get("params"),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -46,50 +46,57 @@ class RawDataset:
         return len(self.values)
 
 
+def _read_rows(csv_path: str, columns: Sequence, parse) -> tuple:
+    """The rows of a CSV file that ``parse`` accepts, and the number of rows.
+
+    ``parse`` gets the cells of ``columns`` (header names, or indices) and
+    rejects a row with ValueError or IndexError.  Blank rows are skipped and
+    not counted."""
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyDatasetError(f"{csv_path} is empty") from None
+        for c in columns:
+            if not isinstance(c, int) and c not in header:
+                raise ValueError(f"column {c!r} not found in header {header}")
+        cols = [c if isinstance(c, int) else header.index(c) for c in columns]
+        parsed = []
+        total = 0
+        for row in reader:
+            if not any(c.strip() for c in row):
+                continue
+            total += 1
+            try:
+                parsed.append(parse(*[row[c] for c in cols]))
+            except (ValueError, IndexError):
+                pass
+    return parsed, total
+
+
+def _dataset(kind: str, csv_path: str, values: list, n_parsed: int, total: int) -> RawDataset:
+    """The dataset of the ``values`` kept from ``n_parsed`` parsed rows of
+    ``total``; unparseable rows are tolerated up to a 1% threshold."""
+    if not values:
+        raise EmptyDatasetError(f"{csv_path} contains no usable rows")
+    malformed = total - n_parsed
+    if malformed > MALFORMED_THRESHOLD * total:
+        raise TooManyMalformedRowsError(
+            f"{malformed} of {total} rows malformed (threshold {MALFORMED_THRESHOLD:.0%})"
+        )
+    return RawDataset(kind, tuple(values), source=csv_path,
+                      n_malformed=malformed, n_out_of_range=n_parsed - len(values))
+
+
 def load_ages(csv_path: str, age_column="age", lo: int = 0, hi: int = 99) -> RawDataset:
     """Read integer ages from a CSV column (by header name or index).
 
     Unparseable rows are counted and skipped up to a 1% threshold; rows
     outside [lo, hi] are dropped with a count.
     """
-    ages = []
-    malformed = 0
-    out_of_range = 0
-    total = 0
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{csv_path} is empty") from None
-        if isinstance(age_column, int):
-            col = age_column
-        else:
-            stripped = [h.strip() for h in header]
-            if age_column not in stripped:
-                raise ValueError(f"column {age_column!r} not found in header {stripped}")
-            col = stripped.index(age_column)
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            total += 1
-            try:
-                age = int(row[col].strip())
-            except (ValueError, IndexError):
-                malformed += 1
-                continue
-            if lo <= age <= hi:
-                ages.append(age)
-            else:
-                out_of_range += 1
-    if total == 0 or not ages:
-        raise EmptyDatasetError(f"{csv_path} contains no usable rows")
-    if malformed > MALFORMED_THRESHOLD * total:
-        raise TooManyMalformedRowsError(
-            f"{malformed} of {total} rows malformed (threshold {MALFORMED_THRESHOLD:.0%})"
-        )
-    return RawDataset("ages", tuple(ages), source=csv_path,
-                      n_malformed=malformed, n_out_of_range=out_of_range)
+    rows, total = _read_rows(csv_path, [age_column], lambda age: int(age.strip()))
+    return _dataset("ages", csv_path, [a for a in rows if lo <= a <= hi], len(rows), total)
 
 
 # ---------------------------------------------------------------------------
@@ -132,47 +139,16 @@ def load_checkins(csv_path: str, bbox, grid: PlanarAlphabet) -> RawDataset:
             f"grid extent {grid.nx * w:.2f}x{grid.ny * w:.2f} km does not cover "
             f"the bbox extent {width:.2f}x{height:.2f} km"
         )
+    rows, total = _read_rows(csv_path, ["lat", "lon"], lambda lat, lon: (float(lat), float(lon)))
+    ox, oy = grid.origin
     cells = []
-    malformed = 0
-    dropped = 0
-    total = 0
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyDatasetError(f"{csv_path} is empty") from None
-        try:
-            lat_col = header.index("lat")
-            lon_col = header.index("lon")
-        except ValueError:
-            raise ValueError(f"need 'lat' and 'lon' columns, header is {header}") from None
-        ox, oy = grid.origin
-        for row in reader:
-            if not row or all(not c.strip() for c in row):
-                continue
-            total += 1
-            try:
-                lat = float(row[lat_col])
-                lon = float(row[lon_col])
-            except (ValueError, IndexError):
-                malformed += 1
-                continue
-            if not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
-                dropped += 1
-                continue
+    for lat, lon in rows:
+        if lat_min <= lat <= lat_max and lon_min <= lon <= lon_max:
             x, y = project_latlon(lat, lon, bbox)
             ix = min(max(int((x - ox + w / 2.0) // w), 0), grid.nx - 1)
             iy = min(max(int((y - oy + w / 2.0) // w), 0), grid.ny - 1)
             cells.append(grid.values[iy * grid.nx + ix])
-    if not cells:
-        raise EmptyDatasetError(f"{csv_path} contains no usable rows inside the bbox")
-    if malformed > MALFORMED_THRESHOLD * total:
-        raise TooManyMalformedRowsError(
-            f"{malformed} of {total} rows malformed (threshold {MALFORMED_THRESHOLD:.0%})"
-        )
-    return RawDataset("checkins", tuple(cells), source=csv_path,
-                      n_malformed=malformed, n_out_of_range=dropped)
+    return _dataset("checkins", csv_path, cells, len(rows), total)
 
 
 # ---------------------------------------------------------------------------

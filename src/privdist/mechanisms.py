@@ -141,9 +141,6 @@ class IntegerLineMechanism(Mechanism):
     def params_dict(self):
         return {"eps_geo": self.eps_geo}
 
-    def to_dict(self):
-        return {"mechanism": self.kind, "finite": False, "params": self.params_dict()}
-
 
 def build_geometric_linear(eps_geo: float) -> IntegerLineMechanism:
     return IntegerLineMechanism(eps_geo)
@@ -454,14 +451,6 @@ class BitVectorMechanism(Mechanism):
     def params_dict(self):
         return {"eps_ldp": self.eps_ldp}
 
-    def to_dict(self):
-        return {
-            "mechanism": self.kind,
-            "finite": False,
-            "alphabet": self.input_alphabet.to_dict(),
-            "params": self.params_dict(),
-        }
-
 
 def build_rappor(alphabet: Alphabet, eps_ldp: float) -> BitVectorMechanism:
     return BitVectorMechanism(alphabet, eps_ldp)
@@ -476,14 +465,3 @@ def obfuscate_dataset(mech: Mechanism, data: Sequence, rng: np.random.Generator)
     carries no information about the input order."""
     return ObservationSet._canonical(*mech.draw(*tally(mech.input_alphabet, data), rng))
 
-
-def load_mechanism_dict(d: dict) -> Mechanism:
-    """Rebuild a mechanism from its JSON dictionary."""
-    kind = d.get("mechanism")
-    if d.get("finite"):
-        return FiniteMechanism.from_dict(d)
-    if kind == "geometric-linear":
-        return IntegerLineMechanism(d["params"]["eps_geo"])
-    if kind == "rappor":
-        return BitVectorMechanism(Alphabet.from_dict(d["alphabet"]), d["params"]["eps_ldp"])
-    raise ValueError(f"unknown mechanism kind {kind!r}")

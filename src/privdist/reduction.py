@@ -64,15 +64,6 @@ class LikelySubset:
     def __repr__(self):
         return f"LikelySubset({self.construction}, size={self.size})"
 
-    def to_dict(self) -> dict:
-        parent = None if self.parent is INTEGER_LINE else self.parent.to_dict()
-        return {
-            "parent": parent,
-            "members": [list(m) if isinstance(m, tuple) else m for m in self.members],
-            "construction": self.construction,
-            "meta": self.meta,
-        }
-
 
 def likely_linear(alphabet, obs: ObservationSet) -> LikelySubset:
     """Interval subset for distance-monotone kernels on the line.

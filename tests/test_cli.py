@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from privdist import experiment
-from privdist.cli import main
+from privdist.cli import main, mechanism_to_json, reports_from_json, reports_to_json
 from privdist.errors import ConfigError, SolverNonConvergenceError
 from privdist.estimators import ibu
 from privdist.experiment import (
@@ -51,7 +51,7 @@ class TestObfuscate:
         cfg = base_config(tmp_path, mechanism={"name": "identity", "eps": []})
         out = tmp_path / "obs.json"
         assert main(["obfuscate", "--config", cfg, "--out", str(out)]) == 0
-        obs = ObservationSet.from_dict(json.loads(out.read_text()), None)
+        obs = reports_from_json(json.loads(out.read_text()), None)
         assert obs.n == 400
         # identity reports are exactly the drawn dataset (binomial on 0..5)
         assert set(obs.counts) <= set(range(6))
@@ -88,7 +88,7 @@ class TestEstimate:
         assert main(["estimate", "--mechanism", mech, "--observations", obs,
                      "--estimator", "ibu", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        observed = ObservationSet.from_dict(json.loads((tmp_path / "obs.json").read_text()), None)
+        observed = reports_from_json(json.loads((tmp_path / "obs.json").read_text()), None)
         expect = np.zeros(6)
         for v, c in observed.counts.items():
             expect[v] = c / observed.n
@@ -102,10 +102,10 @@ class TestEstimate:
         inp = PlanarAlphabet.grid(5, 5, 1.0)
         out_grid = PlanarAlphabet.grid(4, 4, 1.0)
         mech = build_geometric_planar(inp, out_grid, 0.5)
-        mech_path = write_json(tmp_path / "mech.json", mech.to_dict())
+        mech_path = write_json(tmp_path / "mech.json", mechanism_to_json(mech))
         obs_path = write_json(
             tmp_path / "obs.json",
-            ObservationSet({mech.outputs[0]: 3}).to_dict(),
+            reports_to_json(ObservationSet({mech.outputs[0]: 3})),
         )
         code = main(["estimate", "--mechanism", mech_path, "--observations", obs_path,
                      "--estimator", "inv-n", "--out", str(tmp_path / "e.json")])
@@ -117,7 +117,7 @@ class TestEstimate:
         assert main(["estimate", "--mechanism", mech, "--observations", obs,
                      "--estimator", "ibu", "--likely-subset", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        observed = ObservationSet.from_dict(json.loads((tmp_path / "obs.json").read_text()), None)
+        observed = reports_from_json(json.loads((tmp_path / "obs.json").read_text()), None)
         for v in range(6):
             if v not in observed.counts:
                 assert payload["probs"][v] == 0.0
@@ -417,9 +417,9 @@ class TestAnalyzeAndReduce:
         inp = PlanarAlphabet.grid(5, 5, 1.0)
         out_grid = PlanarAlphabet.grid(4, 4, 1.0)
         mech = build_geometric_planar(inp, out_grid, 0.5)
-        mech_path = write_json(tmp_path / "m.json", mech.to_dict())
+        mech_path = write_json(tmp_path / "m.json", mechanism_to_json(mech))
         obs_path = write_json(
-            tmp_path / "o.json", ObservationSet({mech.outputs[5]: 10}).to_dict()
+            tmp_path / "o.json", reports_to_json(ObservationSet({mech.outputs[5]: 10}))
         )
         assert main(["analyze", "--mechanism", mech_path, "--observations", obs_path]) == 0
         assert "identification: no" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import privdist
+from privdist.cli import alphabet_from_json, alphabet_to_json, reports_from_json, reports_to_json
 from privdist.core import (
     INTEGER_LINE,
     Alphabet,
@@ -29,7 +30,7 @@ from privdist.errors import (
     ObservationOutsideDomainError,
     ZeroSumError,
 )
-from privdist.mechanisms import build_geometric_truncated, build_krr
+from privdist.mechanisms import build_geometric_truncated, build_krr, obfuscate_dataset
 
 from oracles import from_reports, sample_counts
 
@@ -69,7 +70,7 @@ class TestAlphabets:
 
     def test_roundtrip(self):
         for alpha in (AB, LinearAlphabet.range(0, 4), PlanarAlphabet.grid(2, 2, 1.0)):
-            assert Alphabet.from_dict(json.loads(json.dumps(alpha.to_dict()))) == alpha
+            assert alphabet_from_json(json.loads(json.dumps(alphabet_to_json(alpha)))) == alpha
 
 
 class TestDistributionNew:
@@ -125,19 +126,19 @@ class TestObservationSet:
 
     def test_json_roundtrip_mixed_values(self):
         obs = ObservationSet({3: 2, (1, 0): 1, (0.5, 1.5): 4})
-        back = ObservationSet.from_dict(json.loads(json.dumps(obs.to_dict())), None)
+        back = reports_from_json(json.loads(json.dumps(reports_to_json(obs))), None)
         assert back.counts == obs.counts and back.n == obs.n
 
     def test_json_matches_documented_schema(self):
         obs = from_reports(["x", "x", "y"])
-        d = obs.to_dict()
+        d = reports_to_json(obs)
         assert d == {"reports": {"x": 2, "y": 1}, "n": 3}
 
     def test_store_independent_of_insertion_order(self):
         counts = {(0, 1): 3, "b": 2, 7: 5, (1, 0): 1, (0.5, 2.0): 4}
         obs = ObservationSet(counts)
         reordered = ObservationSet(dict(reversed(list(counts.items()))))
-        back = ObservationSet.from_dict(json.loads(json.dumps(obs.to_dict())), None)
+        back = reports_from_json(json.loads(json.dumps(reports_to_json(obs))), None)
         for other in (reordered, back):
             assert other.values() == obs.values() and other.items() == obs.items()
             np.testing.assert_array_equal(other.count_array, obs.count_array)
@@ -157,6 +158,14 @@ class TestObservationSet:
         # 1 and "1" share the JSON key "1"; sorting (key, value) pairs would compare int with str
         assert ObservationSet({1: 1, "1": 2}).values() == [1, "1"]
         assert ObservationSet({"1": 2, 1: 1}).values() == ["1", 1]
+
+    def test_colliding_json_keys_refused_on_write(self):
+        # writing both under "1" would keep one count and lose the other
+        mech = FiniteMechanism(CategoricalAlphabet(["a", "b"]), [1, "1"], [[0.4, 0.6], [0.6, 0.4]])
+        obs = obfuscate_dataset(mech, ["a"] * 10 + ["b"] * 10, np.random.default_rng(0))
+        assert obs.items() == [(1, 9), ("1", 11)]
+        with pytest.raises(ValueError, match="share a JSON key"):
+            reports_to_json(obs)
 
 
 class TestObsMatrix:

@@ -121,6 +121,41 @@ class TestCheckins:
             assert (ix2, iy2) == (ix, iy)
 
 
+# loader -> (load(path), header, a usable row, a malformed row, a row it filters out)
+LOADERS = {
+    "ages": (load_ages, "age", "25", "abc", "150"),
+    "checkins": (lambda path: load_checkins(path, MANHATTAN_BBOX, grid_for_bbox(MANHATTAN_BBOX, 0.5)),
+                 "lat,lon", "40.75,-73.99", "40.75,east", "41.5,-73.99"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_loaders_share_row_contract(tmp_path, name):
+    load, header, good, bad, filtered = LOADERS[name]
+
+    def load_rows(*rows, head=header):
+        return load(write(tmp_path / "rows.csv", "\n".join([head, *rows]) + "\n"))
+
+    ds = load_rows("", good, " , ", good, "")
+    assert (ds.n, ds.n_malformed, ds.n_out_of_range) == (2, 0, 0)
+    ds = load_rows(*[good] * 200, bad, filtered)
+    assert (ds.n, ds.n_malformed, ds.n_out_of_range) == (200, 1, 1)
+    # 1 malformed row of 99 is over 1%; the blank rows do not count as rows
+    with pytest.raises(TooManyMalformedRowsError):
+        load_rows(*[good] * 98, bad, *[""] * 10)
+    with pytest.raises(EmptyDatasetError):
+        load_rows(filtered, filtered)
+    # with no usable row left, emptiness is reported before the malformed share
+    with pytest.raises(EmptyDatasetError):
+        load_rows(filtered, bad)
+    with pytest.raises(EmptyDatasetError):
+        load_rows()
+    with pytest.raises(EmptyDatasetError):
+        load(write(tmp_path / "empty.csv", ""))
+    with pytest.raises(ValueError):
+        load_rows(good, head="x,y")
+
+
 class TestSynthetic:
     def test_point_mass_constant(self):
         alpha = LinearAlphabet.range(0, 3)

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from privdist.analysis import inv_geometric_error_lower_bound, inv_krr_error_bound
+from privdist.cli import mechanism_from_json, mechanism_to_json
 from privdist.core import (
     INTEGER_LINE,
+    Alphabet,
     CategoricalAlphabet,
     FiniteMechanism,
     LinearAlphabet,
@@ -29,6 +31,7 @@ from privdist.errors import (
     ObservationOutsideDomainError,
 )
 from privdist.dataio import empirical_distribution
+from privdist.experiment import MECHANISMS, build_mechanism
 from privdist.mechanisms import (
     BitVectorMechanism,
     build_exponential,
@@ -40,7 +43,6 @@ from privdist.mechanisms import (
     build_laplace_linear_discretized,
     build_laplace_planar_discretized,
     build_rappor,
-    load_mechanism_dict,
     obfuscate_dataset,
     rappor_bits,
     rappor_keep_prob,
@@ -581,22 +583,30 @@ class TestObfuscateGrouping:
                 empirical_distribution(alphabet, data)
 
 
+# config mechanism name -> the alphabet it is built on (a contiguous line by default)
+SERIALIZED_ALPHABETS = {
+    "krr": CategoricalAlphabet(["x", "y", "z"]),
+    "planar-geometric": PlanarAlphabet.grid(3, 2, 1.0),
+    "planar-laplace": PlanarAlphabet.grid(3, 2, 1.0),
+}
+PAIRS = Alphabet([(0, 0), (0, 1), (1, 0)])  # tuple elements, which JSON writes as lists
+
+
 class TestSerialization:
-    def test_finite_roundtrip(self):
-        m = build_geometric_truncated(0, 4, 0.8)
-        back = load_mechanism_dict(json.loads(json.dumps(m.to_dict())))
-        np.testing.assert_allclose(back.matrix, m.matrix)
-        assert back.kind == m.kind and back.distance_monotone
-
-    def test_rappor_roundtrip(self):
-        m = build_rappor(LinearAlphabet.range(0, 3), 0.5)
-        back = load_mechanism_dict(json.loads(json.dumps(m.to_dict())))
-        assert back.eps_ldp == 0.5 and back.input_alphabet == m.input_alphabet
-
-    def test_geometric_linear_roundtrip(self):
-        m = build_geometric_linear(0.25)
-        back = load_mechanism_dict(json.loads(json.dumps(m.to_dict())))
-        assert cond_prob(back, 3, 5) == cond_prob(m, 3, 5)
+    @pytest.mark.parametrize("name", [*MECHANISMS, "explicit-tuples"])
+    def test_roundtrip(self, name):
+        if name == "explicit-tuples":
+            m = FiniteMechanism(PAIRS, PAIRS.values, [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        else:
+            m = build_mechanism(name, SERIALIZED_ALPHABETS.get(name, LinearAlphabet.range(0, 4)), 0.8)
+        d = mechanism_to_json(m)
+        back = mechanism_from_json(json.loads(json.dumps(d)))
+        assert mechanism_to_json(back) == d
+        if isinstance(m, FiniteMechanism):
+            np.testing.assert_array_equal(back.matrix, m.matrix)
+        assert (back.kind, back.params_dict(), back.distance_monotone, back.output_values(),
+                back.input_alphabet) == (m.kind, m.params_dict(), m.distance_monotone,
+                                         m.output_values(), m.input_alphabet)
 
 
 # ---------------------------------------------------------------------------
