@@ -84,17 +84,29 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     rank nor the left null space, but keeps columns of tiny probabilities
     (RAPPOR reports over a large alphabet) from falling below the relative
     rank tolerance.
+
+    The rank counts singular values above RANK_TOL * sigma_max * max(dims).
+    With more than 2k columns, full rank is first sought on 2k columns
+    spaced evenly across the canonical order: deleting columns never raises
+    a singular value, and the Frobenius norm bounds sigma_max, so a sample
+    whose k-th singular value exceeds RANK_TOL * ||[A | 1]||_F * max(dims)
+    certifies full rank.  Otherwise the whole matrix decides.
     """
     k = G.alphabet.size
     augmented = np.hstack([G.matrix, np.ones((k, 1))])
     scale = augmented.max(axis=0)
     augmented /= np.where(scale > 0, scale, 1.0)
-    # The rank counts singular values above RANK_TOL * sigma_max * max(dims).
+    size = max(augmented.shape)
+    cols = augmented.shape[1]
+    if cols > 2 * k:
+        sample = augmented[:, np.arange(2 * k) * (cols - 1) // (2 * k - 1)]
+        s = np.linalg.svd(sample, compute_uv=False)
+        if s[k - 1] > RANK_TOL * np.linalg.norm(augmented) * size:
+            return ConcavityReport(True, k, k)
     # A wide matrix (more columns than rows) equals R^T Q^T for the QR factors
     # of its transpose, so U and the singular values are those of the small
     # square R^T, and no right singular vectors are built.
-    size = max(augmented.shape)
-    if augmented.shape[1] > k:
+    if cols > k:
         augmented = np.linalg.qr(augmented.T, mode="r").T
     u, s, _ = np.linalg.svd(augmented)
     rank = int(np.sum(s > RANK_TOL * s[0] * size))

@@ -43,6 +43,7 @@ from .errors import (
     FailureThresholdExceededError,
     IncompatibleEstimatorError,
     InvalidSpecError,
+    MalformedInputError,
     PrivDistError,
     TooManyMalformedRowsError,
 )
@@ -60,7 +61,8 @@ from .experiment import (
 from .mechanisms import BitVectorMechanism, IntegerLineMechanism, obfuscate_dataset
 from .reduction import lift, likely_krr, likely_linear, likely_planar, restricted_alphabet
 
-_IO_ERRORS = (OSError, EmptyDatasetError, TooManyMalformedRowsError, BBoxGridMismatchError)
+_IO_ERRORS = (OSError, EmptyDatasetError, TooManyMalformedRowsError, BBoxGridMismatchError,
+              MalformedInputError)
 _CONFIG_ERRORS = (ConfigError, InvalidSpecError, KeyError, ValueError)
 
 
@@ -213,12 +215,56 @@ def cmd_obfuscate(args) -> int:
     return 0
 
 
+# mechanism file kind -> the keys it needs, and the keys its "params" need
+_MECHANISM_NEEDS = {
+    "finite": (("alphabet", "outputs", "matrix"), ()),
+    "geometric-linear": (("params",), ("eps_geo",)),
+    "rappor": (("alphabet", "params"), ("eps_ldp",)),
+}
+
+
+def _require(path: str, d, keys, what: str) -> dict:
+    """``d`` itself, if it is a JSON object holding ``keys``; otherwise a
+    MalformedInputError that names the file."""
+    if not isinstance(d, dict):
+        raise MalformedInputError(f"{path}: {what} is not a JSON object")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise MalformedInputError(f"{path}: {what} lacks {', '.join(map(repr, missing))}")
+    return d
+
+
+def _read_input(path: str, keys, what: str) -> dict:
+    try:
+        d = _read_json(path)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"{path}: not a JSON file ({exc})") from exc
+    return _require(path, d, keys, what)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _load_mechanism(path: str):
-    return mechanism_from_json(_read_json(path))
+    d = _read_input(path, (), "the mechanism")
+    keys, params = _MECHANISM_NEEDS.get("finite" if d.get("finite") else d.get("mechanism"),
+                                        ((), ()))
+    _require(path, d, keys, "the mechanism")
+    if params:
+        _require(path, d["params"], params, "its params")
+    return mechanism_from_json(d)
 
 
 def _load_observations(path: str, mech) -> ObservationSet:
-    return reports_from_json(_read_json(path), mech.output_values())
+    d = _read_input(path, ("reports", "n"), "the report file")
+    reports = _require(path, d["reports"], (), "its reports")
+    if not (_is_int(d["n"]) and all(map(_is_int, reports.values()))):
+        raise MalformedInputError(f"{path}: n and every report count must be integers")
+    try:
+        return reports_from_json(d, mech.output_values())
+    except ValueError as exc:  # a count below 1, or an n that disagrees with the counts
+        raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 def cmd_estimate(args) -> int:

@@ -314,28 +314,39 @@ class ObservationSet:
     """A counted multiset of noisy reports.
 
     The distinct reports are sorted once, at construction, into canonical
-    order (by JSON key, ties in insertion order) and kept in one tuple;
-    ``count_array`` holds their counts in that order, read-only and int64."""
+    order (by JSON key, ties in insertion order) and kept as ``reports``: a
+    tuple, or for drawn RAPPOR reports the read-only (m, k) uint8 matrix that
+    ``BitVectorMechanism.draw`` returns, whose rows become tuples only when
+    ``values()`` or ``items()`` first asks.  ``count_array`` holds their
+    counts in that order, read-only and int64."""
 
     def __init__(self, counts: dict):
         ordered = sorted(counts, key=_value_key)
         self._store(ordered, [int(counts[v]) for v in ordered])
 
     @classmethod
-    def _canonical(cls, values: Sequence, counts) -> "ObservationSet":
+    def _canonical(cls, values, counts) -> "ObservationSet":
         """Store distinct ``values`` that are already in canonical order, with
         their ``counts``; the mechanisms' ``draw`` emits that order."""
         obs = cls.__new__(cls)
         obs._store(values, counts)
         return obs
 
-    def _store(self, values: Sequence, counts):
-        self._values = tuple(values)
+    def _store(self, values, counts):
+        self.reports = values if isinstance(values, np.ndarray) else tuple(values)
         self.count_array = np.array(counts, dtype=np.int64)
         if np.any(self.count_array <= 0):
             raise ValueError("stored counts must be positive")
         self.count_array.flags.writeable = False
         self.n = int(self.count_array.sum())
+
+    @cached_property
+    def _tuples(self) -> tuple:
+        if not isinstance(self.reports, np.ndarray):
+            return self.reports
+        k = self.reports.shape[1]
+        raw = self.reports.tobytes()
+        return tuple(tuple(raw[j:j + k]) for j in range(0, len(raw), k))
 
     @property
     def counts(self) -> dict:
@@ -343,16 +354,16 @@ class ObservationSet:
 
     def values(self) -> list:
         """Distinct observed values in canonical (sorted) order."""
-        return list(self._values)
+        return list(self._tuples)
 
     def items(self):
-        return list(zip(self._values, self.count_array.tolist()))
+        return list(zip(self._tuples, self.count_array.tolist()))
 
     def __len__(self):
         return self.n
 
     def __repr__(self):
-        return f"ObservationSet(n={self.n}, distinct={len(self._values)})"
+        return f"ObservationSet(n={self.n}, distinct={len(self.reports)})"
 
 
 def to_empirical(obs: ObservationSet) -> Distribution:
@@ -395,8 +406,9 @@ class Mechanism:
 
         Inputs draw one after another, in the order given, each with the same
         generator calls as a draw for that input alone.  Returns the distinct
-        reports in canonical order (``ObservationSet``'s) and an int64 array
-        of their counts, summed over the inputs."""
+        reports in canonical order (``ObservationSet``'s), as a sequence or,
+        for RAPPOR, as a read-only (m, k) uint8 matrix with one row per
+        report, and an int64 array of their counts, summed over the inputs."""
         raise NotImplementedError
 
     def output_values(self):
@@ -507,6 +519,8 @@ class ObsMatrix:
 
     ``matrix[i, j]`` is the probability of the j-th distinct observation given
     the i-th alphabet element; ``weights[j]`` is how often it was observed.
+    ``values`` holds the observations as ``ObservationSet.reports`` does: a
+    tuple, or RAPPOR's (m, k) uint8 matrix with one row per report.
     Weights are stored as floats so an exact (asymptotic) empirical
     distribution can be analyzed in place of integer counts.
     """
@@ -514,14 +528,14 @@ class ObsMatrix:
     def __init__(self, alphabet: Alphabet, values: Sequence, matrix, weights):
         matrix = np.asarray(matrix, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        values = tuple(values)
+        values = values if isinstance(values, np.ndarray) else tuple(values)
         if matrix.shape != (alphabet.size, len(values)):
             raise LengthMismatchError("matrix shape does not match alphabet and values")
         if weights.shape != (len(values),):
             raise LengthMismatchError("one weight per distinct observation is required")
         if np.any(weights <= 0):
             raise ValueError("column weights must be positive")
-        if np.any(matrix < -1e-15) or np.any(matrix > 1 + 1e-12):
+        if matrix.min(initial=0.0) < -1e-15 or matrix.max(initial=0.0) > 1 + 1e-12:
             raise ValueError("kernel probabilities must lie in [0, 1]")
         matrix = np.clip(matrix, 0.0, 1.0)
         matrix.flags.writeable = False
@@ -560,5 +574,5 @@ def obs_matrix(mech: Mechanism, obs: ObservationSet, alphabet: Alphabet = None) 
             )
     if obs.n < 1:
         raise EmptyObservationsError("cannot build an observation matrix from zero reports")
-    values = obs.values()
-    return ObsMatrix(alphabet, values, mech.kernel(alphabet.values, values), obs.count_array)
+    return ObsMatrix(alphabet, obs.reports, mech.kernel(alphabet.values, obs.reports),
+                     obs.count_array)

@@ -111,6 +111,10 @@ class TooManyMalformedRowsError(PrivDistError):
     """More than the tolerated fraction of rows failed to parse."""
 
 
+class MalformedInputError(PrivDistError):
+    """A mechanism or report file does not have the shape its format needs."""
+
+
 class BBoxGridMismatchError(PrivDistError):
     """The bounding box extent is inconsistent with the planar grid."""
 

@@ -241,7 +241,7 @@ def inv_project(v, alphabet: Alphabet) -> Distribution:
 
 def rappor_bit_counts(obs, alphabet: Alphabet) -> np.ndarray:
     """Per-position counts of set bits over an ObservationSet of bit vectors."""
-    return obs.count_array @ rappor_bits(obs.values(), alphabet.size)
+    return obs.count_array @ rappor_bits(obs.reports, alphabet.size)
 
 
 def rappor_decode(bit_counts, n: int, alphabet: Alphabet, eps_ldp: float,

@@ -378,9 +378,16 @@ def rappor_keep_prob(eps_ldp: float) -> float:
     return 1.0 / (1.0 + math.exp(-eps_ldp / 2.0))
 
 
-def rappor_bits(zs: Sequence, k: int) -> np.ndarray:
-    """RAPPOR reports, tuples or lists of k ints, as a (len(zs), k) uint8
-    0/1 matrix."""
+def rappor_bits(zs, k: int) -> np.ndarray:
+    """RAPPOR reports as a (len(zs), k) uint8 0/1 matrix.  ``zs`` is such a
+    matrix already (the store of a drawn ``ObservationSet``), returned
+    unchanged after one check, or a sequence of tuples or lists of k ints."""
+    if isinstance(zs, np.ndarray):
+        if zs.ndim != 2 or zs.shape[1] != k:
+            raise LengthMismatchError(f"reports must be bit vectors of length {k}, the alphabet size")
+        if zs.dtype != np.uint8 or np.any(zs > 1):
+            raise ObservationOutsideDomainError("report entries must be 0 or 1 (a uint8 matrix)")
+        return zs
     if not all(isinstance(z, (tuple, list)) and len(z) == k for z in zs):
         raise LengthMismatchError(f"reports must be bit vectors of length {k}, the alphabet size")
     try:
@@ -426,14 +433,17 @@ class BitVectorMechanism(Mechanism):
              for e in (0.5 + 0.5 * float(s) - float(b) for s in range(k + 1))]
             for b in (0, 1)
         ])
-        return table[bits[:, rows].T, bits.sum(axis=1)[None, :]]
+        # rappor_bits has checked every byte is 0 or 1, so it reads as a bool
+        own, ones = bits[:, rows].T.view(bool), bits.sum(axis=1)
+        return np.where(own, table[1, ones], table[0, ones])
 
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
         # Per input, one (count, k) uniform block: a bit is flipped where its
         # draw is not below keep_prob, so the report is the flips with the
         # own bit inverted.  Reports are packed to bytes as they are drawn,
         # so no (n, k) float buffer exists; for 0/1 rows of equal length,
-        # byte order is canonical (JSON-key) order.
+        # byte order is canonical (JSON-key) order.  The distinct reports
+        # come back as the read-only (m, k) uint8 matrix they unpack to.
         k = self.input_alphabet.size
         width = (k + 7) // 8
         keep = self.keep_prob
@@ -445,8 +455,9 @@ class BitVectorMechanism(Mechanism):
             packed.append(np.packbits(noisy, axis=1))
         rows = np.concatenate(packed)
         keys, cnts = np.unique(rows.view(np.dtype((np.void, width))).ravel(), return_counts=True)
-        raw = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=k).tobytes()
-        return [tuple(raw[j:j + k]) for j in range(0, len(raw), k)], cnts
+        bits = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=k)
+        bits.flags.writeable = False
+        return bits, cnts
 
     def params_dict(self):
         return {"eps_ldp": self.eps_ldp}

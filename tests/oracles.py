@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from privdist.analysis import RANK_TOL, ConcavityReport
 from privdist.core import Distribution, Mechanism, ObservationSet, ObsMatrix
 from privdist.errors import AlphabetTooLargeError, ElementOutsideAlphabetError
 
@@ -29,8 +30,12 @@ def cond_prob(mech: Mechanism, x, z) -> float:
 
 
 def sample_counts(mech: Mechanism, x, count: int, rng: np.random.Generator) -> dict:
-    """Draw ``count`` independent reports for input ``x``; returns value -> count."""
+    """Draw ``count`` independent reports for input ``x``; returns value -> count.
+    RAPPOR's draw returns its reports as a uint8 matrix, whose rows become
+    tuples of ints here."""
     values, counts = mech.draw([x], [count], rng)
+    if isinstance(values, np.ndarray):
+        values = map(tuple, values.tolist())
     return dict(zip(values, counts.tolist()))
 
 
@@ -43,6 +48,27 @@ def is_unlikely(mech: Mechanism, obs: ObservationSet, x_prime, x_candidate) -> b
             raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
     a, b = mech.kernel([x_prime, x_candidate], obs.values())
     return bool(np.all(a <= b) and np.any(a < b))
+
+
+def concavity_full_rank(G: ObsMatrix) -> ConcavityReport:
+    """The strict-concavity rank rule on the whole matrix, with no column
+    sample: scale every column of [A | 1] to unit max-norm, take U and the
+    singular values from the QR factor of its transpose when it is wide,
+    count those above RANK_TOL * sigma_max * max(dims), and read the witness
+    off the first left singular vector past the rank."""
+    k = G.alphabet.size
+    augmented = np.hstack([G.matrix, np.ones((k, 1))])
+    scale = augmented.max(axis=0)
+    augmented /= np.where(scale > 0, scale, 1.0)
+    size = max(augmented.shape)
+    if augmented.shape[1] > k:
+        augmented = np.linalg.qr(augmented.T, mode="r").T
+    u, s, _ = np.linalg.svd(augmented)
+    rank = int(np.sum(s > RANK_TOL * s[0] * size))
+    if rank >= k:
+        return ConcavityReport(True, rank, k)
+    w = u[:, rank]
+    return ConcavityReport(False, rank, k, witness=w / w[np.argmax(np.abs(w))])
 
 
 # ---------------------------------------------------------------------------

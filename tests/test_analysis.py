@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from privdist.analysis import (
+    RANK_TOL,
     identification_check,
     inv_geometric_error_lower_bound,
     inv_krr_error_bound,
@@ -34,7 +35,7 @@ from privdist.estimators import ibu
 from privdist.mechanisms import build_geometric_planar, build_krr, build_rappor, obfuscate_dataset
 from privdist.core import PlanarAlphabet
 
-from oracles import mle_oracle
+from oracles import concavity_full_rank, mle_oracle
 
 A3 = CategoricalAlphabet(["1", "2", "3"])
 # rows keep 0.10 for themselves, spread 0.45 to the other two outputs
@@ -186,6 +187,92 @@ class TestStrictConcavityAtScale:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+
+def _same_report(G):
+    """The check's report equals the full-matrix rule's, witness bit for bit."""
+    got, want = strict_concavity_check(G), concavity_full_rank(G)
+    assert (got.strictly_concave, got.rank_found, got.rank_required) == \
+        (want.strictly_concave, want.rank_found, want.rank_required)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        np.testing.assert_array_equal(got.witness, want.witness)
+    return got
+
+
+def _sampled_columns(cols, k):
+    """Columns of [A | 1] the check samples: 2k evenly spaced, first and last included."""
+    return np.arange(2 * k) * (cols - 1) // (2 * k - 1)
+
+
+class TestConcavitySampleCertificate:
+    """Above 2k columns the check first looks for full rank on an evenly
+    spaced sample of 2k columns; every report must equal the full-matrix
+    rule's."""
+
+    @pytest.mark.parametrize("k, ns", [(8, (4, 12, 40, 4000)), (64, (40, 150, 1000, 4000))])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 3.0])
+    def test_rappor(self, k, ns, eps):
+        mech = build_rappor(LinearAlphabet.range(0, k - 1), eps)
+        rng = np.random.default_rng(1000 * k + int(10 * eps))
+        for n in ns:
+            obs = obfuscate_dataset(mech, [int(x) for x in rng.integers(0, k, size=n)], rng)
+            _same_report(obs_matrix(mech, obs))
+
+    def test_planted_rank_deficit(self):
+        # row 3 is the mean of rows 1 and 2, so (0, 1, 1, -2, 0, ...) / 2 is
+        # a zero-sum vector that annihilates A: the sample is deficient too
+        rng = np.random.default_rng(21)
+        for k, m in ((4, 60), (6, 300), (10, 1000)):
+            matrix = rng.uniform(0.05, 1.0, size=(k, m))
+            matrix[3] = 0.5 * (matrix[1] + matrix[2])
+            rep = _same_report(ObsMatrix(LinearAlphabet.range(0, k - 1), range(m), matrix,
+                                         np.ones(m)))
+            assert not rep.strictly_concave and rep.rank_found == k - 1
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 9.0, 40.0])
+    def test_near_the_threshold(self, factor):
+        # the planted deficit perturbed by delta * r, with delta chosen so the
+        # full matrix's k-th singular value is about ``factor`` times the rank
+        # threshold RANK_TOL * sigma_max * max(dims)
+        rng = np.random.default_rng(33)
+        k, m = 5, 400
+        base = rng.uniform(0.2, 1.0, size=(k, m))
+        base[3] = 0.5 * (base[1] + base[2])
+        r = rng.uniform(-1.0, 1.0, size=m)
+        alphabet = LinearAlphabet.range(0, k - 1)
+
+        def margin(delta):
+            matrix = base.copy()
+            matrix[3] += delta * r
+            augmented = np.hstack([matrix, np.ones((k, 1))])
+            s = np.linalg.svd(augmented / augmented.max(axis=0), compute_uv=False)
+            return matrix, s[k - 1] / (RANK_TOL * s[0] * (m + 1))
+
+        delta = 1e-6 * factor / margin(1e-6)[1]
+        matrix, ratio = margin(delta)
+        assert 0.5 * factor < ratio < 2.0 * factor
+        rep = _same_report(ObsMatrix(alphabet, range(m), matrix, np.ones(m)))
+        assert rep.strictly_concave == (ratio > 1.0)
+
+    def test_deficient_sample_of_a_full_rank_matrix(self):
+        # every sampled column is constant, so after max-norm scaling the
+        # sample is all ones and has rank 1; the k columns left out are
+        # independent, so the full matrix has rank k and the check must not
+        # stop at the sample
+        rng = np.random.default_rng(5)
+        k, m = 3, 60
+        matrix = np.full((k, m), 0.2)
+        sampled = set(_sampled_columns(m + 1, k).tolist())
+        free = [j for j in range(m) if j not in sampled][3:3 + k]
+        matrix[:, free] = rng.uniform(0.05, 1.0, size=(k, k))
+        G = ObsMatrix(LinearAlphabet.range(0, k - 1), range(m), matrix, np.ones(m))
+        augmented = np.hstack([matrix, np.ones((k, 1))])
+        sample = augmented[:, _sampled_columns(m + 1, k)]
+        assert np.linalg.matrix_rank(sample / sample.max(axis=0)) == 1
+        rep = _same_report(G)
+        assert rep.strictly_concave and rep.rank_found == k
 
 
 class TestIdentification:

@@ -435,3 +435,60 @@ class TestAnalyzeAndReduce:
         subset = json.loads(out.read_text())
         assert subset["construction"] == "linear-interval"
         assert subset["members"]
+
+
+GOOD_MECHANISM = {
+    "mechanism": "custom", "finite": True,
+    "alphabet": {"kind": "categorical", "labels": ["1", "2"]},
+    "outputs": ["1", "2"], "matrix": [[0.5, 0.5], [0.25, 0.75]], "params": {},
+}
+GOOD_REPORTS = {"reports": {"1": 2, "2": 1}, "n": 3}
+RAPPOR_ALPHABET = {"kind": "linear", "values": [0, 1]}
+
+
+class TestMalformedInputFiles:
+    """A mechanism or report file of the wrong shape exits 2 and names the file."""
+
+    @pytest.mark.parametrize("reports", [
+        [1, 2],
+        {"n": 3},
+        {"reports": {"1": 2, "2": 1}},
+        {"reports": [["1", 3]], "n": 3},
+        {"reports": {"1": 2, "2": 1}, "n": "3"},
+        {"reports": {"1": 2, "2": 1}, "n": True},
+        {"reports": {"1": 2.5, "2": 0.5}, "n": 3},
+        {"reports": {"1": 2, "2": 1}, "n": 4},
+        {"reports": {"1": 3, "2": 0}, "n": 3},
+        "not json",
+    ], ids=["list", "no-reports", "no-n", "reports-list", "n-string", "n-bool", "float-counts",
+            "n-disagrees", "zero-count", "not-json"])
+    def test_report_file(self, tmp_path, capsys, reports):
+        mech = write_json(tmp_path / "mech.json", GOOD_MECHANISM)
+        obs = tmp_path / "bad-reports.json"
+        obs.write_text(reports if isinstance(reports, str) else json.dumps(reports))
+        assert main(["analyze", "--mechanism", mech, "--observations", str(obs)]) == 2
+        assert str(obs) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mechanism", [
+        [1],
+        {key: v for key, v in GOOD_MECHANISM.items() if key != "alphabet"},
+        {key: v for key, v in GOOD_MECHANISM.items() if key != "matrix"},
+        {"mechanism": "rappor", "finite": False, "alphabet": RAPPOR_ALPHABET},
+        {"mechanism": "rappor", "finite": False, "alphabet": RAPPOR_ALPHABET, "params": {}},
+        {"mechanism": "rappor", "finite": False, "params": {"eps_ldp": 1.0}},
+        {"mechanism": "geometric-linear", "finite": False, "params": {}},
+        {"mechanism": "geometric-linear", "finite": False, "params": [1.0]},
+        "{",
+    ], ids=["list", "finite-no-alphabet", "finite-no-matrix", "rappor-no-params",
+            "rappor-no-eps", "rappor-no-alphabet", "line-no-eps", "line-params-list", "not-json"])
+    def test_mechanism_file(self, tmp_path, capsys, mechanism):
+        mech = tmp_path / "bad-mechanism.json"
+        mech.write_text(mechanism if isinstance(mechanism, str) else json.dumps(mechanism))
+        obs = write_json(tmp_path / "reports.json", GOOD_REPORTS)
+        assert main(["analyze", "--mechanism", str(mech), "--observations", obs]) == 2
+        assert str(mech) in capsys.readouterr().err
+
+    def test_well_formed_files_still_load(self, tmp_path):
+        mech = write_json(tmp_path / "mech.json", GOOD_MECHANISM)
+        obs = write_json(tmp_path / "reports.json", GOOD_REPORTS)
+        assert main(["analyze", "--mechanism", mech, "--observations", obs]) == 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from privdist.analysis import inv_geometric_error_lower_bound, inv_krr_error_bound
-from privdist.cli import mechanism_from_json, mechanism_to_json
+from privdist.cli import mechanism_from_json, mechanism_to_json, reports_to_json
 from privdist.core import (
     INTEGER_LINE,
     Alphabet,
@@ -31,6 +31,7 @@ from privdist.errors import (
     ObservationOutsideDomainError,
 )
 from privdist.dataio import empirical_distribution
+from privdist.estimators import rappor_bit_counts
 from privdist.experiment import MECHANISMS, build_mechanism
 from privdist.mechanisms import (
     BitVectorMechanism,
@@ -433,6 +434,46 @@ class TestRappor:
             if p >= 0.01:
                 tol = 4.0 * math.sqrt(p * (1 - p) / n)
                 assert abs(counts.get(beta, 0) / n - p) < tol
+
+
+class TestRapporReportStore:
+    """Drawn RAPPOR reports are stored as a uint8 matrix; read back from JSON
+    (``ObservationSet`` over a dict, as the CLI does) they are tuples.  Both
+    stores must give the same results everywhere."""
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 64])  # packbits widths 1, 1, 1, 2, 8 bytes
+    def test_matrix_store_matches_tuple_store(self, k):
+        alphabet = LinearAlphabet.range(0, k - 1)
+        mech = build_rappor(alphabet, 1.0)
+        rng = np.random.default_rng(k)
+        drawn = obfuscate_dataset(mech, [int(x) for x in rng.integers(0, k, size=600)], rng)
+        read = ObservationSet(dict(drawn.items()))
+        assert isinstance(drawn.reports, np.ndarray) and drawn.reports.shape[1] == k
+        assert isinstance(read.reports, tuple)
+        np.testing.assert_array_equal(obs_matrix(mech, drawn).matrix, obs_matrix(mech, read).matrix)
+        np.testing.assert_array_equal(rappor_bit_counts(drawn, alphabet),
+                                      rappor_bit_counts(read, alphabet))
+        assert drawn.values() == read.values()
+        assert drawn.items() == read.items()
+        assert all(type(b) is int for v in drawn.values() for b in v)
+        assert reports_to_json(drawn) == reports_to_json(read)
+
+    def test_matrix_passes_unchanged(self):
+        bits = np.array([[0, 1, 0], [1, 1, 0]], dtype=np.uint8)
+        assert rappor_bits(bits, 3) is bits
+
+    @pytest.mark.parametrize("matrix, tuples, error", [
+        (np.array([[0, 1, 0], [0, 2, 0]], dtype=np.uint8), [(0, 1, 0), (0, 2, 0)],
+         ObservationOutsideDomainError),
+        (np.zeros((2, 4), dtype=np.uint8), [(0, 0, 0, 0), (0, 0, 0, 0)], LengthMismatchError),
+        (np.zeros((2, 3), dtype=np.int64), [(0, 0, 0), (0, 1.0, 0)], ObservationOutsideDomainError),
+        (np.zeros(3, dtype=np.uint8), [0, 0, 0], LengthMismatchError),
+    ], ids=["entry-2", "wrong-width", "wrong-dtype", "one-dimensional"])
+    def test_matrix_rejected_like_tuples(self, matrix, tuples, error):
+        with pytest.raises(error):
+            rappor_bits(matrix, 3)
+        with pytest.raises(error):
+            rappor_bits(tuples, 3)
 
 
 class TestObfuscateDataset:
