@@ -137,9 +137,14 @@ def mechanism_from_json(d: dict):
 
 def _decoded(key: str):
     try:
-        return _tupled(json.loads(key))
+        value = _tupled(json.loads(key))
     except ValueError:  # a label that is not JSON, such as "a"
         return key
+    try:
+        hash(value)
+    except TypeError:  # a JSON object, or a list holding a list or an object
+        raise ValueError(f"report key {key!r} is not a value a mechanism can output") from None
+    return value
 
 
 def reports_to_json(obs: ObservationSet) -> dict:
@@ -221,6 +226,9 @@ _MECHANISM_NEEDS = {
     "geometric-linear": (("params",), ("eps_geo",)),
     "rappor": (("alphabet", "params"), ("eps_ldp",)),
 }
+# alphabet kind -> the keys it reads
+_ALPHABET_NEEDS = {"categorical": ("labels",), "linear": ("values",), "explicit": ("values",),
+                   "planar": ("centers", "cell_width_km")}
 
 
 def _require(path: str, d, keys, what: str) -> dict:
@@ -251,6 +259,10 @@ def _load_mechanism(path: str):
     keys, params = _MECHANISM_NEEDS.get("finite" if d.get("finite") else d.get("mechanism"),
                                         ((), ()))
     _require(path, d, keys, "the mechanism")
+    if "alphabet" in keys:
+        alphabet = _require(path, d["alphabet"], ("kind",), "its alphabet")
+        kind = alphabet["kind"]  # alphabet_from_json refuses a kind it does not know
+        _require(path, alphabet, _ALPHABET_NEEDS.get(kind, ()) if isinstance(kind, str) else (), "its alphabet")
     if params:
         _require(path, d["params"], params, "its params")
     return mechanism_from_json(d)

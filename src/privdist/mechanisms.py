@@ -36,9 +36,11 @@ from .errors import (
     ObservationOutsideDomainError,
 )
 
-# Ring weight, relative to the accumulated row weight, below which the
-# planar super-grid stops growing.
-_RING_MASS_TOL = 1e-12
+# Weight a planar kernel row may leave out, relative to the row (certified by
+# ``_tail_radius``), and offset rows per strip of its table: a strip holds
+# _STRIP_ROWS * (R + 1) weights, so memory grows as the radius R, not R^2.
+_PLANAR_TAIL = 1e-12
+_STRIP_ROWS = 64
 
 
 def require_eps(eps: float, zero_ok: bool = False):
@@ -185,91 +187,84 @@ def _check_same_lattice(input_grid: PlanarAlphabet, output_grid: PlanarAlphabet)
             raise GridMismatchError("input and output grids must lie on the same lattice")
 
 
-def _ring_cells(nx: int, ny: int, margin: int) -> np.ndarray:
-    """Lattice cells at exactly ``margin`` rings outside the nx-by-ny rectangle."""
-    lo_x, hi_x = -margin, nx - 1 + margin
-    lo_y, hi_y = -margin, ny - 1 + margin
-    ring = []
-    for sx in range(lo_x, hi_x + 1):
-        ring.append((sx, lo_y))
-        ring.append((sx, hi_y))
-    for sy in range(lo_y + 1, hi_y):
-        ring.append((lo_x, sy))
-        ring.append((hi_x, sy))
-    return np.array(ring, dtype=np.int64)
+def _tail_radius(ew: float) -> int:
+    """Smallest R >= 1 with 8 * sum_{r > R} r q^r <= _PLANAR_TAIL, q = e^(-ew),
+    in closed form: the 8r offsets at Chebyshev radius r weigh at most q^r."""
+    q, p = math.exp(-ew), -math.expm1(-ew)
+    radius = 1
+    while 8.0 * q ** (radius + 1) * ((radius + 1) / p + q / p ** 2) > _PLANAR_TAIL:
+        radius += 1
+    return radius
 
 
-def _geometric_weights(rows: np.ndarray, cells: np.ndarray, w: float, eps: float) -> np.ndarray:
-    """e^(-eps * d) from each row to each super-grid cell, both in lattice
-    units of cell width ``w`` km.  At eps = inf all weight is on the row's own
-    cell (rows lie on the lattice, up to rounding)."""
-    diff = rows[:, None, :] - cells[None, :, :].astype(float)
-    dist = np.sqrt((diff ** 2).sum(axis=2)) * w
-    if eps == math.inf:
-        return (dist < 0.5 * w).astype(float)
-    return np.exp(-eps * dist)
+def _offset_sums(f: np.ndarray, reach: int) -> np.ndarray:
+    """Weights at offsets 0..R along the last axis, folded into f(a) for a in
+    0..reach, then S(c), the sum of f(|d|) over d >= c, at 2 * reach + 1 + c
+    for c in -reach..reach, then the sum over all d at 3 * reach + 2.  Suffix
+    sums add the smallest term first."""
+    suffix = np.cumsum(f[..., ::-1], axis=-1)[..., ::-1]
+    below = suffix[..., :1] + np.cumsum(f[..., 1:reach + 1], axis=-1)  # S(-1), ..., S(-reach)
+    every = suffix[..., :1] + suffix[..., 1:2]
+    return np.concatenate([f[..., :reach + 1], below[..., ::-1], suffix[..., :reach + 1], every], axis=-1)
 
 
-def _remapped_kernel(in_coords: np.ndarray, nx: int, ny: int, w: float, eps: float) -> np.ndarray:
-    """Super-grid weights folded onto the nx-by-ny output grid in one pass.
+def _axis_index(pos: np.ndarray, n: int, reach: int) -> np.ndarray:
+    """Index in ``_offset_sums`` of the offsets the clamp folds onto output
+    cell j in 0..n-1 from input position i, shape (len(pos), n): |j - i|
+    inside, >= n-1-i on the upper border, <= -i (mirrored onto >= i) on the
+    lower one, and all of them on a one-cell axis."""
+    index = np.abs(np.arange(n)[None, :] - pos[:, None])
+    if n == 1:
+        index[:] = 3 * reach + 2
+    else:
+        index[:, 0] = 2 * reach + 1 + pos
+        index[:, -1] = 2 * reach + 1 + (n - 1 - pos)
+    return index
 
-    The super-grid grows ring by ring from the output rectangle.  Each ring's
-    weights are folded onto the nearest output cell, which on a rectangular
-    grid is the coordinate-wise clamp (unique, so no tie-breaking is needed),
-    and added to the running row totals.  Growth stops at the first ring
-    whose mass is below tolerance, relative to the running total, for every
-    input row; that ring is left out.  Rows are normalized at the end
-    (remapping conserves mass, so this equals normalizing over the super-grid
-    first).  Every super-grid weight is computed once.
-    """
-    base = np.array([(sx, sy) for sy in range(ny) for sx in range(nx)], dtype=np.int64)
-    acc = _geometric_weights(in_coords, base, w, eps)
-    totals = acc.sum(axis=1)
-    margin = 1
-    while True:
-        ring = _ring_cells(nx, ny, margin)
-        weight = _geometric_weights(in_coords, ring, w, eps)
-        ring_mass = weight.sum(axis=1)
-        # a product, not a ratio: a row outside the output grid may have no mass yet
-        if np.all(ring_mass < _RING_MASS_TOL * totals):
-            return acc / acc.sum(axis=1, keepdims=True)
-        folded = np.clip(ring[:, 1], 0, ny - 1) * nx + np.clip(ring[:, 0], 0, nx - 1)
-        np.add.at(acc.T, folded, weight.T)
-        totals += ring_mass
-        margin += 1
+
+def _planar_mechanism(input_grid: PlanarAlphabet, output_grid: PlanarAlphabet, eps: float,
+                      kind: str) -> FiniteMechanism:
+    """Planar mechanism with row-normalized weights e^(-eps d) over the whole
+    lattice, each cell folded onto its nearest output cell (the clamp).  As
+    inputs lie on the output lattice, each entry sums a product of one offset
+    set per axis (``_axis_index``), read in one gather from a table of sums
+    over offsets up to the grids' reach plus ``_tail_radius``.  A row weighs
+    at least 1 (its own cell), so it leaves out under ``_PLANAR_TAIL`` of it."""
+    require_eps(eps)
+    _check_same_lattice(input_grid, output_grid)
+    w = output_grid.cell_width_km
+    # e^(-ew d) is exactly 0.0 for every d >= 1 once ew > 745, so the cap
+    # changes no weight and gives the eps = inf limit without inf * 0 at d = 0
+    ew = min(eps * w, 1e3)
+    sizes = (output_grid.nx, output_grid.ny)
+    pos = [np.arange(n) + round((a - b) / w)
+           for n, a, b in zip((input_grid.nx, input_grid.ny), input_grid.origin, output_grid.origin)]
+    reach = [int(max(np.abs(p).max(), np.abs(n - 1 - p).max())) for p, n in zip(pos, sizes)]
+    radius = max(reach) + _tail_radius(ew)
+    squares = np.arange(radius + 1, dtype=float) ** 2
+    rows = np.empty((radius + 1, 3 * reach[0] + 3))
+    for lo in range(0, radius + 1, _STRIP_ROWS):
+        strip = squares[lo:lo + _STRIP_ROWS, None]
+        rows[lo:lo + _STRIP_ROWS] = _offset_sums(np.exp(-ew * np.sqrt(squares + strip)), reach[0])
+    table = _offset_sums(rows.T, reach[1])
+    ix, iy = (_axis_index(p, n, r) for p, n, r in zip(pos, sizes, reach))
+    weight = table[ix[None, :, None, :], iy[:, None, :, None]].reshape(input_grid.size, output_grid.size)
+    return FiniteMechanism(
+        input_grid,
+        output_grid.values,
+        weight / weight.sum(axis=1, keepdims=True),
+        kind=kind,
+        distance_monotone=True,
+        params={"eps_geo": float(eps)},
+    )
 
 
 def build_geometric_planar(input_grid: PlanarAlphabet, output_grid: PlanarAlphabet,
                            eps_geo: float) -> FiniteMechanism:
-    """Planar geometric mechanism truncated to ``output_grid``.
-
-    Weights e^(-eps * d(x, s)) are laid on a super-grid that extends the
-    output grid until the remaining tail is negligible, normalized per row,
-    and every super-grid cell outside the output grid is remapped to its
-    nearest output cell.  One pass walks the super-grid ring by ring from the
-    output rectangle, folding each ring onto the output grid as it goes and
-    stopping at the first negligible ring (``_remapped_kernel``).  The output
-    grid may be smaller than the input grid.
-    """
-    require_eps(eps_geo)
-    _check_same_lattice(input_grid, output_grid)
-    w = output_grid.cell_width_km
-    ox, oy = output_grid.origin
-    nx, ny = output_grid.nx, output_grid.ny
-
-    in_centers = input_grid.centers_array()
-    in_coords = np.empty((input_grid.size, 2))
-    in_coords[:, 0] = (in_centers[:, 0] - ox) / w
-    in_coords[:, 1] = (in_centers[:, 1] - oy) / w
-    matrix = _remapped_kernel(in_coords, nx, ny, w, eps_geo)
-    return FiniteMechanism(
-        input_grid,
-        output_grid.values,
-        matrix,
-        kind="geometric-planar",
-        distance_monotone=True,
-        params={"eps_geo": float(eps_geo)},
-    )
+    """Planar geometric mechanism truncated to ``output_grid``, which may be
+    smaller than the input grid: each lattice cell's weight goes to its
+    nearest output cell (``_planar_mechanism``)."""
+    return _planar_mechanism(input_grid, output_grid, eps_geo, "geometric-planar")
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +313,7 @@ def build_laplace_planar_discretized(grid: PlanarAlphabet, eps_geo: float) -> Fi
     cell area.  That is e^(-eps d) times a constant, which row normalization
     cancels, so the matrix is the planar geometric one on the same grid.
     """
-    return FiniteMechanism(
-        grid,
-        grid.values,
-        build_geometric_planar(grid, grid, eps_geo).matrix,
-        kind="laplace-planar",
-        distance_monotone=True,
-        params={"eps_geo": float(eps_geo)},
-    )
+    return _planar_mechanism(grid, grid, eps_geo, "laplace-planar")
 
 
 # ---------------------------------------------------------------------------

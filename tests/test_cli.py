@@ -459,9 +459,11 @@ class TestMalformedInputFiles:
         {"reports": {"1": 2.5, "2": 0.5}, "n": 3},
         {"reports": {"1": 2, "2": 1}, "n": 4},
         {"reports": {"1": 3, "2": 0}, "n": 3},
+        {"reports": {"1": 2, "{\"a\": 1}": 1}, "n": 3},
+        {"reports": {"1": 2, "[[1]]": 1}, "n": 3},
         "not json",
     ], ids=["list", "no-reports", "no-n", "reports-list", "n-string", "n-bool", "float-counts",
-            "n-disagrees", "zero-count", "not-json"])
+            "n-disagrees", "zero-count", "key-object", "key-nested-list", "not-json"])
     def test_report_file(self, tmp_path, capsys, reports):
         mech = write_json(tmp_path / "mech.json", GOOD_MECHANISM)
         obs = tmp_path / "bad-reports.json"
@@ -478,9 +480,16 @@ class TestMalformedInputFiles:
         {"mechanism": "rappor", "finite": False, "params": {"eps_ldp": 1.0}},
         {"mechanism": "geometric-linear", "finite": False, "params": {}},
         {"mechanism": "geometric-linear", "finite": False, "params": [1.0]},
+        {**GOOD_MECHANISM, "alphabet": {"kind": "categorical"}},
+        {"mechanism": "rappor", "finite": False, "alphabet": {"kind": "linear"},
+         "params": {"eps_ldp": 1.0}},
+        {**GOOD_MECHANISM, "alphabet": {"kind": "planar", "centers": [[0.5, 0.5], [1.5, 0.5]]}},
+        {**GOOD_MECHANISM, "alphabet": ["1", "2"]},
         "{",
     ], ids=["list", "finite-no-alphabet", "finite-no-matrix", "rappor-no-params",
-            "rappor-no-eps", "rappor-no-alphabet", "line-no-eps", "line-params-list", "not-json"])
+            "rappor-no-eps", "rappor-no-alphabet", "line-no-eps", "line-params-list",
+            "alphabet-no-labels", "alphabet-no-values", "alphabet-no-width", "alphabet-list",
+            "not-json"])
     def test_mechanism_file(self, tmp_path, capsys, mechanism):
         mech = tmp_path / "bad-mechanism.json"
         mech.write_text(mechanism if isinstance(mechanism, str) else json.dumps(mechanism))

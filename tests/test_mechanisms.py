@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,22 +221,52 @@ class TestGeometricPlanar:
         np.testing.assert_array_equal(build_geometric_planar(g, g, eps).matrix, np.eye(9))
         np.testing.assert_array_equal(build_laplace_planar_discretized(g, eps).matrix, np.eye(9))
 
-    @pytest.mark.parametrize("eps", [0.7, 2.0])
+    @pytest.mark.parametrize("eps", [0.3, 0.7, 2.0])
     def test_entries_match_fixed_super_grid(self, eps):
-        # reference: weights over a super-grid of fixed margin 80, each cell
-        # folded onto its clamped output cell, rows normalized; inputs in the
-        # last column and row lie outside the output grid
-        inp, out = PlanarAlphabet.grid(4, 3, 1.0), PlanarAlphabet.grid(3, 2, 1.0)
-        margin = 80
-        sx, sy = np.meshgrid(np.arange(-margin, 3 + margin), np.arange(-margin, 2 + margin))
-        target = (np.clip(sy, 0, 1) * 3 + np.clip(sx, 0, 2)).ravel()
-        expected = np.empty((inp.size, out.size))
-        for i, (ix, iy) in enumerate(inp.lattice_coords()):
-            weight = np.exp(-eps * np.sqrt((sx - ix) ** 2 + (sy - iy) ** 2)).ravel()
-            expected[i] = np.bincount(target, weight, minlength=out.size)
-        expected /= expected.sum(axis=1, keepdims=True)
-        m = build_geometric_planar(inp, out, eps).matrix
-        np.testing.assert_allclose(m, expected, rtol=0, atol=1e-10)
+        # reference: weights over a fixed super-grid (1 km cells, so eps is
+        # per cell), each cell folded onto its clamped output cell, rows
+        # normalized.  Its margin leaves a tail below 1e-15 around every
+        # input, as the 8r cells at Chebyshev radius r each weigh at most
+        # e^(-eps r); tails[m] = 8 * sum over r > m of r e^(-eps r).
+        r = np.arange(1, 5000)
+        tails = 8 * np.cumsum((r * np.exp(-eps * r))[::-1])[::-1]
+        tail_margin = int(np.argmax(tails < 1e-15))
+        grids = {
+            # inputs in the last column and row lie above and right of the output grid
+            "overhang-high": (PlanarAlphabet.grid(4, 3, 1.0), PlanarAlphabet.grid(3, 2, 1.0)),
+            # inputs in the first column and row lie below and left of it
+            "overhang-low": (PlanarAlphabet.grid(4, 3, 1.0),
+                             PlanarAlphabet.grid(3, 2, 1.0, origin=(1.5, 1.5))),
+            # a one-cell output axis folds every x offset onto its cell
+            "one-cell-axis": (PlanarAlphabet.grid(3, 7, 1.0), PlanarAlphabet.grid(1, 7, 1.0)),
+        }
+        for name, (inp, out) in grids.items():
+            margin = tail_margin + max(inp.nx, inp.ny)
+            sx, sy = np.meshgrid(np.arange(-margin, out.nx + margin),
+                                 np.arange(-margin, out.ny + margin))
+            target = (np.clip(sy, 0, out.ny - 1) * out.nx + np.clip(sx, 0, out.nx - 1)).ravel()
+            expected = np.empty((inp.size, out.size))
+            for i, (x, y) in enumerate(inp.values):
+                ix, iy = round(x - out.origin[0]), round(y - out.origin[1])
+                weight = np.exp(-eps * np.hypot(sx - ix, sy - iy)).ravel()
+                expected[i] = np.bincount(target, weight, minlength=out.size)
+            expected /= expected.sum(axis=1, keepdims=True)
+            m = build_geometric_planar(inp, out, eps).matrix
+            np.testing.assert_allclose(m, expected, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_memory_stays_bounded_at_small_eps_w(self):
+        # eps * w = 0.01 per cell needs offsets out to a radius of about
+        # 4,300 cells: a table of every offset would take about 150 MB
+        g = PlanarAlphabet.grid(2, 1, 0.1)
+        tracemalloc.start()
+        try:
+            m = build_geometric_planar(g, g, 0.1).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(m[0], m[1][::-1])
 
     def test_infinite_epsilon_clamps_outside_cells(self):
         # input cells beyond the output grid report the nearest output cell
