@@ -256,8 +256,10 @@ def _is_int(v) -> bool:
 
 def _load_mechanism(path: str):
     d = _read_input(path, (), "the mechanism")
-    keys, params = _MECHANISM_NEEDS.get("finite" if d.get("finite") else d.get("mechanism"),
-                                        ((), ()))
+    kind = d.get("mechanism", "custom")
+    if not isinstance(kind, str):
+        raise MalformedInputError(f"{path}: its mechanism kind {kind!r} is not a string")
+    keys, params = _MECHANISM_NEEDS.get("finite" if d.get("finite") else kind, ((), ()))
     _require(path, d, keys, "the mechanism")
     if "alphabet" in keys:
         alphabet = _require(path, d["alphabet"], ("kind",), "its alphabet")
@@ -265,7 +267,11 @@ def _load_mechanism(path: str):
         _require(path, alphabet, _ALPHABET_NEEDS.get(kind, ()) if isinstance(kind, str) else (), "its alphabet")
     if params:
         _require(path, d["params"], params, "its params")
-    return mechanism_from_json(d)
+    try:
+        return mechanism_from_json(d)
+    except (TypeError, ValueError, PrivDistError) as exc:
+        # an unknown kind, or values the mechanism or its alphabet refuse
+        raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 def _load_observations(path: str, mech) -> ObservationSet:

@@ -41,10 +41,6 @@ class AlphabetTooSmallError(PrivDistError):
     """The mechanism requires a larger input alphabet."""
 
 
-class AlphabetTooLargeError(PrivDistError):
-    """The operation is only meant for small alphabets."""
-
-
 class NonPositiveEpsilonError(PrivDistError):
     """A privacy parameter that must be strictly positive is not."""
 

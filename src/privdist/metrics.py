@@ -2,15 +2,22 @@
 squared Euclidean error.
 
 EMD is exact optimal transport.  On the line it reduces to the integral of
-the absolute CDF difference; on planar grids it is solved as a transportation
-problem by the transportation simplex.  The simplex starts from a least-cost
-basis and prices reduced costs one block of rows at a time.  A pivot walks
-parent links from the entering cell's two ends up to their apex, runs the
-ratio test and the flow update over that cycle's cells in Python, and
-re-hangs one subtree, shifting only its duals; its Python work grows with
-the cycle, not with the tree.  The result is certified by
-checking dual feasibility and complementary slackness of duals rebuilt from
-the final basis.
+the absolute CDF difference.  On planar grids the mass both distributions
+share, min(p, q) cell by cell, is cancelled first, and only the disjoint
+remainders are solved as a transportation problem by the transportation
+simplex.  The cancellation is exact because the Euclidean cost is a metric:
+by the triangle inequality some optimal plan leaves the shared mass in place.
+``min_cost_transport`` itself cancels nothing, since it also takes costs that
+are not metrics.
+
+The simplex starts from a least-cost basis and prices reduced costs one block
+of rows at a time.  A pivot walks parent links from the entering cell's two
+ends up to their apex, runs the ratio test and the flow update over that
+cycle's cells in Python, and re-hangs one subtree, shifting only its duals;
+its Python work grows with the cycle, not with the tree.  The result is
+certified by checking dual feasibility and complementary slackness of duals
+rebuilt from the final basis; for a planar EMD that certifies the reduced
+problem.
 """
 
 from __future__ import annotations
@@ -56,19 +63,31 @@ def emd_1d(p: Distribution, q: Distribution) -> float:
 
 def emd_planar(p: Distribution, q: Distribution) -> float:
     """Exact optimal transport between grid distributions with Euclidean
-    ground distance between cell centers."""
+    ground distance between cell centers.
+
+    Both distributions are normalised, their shared mass min(p, q) is
+    subtracted cell by cell, and only the disjoint remainders are handed to
+    ``min_cost_transport``; with nothing left the distance is 0.0 and no
+    solve runs.  Euclidean cost is a metric, so the triangle inequality makes
+    the cancellation exact: EMD(p, q) = EMD(p - m, q - m).  The solver's dual
+    certificate is for that reduced problem."""
     if p.alphabet != q.alphabet:
         raise AlphabetMismatchError("distributions are over different alphabets")
     if not isinstance(p.alphabet, PlanarAlphabet):
         raise AlphabetMismatchError("emd_planar requires a planar alphabet")
+    a = p.probs / p.probs.sum()
+    b = q.probs / q.probs.sum()
+    shared = np.minimum(a, b)
+    a -= shared
+    b -= shared
+    si = np.flatnonzero(a > 0)
+    di = np.flatnonzero(b > 0)
+    if si.size == 0 or di.size == 0:
+        return 0.0
     centers = p.alphabet.centers_array()
-    si = np.flatnonzero(p.probs > 0)
-    di = np.flatnonzero(q.probs > 0)
-    supply = p.probs[si] / p.probs[si].sum()
-    demand = q.probs[di] / q.probs[di].sum()
     diff = centers[si][:, None, :] - centers[di][None, :, :]
     cost = np.sqrt((diff ** 2).sum(axis=2))
-    _, total = min_cost_transport(cost, supply, demand)
+    _, total = min_cost_transport(cost, a[si], b[di])
     return total
 
 

@@ -13,7 +13,11 @@ import numpy as np
 
 from privdist.analysis import RANK_TOL, ConcavityReport
 from privdist.core import Distribution, Mechanism, ObservationSet, ObsMatrix
-from privdist.errors import AlphabetTooLargeError, ElementOutsideAlphabetError
+from privdist.errors import ElementOutsideAlphabetError, PrivDistError
+
+
+class AlphabetTooLargeError(PrivDistError):
+    """The brute-force oracle is only meant for small alphabets."""
 
 
 def from_reports(reports) -> ObservationSet:

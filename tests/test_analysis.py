@@ -27,7 +27,6 @@ from privdist.core import (
 )
 from privdist.errors import (
     AlphabetMismatchError,
-    AlphabetTooLargeError,
     AlphaTooSmallError,
     TooFewObservationsError,
 )
@@ -35,7 +34,7 @@ from privdist.estimators import ibu
 from privdist.mechanisms import build_geometric_planar, build_krr, build_rappor, obfuscate_dataset
 from privdist.core import PlanarAlphabet
 
-from oracles import concavity_full_rank, mle_oracle
+from oracles import AlphabetTooLargeError, concavity_full_rank, mle_oracle
 
 A3 = CategoricalAlphabet(["1", "2", "3"])
 # rows keep 0.10 for themselves, spread 0.45 to the other two outputs

@@ -485,11 +485,20 @@ class TestMalformedInputFiles:
          "params": {"eps_ldp": 1.0}},
         {**GOOD_MECHANISM, "alphabet": {"kind": "planar", "centers": [[0.5, 0.5], [1.5, 0.5]]}},
         {**GOOD_MECHANISM, "alphabet": ["1", "2"]},
+        {"mechanism": ["rappor"], "finite": False, "alphabet": RAPPOR_ALPHABET,
+         "params": {"eps_ldp": 1.0}},
+        {"mechanism": "hexagonal-laplace", "finite": False, "params": {"eps": 1.0}},
+        {**GOOD_MECHANISM, "alphabet": {"kind": "hexagonal", "values": ["1", "2"]}},
+        {**GOOD_MECHANISM, "matrix": [[0.5, 0.5], [0.25, 0.5]]},
+        {**GOOD_MECHANISM, "matrix": [[0.5, 0.5]]},
+        {"mechanism": "rappor", "finite": False, "alphabet": RAPPOR_ALPHABET,
+         "params": {"eps_ldp": -1.0}},
         "{",
     ], ids=["list", "finite-no-alphabet", "finite-no-matrix", "rappor-no-params",
             "rappor-no-eps", "rappor-no-alphabet", "line-no-eps", "line-params-list",
             "alphabet-no-labels", "alphabet-no-values", "alphabet-no-width", "alphabet-list",
-            "not-json"])
+            "kind-list", "kind-unknown", "alphabet-kind-unknown", "rows-not-stochastic",
+            "matrix-shape", "eps-negative", "not-json"])
     def test_mechanism_file(self, tmp_path, capsys, mechanism):
         mech = tmp_path / "bad-mechanism.json"
         mech.write_text(mechanism if isinstance(mechanism, str) else json.dumps(mechanism))

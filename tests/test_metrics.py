@@ -22,6 +22,8 @@ from privdist.metrics import (
 )
 
 LIN = LinearAlphabet.range(0, 1)
+# The clusters of the planar-20x20 benchmark: (x, y, sigma, weight).
+BENCH_CLUSTERS = ((4.5, 5.0, 1.6, 0.5), (14.0, 6.5, 1.3, 0.3), (9.5, 14.5, 2.0, 0.2))
 
 
 def lp_transport_cost(cost, supply, demand):
@@ -33,8 +35,12 @@ def lp_transport_cost(cost, supply, demand):
     ns, nd = cost.shape
     a_eq = sparse.vstack([sparse.kron(sparse.eye(ns), np.ones((1, nd))),
                           sparse.kron(np.ones((1, ns)), sparse.eye(nd))], format="csr")
+    # HiGHS's default feasibility tolerances (1e-7) let a planar-20x20 problem
+    # break its constraints by 2e-8 and undercut the optimum by 4e-9.
     res = linprog(cost.ravel(), A_eq=a_eq,
-                  b_eq=np.concatenate([supply, demand]), method="highs")
+                  b_eq=np.concatenate([supply, demand]), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0
     return res.fun
 
@@ -69,10 +75,16 @@ class TestEmd1d:
 
 
 class TestEmdPlanar:
-    def test_identical_is_zero(self):
+    def test_identical_is_zero(self, monkeypatch):
+        # all mass is shared, so nothing is left to transport and no solve runs
+        def no_solve(*args):
+            raise AssertionError("min_cost_transport called with nothing to move")
+
+        monkeypatch.setattr(metrics, "min_cost_transport", no_solve)
         g = PlanarAlphabet.grid(3, 3, 1.0)
-        p = Distribution(g, np.full(9, 1 / 9))
-        assert emd_planar(p, p) == pytest.approx(0.0, abs=1e-12)
+        for probs in np.full(9, 1 / 9), np.random.default_rng(20).dirichlet(np.ones(9)):
+            p = Distribution(g, probs)
+            assert emd_planar(p, Distribution(g, probs.copy())) == 0.0
 
     def test_adjacent_cells(self):
         g = PlanarAlphabet.grid(2, 2, 0.7)
@@ -88,8 +100,9 @@ class TestEmdPlanar:
         assert emd_planar(p, q) == pytest.approx(0.2)
 
     def test_matches_lp_oracle_small_grids(self):
+        # the oracle solves the full problem, shared mass included
         rng = np.random.default_rng(21)
-        for nx, ny in [(2, 2), (3, 2), (3, 3)]:
+        for nx, ny in [(2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 4), (5, 5)]:
             g = PlanarAlphabet.grid(nx, ny, 1.0)
             centers = g.centers_array()
             cost = np.sqrt(((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2))
@@ -112,6 +125,42 @@ class TestEmdPlanar:
             Distribution(LinearAlphabet.range(0, 4), row_q),
         )
         assert planar == pytest.approx(line, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bench_shape_matches_lp_oracle_on_full_problem(self, seed):
+        g, estimate, truth = _clustered_pair(20, BENCH_CLUSTERS, seed)
+        si, di = np.flatnonzero(estimate), np.flatnonzero(truth)
+        ref = lp_transport_cost(_grid_cost(g, si, di), estimate[si], truth[di])
+        ours = emd_planar(Distribution(g, estimate), Distribution(g, truth))
+        assert ours == pytest.approx(ref, abs=1e-9)
+
+    def test_disjoint_supports_solve_the_uncancelled_problem(self):
+        # masses in 64ths sum to exactly 1, so both calls see the same inputs
+        rng = np.random.default_rng(22)
+        g = PlanarAlphabet.grid(6, 6, 0.5)
+        left = g.lattice_coords()[:, 0] < 3
+        for _ in range(5):
+            p, q = np.zeros(g.size), np.zeros(g.size)
+            p[left] = rng.multinomial(64, np.full(18, 1 / 18)) / 64
+            q[~left] = rng.multinomial(64, np.full(18, 1 / 18)) / 64
+            si, di = np.flatnonzero(p), np.flatnonzero(q)
+            _, total = min_cost_transport(_grid_cost(g, si, di), p[si], q[di])
+            assert emd_planar(Distribution(g, p), Distribution(g, q)) == total
+
+    def test_moving_mass_between_two_cells_costs_mass_times_distance(self):
+        rng = np.random.default_rng(23)
+        g = PlanarAlphabet.grid(5, 5, 0.5)
+        centers = g.centers_array()
+        for _ in range(10):
+            p = rng.dirichlet(np.ones(g.size))
+            i, j = rng.choice(g.size, 2, replace=False)
+            mass = p[i] * rng.random()
+            q = p.copy()
+            q[i] -= mass
+            q[j] += mass
+            expected = mass * math.dist(centers[i], centers[j])
+            assert emd_planar(Distribution(g, p), Distribution(g, q)) == pytest.approx(
+                expected, abs=1e-12)
 
 
 class TestTransportSolver:
@@ -195,14 +244,14 @@ class TestTransportDegenerate:
         _clustered_against_noisy(12, clusters, seed=10)
 
     def test_planar_20x20_bench_shape(self):
-        # the clusters of the planar-20x20 benchmark; a 257 x 146 problem
-        clusters = ((4.5, 5.0, 1.6, 0.5), (14.0, 6.5, 1.3, 0.3), (9.5, 14.5, 2.0, 0.2))
-        _clustered_against_noisy(20, clusters, seed=17)
+        # a 257 x 146 problem
+        _clustered_against_noisy(20, BENCH_CLUSTERS, seed=17)
 
 
-def _clustered_against_noisy(k, clusters, seed):
-    """Solve and check a clustered truth on a k x k grid, with cells under
-    4% of its peak cut to zero, against a noisy estimate of it."""
+def _clustered_pair(k, clusters, seed):
+    """A clustered truth on a k x k grid, with cells under 4% of its peak cut
+    to zero, and a noisy estimate of it: ``(grid, estimate, truth)``, both
+    normalised."""
     rng = np.random.default_rng(seed)
     g = PlanarAlphabet.grid(k, k, 1.0)
     c = g.lattice_coords().astype(float)
@@ -211,9 +260,14 @@ def _clustered_against_noisy(k, clusters, seed):
         truth += weight * np.exp(-((c[:, 0] - cx) ** 2 + (c[:, 1] - cy) ** 2) / (2 * sigma ** 2))
     truth[truth < 0.04 * truth.max()] = 0.0
     estimate = np.maximum(truth + rng.normal(0.0, 0.05 * truth.max(), g.size), 0.0)
+    return g, estimate / estimate.sum(), truth / truth.sum()
+
+
+def _clustered_against_noisy(k, clusters, seed):
+    """Solve and check the transport between the supports of a clustered pair."""
+    g, estimate, truth = _clustered_pair(k, clusters, seed)
     si, di = np.flatnonzero(estimate), np.flatnonzero(truth)
-    _solve_and_check(_grid_cost(g, si, di), estimate[si] / estimate[si].sum(),
-                     truth[di] / truth[di].sum())
+    _solve_and_check(_grid_cost(g, si, di), estimate[si], truth[di])
 
 
 def _lattice_cost(k):
