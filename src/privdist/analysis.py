@@ -90,19 +90,25 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     spaced evenly across the canonical order: deleting columns never raises
     a singular value, and the Frobenius norm bounds sigma_max, so a sample
     whose k-th singular value exceeds RANK_TOL * ||[A | 1]||_F * max(dims)
-    certifies full rank.  Otherwise the whole matrix decides.
+    certifies full rank.  Only the sampled columns are scaled, and the norm
+    is bounded from per-column sums of squares (``_scaled_frobenius_bound``).
+    Otherwise the whole matrix decides, and only then is the scaled [A | 1]
+    built.
     """
-    k = G.alphabet.size
-    augmented = np.hstack([G.matrix, np.ones((k, 1))])
-    scale = augmented.max(axis=0)
-    augmented /= np.where(scale > 0, scale, 1.0)
-    size = max(augmented.shape)
-    cols = augmented.shape[1]
+    A, k = G.matrix, G.alphabet.size
+    scale = A.max(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    cols = A.shape[1] + 1
+    size = max(k, cols)
     if cols > 2 * k:
-        sample = augmented[:, np.arange(2 * k) * (cols - 1) // (2 * k - 1)]
+        picked = np.arange(2 * k - 1) * (cols - 1) // (2 * k - 1)  # and the ones column
+        sample = np.ones((k, 2 * k))
+        np.divide(A[:, picked], scale[picked], out=sample[:, :-1])
         s = np.linalg.svd(sample, compute_uv=False)
-        if s[k - 1] > RANK_TOL * np.linalg.norm(augmented) * size:
+        if s[k - 1] > RANK_TOL * _scaled_frobenius_bound(A, scale) * size:
             return ConcavityReport(True, k, k)
+    augmented = np.hstack([A, np.ones((k, 1))])
+    augmented /= np.append(scale, 1.0)
     # A wide matrix (more columns than rows) equals R^T Q^T for the QR factors
     # of its transpose, so U and the singular values are those of the small
     # square R^T, and no right singular vectors are built.
@@ -116,6 +122,21 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     pivot = np.argmax(np.abs(w))
     w = w / w[pivot]
     return ConcavityReport(False, rank, k, witness=w)
+
+
+def _scaled_frobenius_bound(A: np.ndarray, scale: np.ndarray) -> float:
+    """An upper bound on the Frobenius norm of [A | 1] with each column of A
+    divided by its ``scale``, never below what np.linalg.norm gives for that
+    matrix once built.  Column j adds sum_i A_ij^2 / scale_j^2, or k where
+    scale_j^2 would fall out of the normal range: the scaled entries lie in
+    [0, 1], so k bounds every column.  A float sum of n terms is off by at
+    most n rounding units (eps / 2) relative, and so is np.linalg.norm's,
+    so the sum of squares is rounded outward by a factor 1 + 4 n eps."""
+    k = A.shape[0]
+    squares = np.divide(np.einsum("ij,ij->j", A, A), scale * scale,
+                        out=np.full(scale.shape, float(k)), where=scale > 2.0 ** -500)
+    n_terms = A.size + k
+    return math.sqrt((squares.sum() + k) * (1.0 + 4.0 * n_terms * np.finfo(float).eps))
 
 
 def identification_check(mech: FiniteMechanism) -> bool:

@@ -18,6 +18,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .analysis import (
     identification_check,
     inv_geometric_error_lower_bound,
@@ -43,7 +45,9 @@ from .errors import (
     FailureThresholdExceededError,
     IncompatibleEstimatorError,
     InvalidSpecError,
+    LengthMismatchError,
     MalformedInputError,
+    ObservationOutsideDomainError,
     PrivDistError,
     TooManyMalformedRowsError,
 )
@@ -58,7 +62,13 @@ from .experiment import (
     run_estimator,
     run_experiment,
 )
-from .mechanisms import BitVectorMechanism, IntegerLineMechanism, obfuscate_dataset
+from .mechanisms import (
+    BitVectorMechanism,
+    IntegerLineMechanism,
+    canonical_rows,
+    obfuscate_dataset,
+    rappor_bits,
+)
 from .reduction import lift, likely_krr, likely_linear, likely_planar, restricted_alphabet
 
 _IO_ERRORS = (OSError, EmptyDatasetError, TooManyMalformedRowsError, BBoxGridMismatchError,
@@ -157,17 +167,56 @@ def reports_to_json(obs: ObservationSet) -> dict:
     return {"reports": reports, "n": obs.n}
 
 
-def reports_from_json(d: dict, outputs) -> ObservationSet:
-    """Read back what ``reports_to_json`` wrote.  Each key becomes the output
-    in ``outputs`` (the mechanism's finite outputs, or None) that is written
-    under it, so a label such as "null" or "1e3" stays a label; other keys
-    are decoded as JSON."""
-    known = {_value_key(z): z for z in outputs or ()}
-    counts = {known[k] if k in known else _decoded(k): c for k, c in d["reports"].items()}
-    obs = ObservationSet(counts)
+def reports_from_json(d: dict, mech) -> ObservationSet:
+    """Read back what ``reports_to_json`` wrote, against ``mech``, the
+    mechanism that drew the reports, or None.  RAPPOR reports go straight
+    into the bit matrix that a draw makes (``_bit_reports``).  Otherwise
+    each key becomes the output in ``mech.output_values()`` that is written
+    under it, so a label such as "null" or "1e3" stays a label; other keys,
+    and every key when there are no finite outputs, are decoded as JSON."""
+    if isinstance(mech, BitVectorMechanism):
+        obs = _bit_reports(d["reports"], mech.input_alphabet.size)
+    else:
+        outputs = mech.output_values() if mech is not None else None
+        known = {_value_key(z): z for z in outputs or ()}
+        obs = ObservationSet({known[k] if k in known else _decoded(k): c for k, c in d["reports"].items()})
     if obs.n != d["n"]:
         raise ValueError("stored n disagrees with the report counts")
     return obs
+
+
+def _bit_reports(reports: dict, k: int) -> ObservationSet:
+    """RAPPOR reports of k bits as the (m, k) uint8 store, in canonical order
+    (``canonical_rows``).
+
+    A key as ``reports_to_json`` writes it, "[b, b, ..., b]" with each b 0
+    or 1, is read in one vectorized pass over all such keys.  Any other key
+    is decoded as JSON and must be a list of k entries, each the integer 0
+    or 1: otherwise LengthMismatchError, or ObservationOutsideDomainError
+    for an entry such as 2, 1.0 or true.  Two keys that decode to the same
+    report are refused, as one of their counts would be lost."""
+    keys = list(reports)
+    template = np.frombuffer(json.dumps([0] * k).encode(), dtype=np.uint8)
+    fits = np.flatnonzero(np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)) == template.size)
+    # "replace" writes one byte per character, so each row stays template.size long
+    chars = np.frombuffer("".join(keys[i] for i in fits).encode("ascii", "replace"),
+                          dtype=np.uint8).reshape(-1, template.size)
+    digits = template == ord("0")
+    bits = chars[:, digits] - np.uint8(ord("0"))
+    written = (bits <= 1).all(axis=1) & (chars[:, ~digits] == template[~digits]).all(axis=1)
+    rows = np.empty((len(keys), k), dtype=np.uint8)
+    rows[fits[written]] = bits[written]
+    others = np.setdiff1d(np.arange(len(keys)), fits[written])
+    values = [_decoded(keys[i]) for i in others]
+    rows[others] = rappor_bits(values, k)
+    if any(type(b) is bool for v in values for b in v):
+        raise ObservationOutsideDomainError("report entries must be 0 or 1, not true or false")
+    distinct, where = canonical_rows(np.packbits(rows, axis=1), k)
+    if len(distinct) < len(keys):
+        raise ValueError("two report keys hold the same report; one count would be lost")
+    counts = np.empty(len(keys), dtype=np.int64)
+    counts[where] = list(reports.values())
+    return ObservationSet._canonical(distinct, counts)
 
 
 def distribution_to_json(dist) -> dict:
@@ -280,9 +329,11 @@ def _load_observations(path: str, mech) -> ObservationSet:
     if not (_is_int(d["n"]) and all(map(_is_int, reports.values()))):
         raise MalformedInputError(f"{path}: n and every report count must be integers")
     try:
-        return reports_from_json(d, mech.output_values())
+        return reports_from_json(d, mech)
     except ValueError as exc:  # a count below 1, or an n that disagrees with the counts
         raise MalformedInputError(f"{path}: {exc}") from exc
+    except (LengthMismatchError, ObservationOutsideDomainError) as exc:  # a RAPPOR key that is no bit vector
+        raise MalformedInputError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_estimate(args) -> int:

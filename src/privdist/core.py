@@ -315,10 +315,11 @@ class ObservationSet:
 
     The distinct reports are sorted once, at construction, into canonical
     order (by JSON key, ties in insertion order) and kept as ``reports``: a
-    tuple, or for drawn RAPPOR reports the read-only (m, k) uint8 matrix that
-    ``BitVectorMechanism.draw`` returns, whose rows become tuples only when
-    ``values()`` or ``items()`` first asks.  ``count_array`` holds their
-    counts in that order, read-only and int64."""
+    tuple, or for RAPPOR reports (drawn, or read from a report file) the
+    read-only (m, k) uint8 matrix that ``BitVectorMechanism.draw`` returns,
+    whose rows become tuples only when ``values()`` or ``items()`` first
+    asks.  ``count_array`` holds their counts in that order, read-only and
+    int64."""
 
     def __init__(self, counts: dict):
         ordered = sorted(counts, key=_value_key)
@@ -397,8 +398,9 @@ class Mechanism:
 
     def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
         """P(z | x) with one row per input in ``xs`` and one column per output
-        in ``zs``.  Raises ElementOutsideAlphabetError for an input outside
-        the domain and ObservationOutsideDomainError for a malformed output."""
+        in ``zs``, as a new float64 array that the caller owns.  Raises
+        ElementOutsideAlphabetError for an input outside the domain and
+        ObservationOutsideDomainError for a malformed output."""
         raise NotImplementedError
 
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
@@ -523,9 +525,25 @@ class ObsMatrix:
     tuple, or RAPPOR's (m, k) uint8 matrix with one row per report.
     Weights are stored as floats so an exact (asymptotic) empirical
     distribution can be analyzed in place of integer counts.
+
+    ``matrix`` and ``weights`` are read-only.  The constructor copies the
+    matrix it is given (entries within rounding of [0, 1] are clipped into
+    it), so the caller's array stays writable and unshared; ``obs_matrix``
+    keeps the kernel's own new array instead, copying it only to clip.
     """
 
     def __init__(self, alphabet: Alphabet, values: Sequence, matrix, weights):
+        self._store(alphabet, values, matrix, weights, owned=False)
+
+    @classmethod
+    def _of_kernel(cls, alphabet: Alphabet, values: Sequence, matrix, weights) -> "ObsMatrix":
+        """Keep ``matrix``, a new float64 array that no caller holds (a
+        kernel's result), without a copy when it lies within [0, 1]."""
+        G = cls.__new__(cls)
+        G._store(alphabet, values, matrix, weights, owned=True)
+        return G
+
+    def _store(self, alphabet, values, matrix, weights, owned):
         matrix = np.asarray(matrix, dtype=float)
         weights = np.asarray(weights, dtype=float)
         values = values if isinstance(values, np.ndarray) else tuple(values)
@@ -535,9 +553,11 @@ class ObsMatrix:
             raise LengthMismatchError("one weight per distinct observation is required")
         if np.any(weights <= 0):
             raise ValueError("column weights must be positive")
-        if matrix.min(initial=0.0) < -1e-15 or matrix.max(initial=0.0) > 1 + 1e-12:
+        lo, hi = matrix.min(initial=0.0), matrix.max(initial=0.0)
+        if lo < -1e-15 or hi > 1 + 1e-12:
             raise ValueError("kernel probabilities must lie in [0, 1]")
-        matrix = np.clip(matrix, 0.0, 1.0)
+        if not owned or lo < 0.0 or hi > 1.0:
+            matrix = np.clip(matrix, 0.0, 1.0)
         matrix.flags.writeable = False
         weights = weights.copy()
         weights.flags.writeable = False
@@ -574,5 +594,5 @@ def obs_matrix(mech: Mechanism, obs: ObservationSet, alphabet: Alphabet = None) 
             )
     if obs.n < 1:
         raise EmptyObservationsError("cannot build an observation matrix from zero reports")
-    return ObsMatrix(alphabet, obs.reports, mech.kernel(alphabet.values, obs.reports),
-                     obs.count_array)
+    return ObsMatrix._of_kernel(alphabet, obs.reports, mech.kernel(alphabet.values, obs.reports),
+                                obs.count_array)

@@ -240,8 +240,13 @@ def inv_project(v, alphabet: Alphabet) -> Distribution:
 # ---------------------------------------------------------------------------
 
 def rappor_bit_counts(obs, alphabet: Alphabet) -> np.ndarray:
-    """Per-position counts of set bits over an ObservationSet of bit vectors."""
-    return obs.count_array @ rappor_bits(obs.reports, alphabet.size)
+    """Per-position counts of set bits over an ObservationSet of bit vectors,
+    as int64.  One float64 BLAS product gives them: every partial sum is an
+    integer below n, which float64 holds exactly while n < 2^53."""
+    bits = rappor_bits(obs.reports, alphabet.size)
+    if obs.n >= 2 ** 53:
+        return obs.count_array @ bits
+    return (obs.count_array.astype(float) @ bits).astype(np.int64)
 
 
 def rappor_decode(bit_counts, n: int, alphabet: Alphabet, eps_ldp: float,

@@ -366,6 +366,33 @@ def rappor_keep_prob(eps_ldp: float) -> float:
     return 1.0 / (1.0 + math.exp(-eps_ldp / 2.0))
 
 
+def canonical_rows(packed: np.ndarray, k: int) -> tuple:
+    """The distinct rows of ``packed`` in canonical order, and where each of
+    its rows went.
+
+    ``packed`` holds one report of k bits per row, packed big-endian as
+    ``np.packbits`` does.  Zero-padded to whole 64-bit words, rows compare
+    as their big-endian words, which is byte order, and for 0/1 rows of one
+    length that is canonical (JSON-key) order.  The first word is the sort
+    key; each further word folds in as (rank of the key so far) << 32 |
+    (rank of the word), which keeps that order while there are fewer than
+    2^32 rows.  Returns the read-only (m, k) uint8 matrix of the distinct
+    rows and, for each row of ``packed``, the index of its distinct row."""
+    padded = np.zeros((len(packed), (k + 63) // 64), dtype=">u8")
+    padded.view(np.uint8)[:, :packed.shape[1]] = packed
+    words = padded.astype(np.uint64)
+    key = words[:, 0]
+    for word in words.T[1:]:
+        rank, word_rank = (np.unique(a, return_inverse=True)[1].astype(np.uint64) for a in (key, word))
+        key = rank << 32 | word_rank
+    keys, where = np.unique(key, return_inverse=True)
+    distinct = np.empty((keys.size, words.shape[1]), dtype=">u8")
+    distinct[where] = padded  # equal rows write equal words
+    bits = np.unpackbits(distinct.view(np.uint8), axis=1, count=k)
+    bits.flags.writeable = False
+    return bits, where
+
+
 def rappor_bits(zs, k: int) -> np.ndarray:
     """RAPPOR reports as a (len(zs), k) uint8 0/1 matrix.  ``zs`` is such a
     matrix already (the store of a drawn ``ObservationSet``), returned
@@ -429,9 +456,8 @@ class BitVectorMechanism(Mechanism):
         # Per input, one (count, k) uniform block: a bit is flipped where its
         # draw is not below keep_prob, so the report is the flips with the
         # own bit inverted.  Reports are packed to bytes as they are drawn,
-        # so no (n, k) float buffer exists; for 0/1 rows of equal length,
-        # byte order is canonical (JSON-key) order.  The distinct reports
-        # come back as the read-only (m, k) uint8 matrix they unpack to.
+        # so no (n, k) float buffer exists, and ``canonical_rows`` counts
+        # them.
         k = self.input_alphabet.size
         width = (k + 7) // 8
         keep = self.keep_prob
@@ -441,11 +467,8 @@ class BitVectorMechanism(Mechanism):
             noisy = rng.random((count, k)) >= keep
             noisy[:, i] ^= True
             packed.append(np.packbits(noisy, axis=1))
-        rows = np.concatenate(packed)
-        keys, cnts = np.unique(rows.view(np.dtype((np.void, width))).ravel(), return_counts=True)
-        bits = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=k)
-        bits.flags.writeable = False
-        return bits, cnts
+        bits, where = canonical_rows(np.concatenate(packed), k)
+        return bits, np.bincount(where, minlength=len(bits))
 
     def params_dict(self):
         return {"eps_ldp": self.eps_ldp}

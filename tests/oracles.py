@@ -43,6 +43,22 @@ def sample_counts(mech: Mechanism, x, count: int, rng: np.random.Generator) -> d
     return dict(zip(values, counts.tolist()))
 
 
+def void_sort_draw(mech, xs, counts, rng: np.random.Generator):
+    """RAPPOR's ``draw`` with its reports counted by ``np.unique`` on the
+    packed rows viewed as ``np.void`` (byte-wise): the draw stream of
+    ``BitVectorMechanism.draw``, with an independent sort."""
+    k = mech.input_alphabet.size
+    width = (k + 7) // 8
+    packed = [np.zeros((0, width), dtype=np.uint8)]
+    for x, count in zip(xs, counts):
+        noisy = rng.random((count, k)) >= mech.keep_prob
+        noisy[:, mech.input_alphabet.index(x)] ^= True
+        packed.append(np.packbits(noisy, axis=1))
+    rows = np.concatenate(packed)
+    keys, cnts = np.unique(rows.view(np.dtype((np.void, width))).ravel(), return_counts=True)
+    return np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=k), cnts
+
+
 def is_unlikely(mech: Mechanism, obs: ObservationSet, x_prime, x_candidate) -> bool:
     """True iff ``x_candidate`` dominates ``x_prime``: its kernel value is at
     least as large for every observed report and strictly larger for one.

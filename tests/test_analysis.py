@@ -8,6 +8,7 @@ import pytest
 
 from privdist.analysis import (
     RANK_TOL,
+    _scaled_frobenius_bound,
     identification_check,
     inv_geometric_error_lower_bound,
     inv_krr_error_bound,
@@ -272,6 +273,88 @@ class TestConcavitySampleCertificate:
         assert np.linalg.matrix_rank(sample / sample.max(axis=0)) == 1
         rep = _same_report(G)
         assert rep.strictly_concave and rep.rank_found == k
+
+
+def _random_obs_matrices(count: int, seed: int):
+    """Small observation matrices, most wide enough for the column sample:
+    full rank over a wide dynamic range, low rank (rank-deficient [A | 1]
+    for most), columns scaled far below the normal range of their squares,
+    and a zero column."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        k = int(rng.integers(2, 9))
+        m = int(rng.integers(k, 14 * k))
+        if t % 4 == 0:
+            matrix = rng.uniform(0.0, 1.0, size=(k, m)) ** int(rng.integers(1, 9))
+        elif t % 4 == 1:
+            r = int(rng.integers(1, k))
+            matrix = rng.uniform(0.0, 1.0, size=(k, r)) @ rng.uniform(0.0, 1.0, size=(r, m))
+            matrix /= matrix.max()
+        elif t % 4 == 2:
+            matrix = rng.uniform(0.0, 1.0, size=(k, m))
+            tiny = rng.random(m) < 0.3
+            matrix[:, tiny] *= 10.0 ** -rng.integers(150, 320, size=tiny.sum()).astype(float)
+        else:
+            matrix = rng.uniform(0.0, 1.0, size=(k, m))
+            matrix[:, rng.integers(0, m)] = 0.0
+            matrix[rng.integers(0, k)] = matrix[rng.integers(0, k)]  # a repeated row
+        yield ObsMatrix(LinearAlphabet.range(0, k - 1), range(m), matrix, rng.integers(1, 5, size=m))
+
+
+def _rappor_obs_matrices():
+    for k in (8, 64, 130):
+        mech = build_rappor(LinearAlphabet.range(0, k - 1), 3.0)
+        for eps, n in ((0.5, k // 2 + 1), (3.0, 4 * k), (20.0, 4 * k), (3.0, 2000)):
+            mech = build_rappor(LinearAlphabet.range(0, k - 1), eps)
+            rng = np.random.default_rng(k + n)
+            obs = obfuscate_dataset(mech, [int(x) for x in rng.integers(0, k, size=n)], rng)
+            yield obs_matrix(mech, obs)
+
+
+class TestConcavityScalesOnlyTheSample:
+    """The check scales only its sampled columns and bounds the norm of the
+    scaled [A | 1] from per-column sums of squares; its verdicts, ranks and
+    witnesses must be the full-matrix rule's, and the bound must never fall
+    below the norm of the matrix the full rule builds."""
+
+    def test_random_inputs_match_the_full_rule(self):
+        reports = [_same_report(G) for G in _random_obs_matrices(240, seed=71)]
+        # both the sample certificate and the fallback, both verdicts
+        assert {rep.strictly_concave for rep in reports} == {True, False}
+
+    def test_rappor_matches_the_full_rule(self):
+        reports = [_same_report(G) for G in _rappor_obs_matrices()]
+        assert {rep.strictly_concave for rep in reports} == {True, False}
+
+    def test_frobenius_bound_is_never_below_the_norm(self):
+        # columns whose squared scale leaves the normal range count k each,
+        # so only without them is the bound as tight as the norm
+        guarded = 0
+        for G in (*_random_obs_matrices(240, seed=72), *_rappor_obs_matrices()):
+            scale = G.matrix.max(axis=0)
+            scale = np.where(scale > 0, scale, 1.0)
+            augmented = np.hstack([G.matrix, np.ones((G.alphabet.size, 1))])
+            augmented /= np.append(scale, 1.0)
+            norm = np.linalg.norm(augmented)
+            bound = _scaled_frobenius_bound(G.matrix, scale)
+            assert norm <= bound
+            if (scale > 2.0 ** -500).all():
+                assert bound <= norm * (1.0 + 1e-9)
+            else:
+                guarded += 1
+        assert guarded > 0
+
+    def test_bound_rounds_outward(self):
+        # 4,000 columns of equal squares: the sum of squares rounds, and the
+        # bound still sits above the norm numpy computes
+        rng = np.random.default_rng(3)
+        matrix = rng.uniform(0.1, 1.0, size=(64, 4000))
+        scale = matrix.max(axis=0)
+        augmented = np.hstack([matrix / scale, np.ones((64, 1))])
+        exact = math.sqrt(math.fsum((augmented ** 2).ravel().tolist()))
+        bound = _scaled_frobenius_bound(matrix, scale)
+        assert bound >= max(exact, np.linalg.norm(augmented))
+        assert bound <= exact * (1.0 + 1e-9)
 
 
 class TestIdentification:

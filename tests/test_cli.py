@@ -510,3 +510,65 @@ class TestMalformedInputFiles:
         mech = write_json(tmp_path / "mech.json", GOOD_MECHANISM)
         obs = write_json(tmp_path / "reports.json", GOOD_REPORTS)
         assert main(["analyze", "--mechanism", mech, "--observations", obs]) == 0
+
+
+RAPPOR3 = {"mechanism": "rappor", "finite": False, "alphabet": {"kind": "linear", "values": [0, 1, 2]},
+           "params": {"eps_ldp": 1.0}}
+
+
+class TestRapporReportFiles:
+    """RAPPOR report files are read straight into the bit matrix a draw
+    makes; a key that is not a bit vector of the alphabet's length exits 2
+    and names the file."""
+
+    def test_round_trip_at_k70_is_byte_identical(self, tmp_path):
+        # 70 bits: two 64-bit words, and a width that is not a multiple of 8
+        cfg = base_config(tmp_path, dataset={"kind": "synthetic", "family": "binomial", "k": 70,
+                                             "p": 0.4, "n": 3000},
+                          alphabet={"kind": "linear", "lo": 0, "hi": 69},
+                          mechanism={"name": "rappor", "eps": [4.0]}, estimators=["rappor-decode"])
+        out, mech_out = tmp_path / "obs.json", tmp_path / "mech.json"
+        assert main(["obfuscate", "--config", cfg, "--out", str(out), "--mech-out", str(mech_out)]) == 0
+        mech = build_mechanism("rappor", build_alphabet({"kind": "linear", "lo": 0, "hi": 69}), 4.0)
+        read = reports_from_json(json.loads(out.read_text()), mech)
+        data = load_dataset(ExperimentConfig.from_dict(json.loads(open(cfg).read())).dataset,
+                            mech.input_alphabet, 424242)
+        drawn = obfuscate_dataset(mech, data.values, derive_rng(424242, 1, 0))
+        assert isinstance(read.reports, np.ndarray) and not read.reports.flags.writeable
+        np.testing.assert_array_equal(read.reports, drawn.reports)
+        np.testing.assert_array_equal(read.count_array, drawn.count_array)
+        rewritten = tmp_path / "again.json"
+        rewritten.write_text(json.dumps(reports_to_json(read), indent=2, sort_keys=True) + "\n")
+        assert rewritten.read_bytes() == out.read_bytes()
+        assert main(["analyze", "--mechanism", str(mech_out), "--observations", str(out)]) == 0
+
+    def test_keys_in_other_spellings_read_as_the_same_reports(self):
+        canonical = {"[1, 0, 0]": 2, "[0, 1, 1]": 1}
+        spelled = {"[1,0,0]": 2, " [0, 1,1 ] ": 1}
+        mech = build_mechanism("rappor", build_alphabet({"kind": "linear", "lo": 0, "hi": 2}), 1.0)
+        a = reports_from_json({"reports": canonical, "n": 3}, mech)
+        b = reports_from_json({"reports": spelled, "n": 3}, mech)
+        assert a.items() == b.items() == [((0, 1, 1), 1), ((1, 0, 0), 2)]
+        np.testing.assert_array_equal(a.reports, b.reports)
+
+    @pytest.mark.parametrize("key, error", [
+        ("[true, false, false]", "ObservationOutsideDomainError"),
+        ("[1, 0, false]", "ObservationOutsideDomainError"),
+        ("[1.0, 0, 0]", "ObservationOutsideDomainError"),
+        ("[2, 0, 0]", "ObservationOutsideDomainError"),
+        ("[null, 0, 0]", "ObservationOutsideDomainError"),
+        ("[1, 0]", "LengthMismatchError"),
+        ("[1, 0, 0, 1]", "LengthMismatchError"),
+        ("abc", "LengthMismatchError"),
+        ("[[1], 0, 0]", "is not a value a mechanism can output"),
+        ("[0,1,0]", "the same report"),
+    ], ids=["bools", "one-bool", "float", "two", "null", "short", "long", "label", "nested",
+            "same-report"])
+    def test_malformed_key(self, tmp_path, capsys, key, error):
+        mech = write_json(tmp_path / "mech.json", RAPPOR3)
+        obs = write_json(tmp_path / "bad-reports.json", {"reports": {key: 2, "[0, 1, 0]": 1}, "n": 3})
+        for command in (["analyze"], ["estimate", "--estimator", "rappor-decode",
+                                      "--out", str(tmp_path / "est.json")]):
+            assert main([*command, "--mechanism", mech, "--observations", obs]) == 2
+            err = capsys.readouterr().err
+            assert obs in err and error in err

@@ -17,6 +17,7 @@ from privdist.core import (
     FiniteMechanism,
     LinearAlphabet,
     ObservationSet,
+    ObsMatrix,
     PlanarAlphabet,
     distribution_new,
     obs_matrix,
@@ -215,6 +216,37 @@ class TestObsMatrix:
         mech = FiniteMechanism(AB, AB.values, np.eye(2))
         with pytest.raises(ObservationOutsideDomainError):
             obs_matrix(mech, from_reports(["a", "zzz"]))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_constructor_copies_a_writable_matrix(self, order):
+        # the caller's array stays writable and is not shared, so writing to
+        # it later cannot change the ObsMatrix; the copy keeps its layout
+        matrix = np.array([[0.25, 0.5, 1.0], [0.75, 0.5, 0.0]], order=order)
+        G = ObsMatrix(AB, ["x", "y", "z"], matrix, [1, 2, 3])
+        assert matrix.flags.writeable and not G.matrix.flags.writeable
+        assert not np.shares_memory(G.matrix, matrix)
+        assert G.matrix.flags.f_contiguous == (order == "F")
+        matrix[0, 0] = 0.0
+        assert G.matrix[0, 0] == 0.25
+
+    def test_entries_within_rounding_of_the_range_are_clipped(self):
+        matrix = np.array([[-1e-16, 1.0 + 1e-13], [0.5, 0.5]])
+        G = ObsMatrix(AB, ["x", "y"], matrix, [1, 1])
+        assert G.matrix.tolist() == [[0.0, 1.0], [0.5, 0.5]]
+        with pytest.raises(ValueError):
+            ObsMatrix(AB, ["x", "y"], [[-1e-14, 1.0], [0.5, 0.5]], [1, 1])
+
+    @pytest.mark.parametrize("entries, copied", [((0.25, 1.0), False), ((-1e-16, 1.0), True),
+                                                 ((0.25, 1.0 + 1e-13), True)])
+    def test_obs_matrix_keeps_the_kernel_array(self, entries, copied):
+        # the kernel's result is new and no caller holds it, so it is kept
+        # read-only as it is, unless an entry has to be clipped into [0, 1]
+        mech = FiniteMechanism(AB, AB.values, np.eye(2))
+        out = np.array([list(entries), [0.5, 0.5]])
+        mech.kernel = lambda xs, zs: out
+        G = obs_matrix(mech, from_reports(["a", "b"]))
+        assert (G.matrix is out) != copied and not G.matrix.flags.writeable
+        assert G.matrix.min() >= 0.0 and G.matrix.max() <= 1.0
 
 
 class TestFiniteMechanism:

@@ -437,6 +437,16 @@ class TestRapporDecode:
             with pytest.raises(LengthMismatchError):
                 rappor_bit_counts(ObservationSet(reports), alpha)
 
+    def test_bit_counts_stay_exact_past_float_precision(self):
+        # 2^53 + 1 is the first integer float64 cannot hold; the counts must
+        # still come back exact, as int64
+        bits = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        bits.flags.writeable = False
+        for counts, want in (([2 ** 53 - 2, 1], [1, 2 ** 53 - 1]), ([2 ** 53, 1], [1, 2 ** 53 + 1])):
+            obs = ObservationSet._canonical(bits, counts)
+            got = rappor_bit_counts(obs, LinearAlphabet.range(0, 1))
+            assert got.dtype == np.int64 and got.tolist() == want
+
     def test_bit_counts_of_empty_set(self):
         counts = rappor_bit_counts(ObservationSet({}), LinearAlphabet.range(0, 3))
         np.testing.assert_array_equal(counts, np.zeros(4, dtype=np.int64))

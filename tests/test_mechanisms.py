@@ -18,6 +18,7 @@ from privdist.core import (
     LinearAlphabet,
     ObservationSet,
     PlanarAlphabet,
+    _value_key,
     obs_matrix,
 )
 from privdist.errors import (
@@ -45,12 +46,13 @@ from privdist.mechanisms import (
     build_laplace_linear_discretized,
     build_laplace_planar_discretized,
     build_rappor,
+    canonical_rows,
     obfuscate_dataset,
     rappor_bits,
     rappor_keep_prob,
 )
 
-from oracles import cond_prob, sample_counts
+from oracles import cond_prob, sample_counts, void_sort_draw
 
 
 class TestKrr:
@@ -468,9 +470,9 @@ class TestRappor:
 
 
 class TestRapporReportStore:
-    """Drawn RAPPOR reports are stored as a uint8 matrix; read back from JSON
-    (``ObservationSet`` over a dict, as the CLI does) they are tuples.  Both
-    stores must give the same results everywhere."""
+    """Drawn RAPPOR reports are stored as a uint8 matrix; counted from a dict
+    (``ObservationSet`` over tuples) they are tuples.  Both stores must give
+    the same results everywhere."""
 
     @pytest.mark.parametrize("k", [1, 7, 8, 9, 64])  # packbits widths 1, 1, 1, 2, 8 bytes
     def test_matrix_store_matches_tuple_store(self, k):
@@ -505,6 +507,46 @@ class TestRapporReportStore:
             rappor_bits(matrix, 3)
         with pytest.raises(error):
             rappor_bits(tuples, 3)
+
+
+class TestRapporWordSort:
+    """``draw`` counts RAPPOR reports by sorting them as big-endian 64-bit
+    words; it must give what a byte-wise ``np.void`` sort of the packed rows
+    gives, in canonical (JSON-key) order."""
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 65, 128, 130])  # 1, 1, 1, 1, 1, 1, 2, 2, 3 words
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_void_sort(self, k, seed):
+        alphabet = LinearAlphabet.range(0, k - 1)
+        mech = build_rappor(alphabet, (0.5, 2.0, 6.0, 0.0, 30.0)[seed])
+        counts = [int(c) for c in np.random.default_rng(seed).integers(0, 25, size=k)]
+        bits, cnts = mech.draw(alphabet.values, counts, np.random.default_rng(100 + seed))
+        want_bits, want_cnts = void_sort_draw(mech, alphabet.values, counts,
+                                              np.random.default_rng(100 + seed))
+        assert bits.dtype == np.uint8 and not bits.flags.writeable
+        np.testing.assert_array_equal(bits, want_bits)
+        assert cnts.dtype == np.int64
+        np.testing.assert_array_equal(cnts, want_cnts)
+        assert cnts.sum() == sum(counts)
+        keys = [_value_key(tuple(row)) for row in bits.tolist()]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_rows_that_differ_only_in_a_later_word(self):
+        # equal first words leave the order to the second and third words
+        k = 130
+        rows = np.zeros((6, k), dtype=np.uint8)
+        rows[[1, 4], 100] = 1
+        rows[[2, 4], 129] = 1
+        rows[5, 0] = 1
+        distinct, where = canonical_rows(np.packbits(rows, axis=1), k)
+        assert [_value_key(tuple(r)) for r in distinct.tolist()] == sorted(
+            _value_key(tuple(r)) for r in np.unique(rows, axis=0).tolist())
+        np.testing.assert_array_equal(distinct[where], rows)
+        assert where.tolist() == [0, 2, 1, 0, 3, 4]
+
+    def test_no_reports(self):
+        bits, cnts = build_rappor(LinearAlphabet.range(0, 69), 1.0).draw([], [], np.random.default_rng(0))
+        assert bits.shape == (0, 70) and cnts.shape == (0,)
 
 
 class TestObfuscateDataset:
