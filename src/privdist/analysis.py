@@ -88,10 +88,10 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     The rank counts singular values above RANK_TOL * sigma_max * max(dims).
     With more than 2k columns, full rank is first sought on 2k columns
     spaced evenly across the canonical order: deleting columns never raises
-    a singular value, and the Frobenius norm bounds sigma_max, so a sample
-    whose k-th singular value exceeds RANK_TOL * ||[A | 1]||_F * max(dims)
-    certifies full rank.  Only the sampled columns are scaled, and the norm
-    is bounded from per-column sums of squares (``_scaled_frobenius_bound``).
+    a singular value, and the scaled entries lie in [0, 1], so sigma_max is
+    at most ||[A | 1]||_F <= sqrt(k * cols) < isqrt(k * cols) + 1.  A sample
+    whose k-th singular value exceeds RANK_TOL * (isqrt(k * cols) + 1) *
+    max(dims) certifies full rank.  Only the sampled columns are scaled.
     Otherwise the whole matrix decides, and only then is the scaled [A | 1]
     built.
     """
@@ -105,7 +105,7 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
         sample = np.ones((k, 2 * k))
         np.divide(A[:, picked], scale[picked], out=sample[:, :-1])
         s = np.linalg.svd(sample, compute_uv=False)
-        if s[k - 1] > RANK_TOL * _scaled_frobenius_bound(A, scale) * size:
+        if s[k - 1] > RANK_TOL * (math.isqrt(k * cols) + 1) * size:
             return ConcavityReport(True, k, k)
     augmented = np.hstack([A, np.ones((k, 1))])
     augmented /= np.append(scale, 1.0)
@@ -122,21 +122,6 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     pivot = np.argmax(np.abs(w))
     w = w / w[pivot]
     return ConcavityReport(False, rank, k, witness=w)
-
-
-def _scaled_frobenius_bound(A: np.ndarray, scale: np.ndarray) -> float:
-    """An upper bound on the Frobenius norm of [A | 1] with each column of A
-    divided by its ``scale``, never below what np.linalg.norm gives for that
-    matrix once built.  Column j adds sum_i A_ij^2 / scale_j^2, or k where
-    scale_j^2 would fall out of the normal range: the scaled entries lie in
-    [0, 1], so k bounds every column.  A float sum of n terms is off by at
-    most n rounding units (eps / 2) relative, and so is np.linalg.norm's,
-    so the sum of squares is rounded outward by a factor 1 + 4 n eps."""
-    k = A.shape[0]
-    squares = np.divide(np.einsum("ij,ij->j", A, A), scale * scale,
-                        out=np.full(scale.shape, float(k)), where=scale > 2.0 ** -500)
-    n_terms = A.size + k
-    return math.sqrt((squares.sum() + k) * (1.0 + 4.0 * n_terms * np.finfo(float).eps))
 
 
 def identification_check(mech: FiniteMechanism) -> bool:

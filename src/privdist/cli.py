@@ -45,7 +45,6 @@ from .errors import (
     FailureThresholdExceededError,
     IncompatibleEstimatorError,
     InvalidSpecError,
-    LengthMismatchError,
     MalformedInputError,
     ObservationOutsideDomainError,
     PrivDistError,
@@ -133,7 +132,11 @@ def mechanism_to_json(mech) -> dict:
 
 
 def mechanism_from_json(d: dict):
+    if not isinstance(d, dict):
+        raise TypeError("a mechanism is a JSON object")
     kind = d.get("mechanism", "custom")
+    if not isinstance(kind, str):
+        raise TypeError(f"mechanism kind {kind!r} is not a string")
     if d.get("finite"):
         return FiniteMechanism(alphabet_from_json(d["alphabet"]), [_tupled(z) for z in d["outputs"]],
                                d["matrix"], kind=kind, params=d.get("params"),
@@ -173,16 +176,26 @@ def reports_from_json(d: dict, mech) -> ObservationSet:
     into the bit matrix that a draw makes (``_bit_reports``).  Otherwise
     each key becomes the output in ``mech.output_values()`` that is written
     under it, so a label such as "null" or "1e3" stays a label; other keys,
-    and every key when there are no finite outputs, are decoded as JSON."""
+    and every key when there are no finite outputs, are decoded as JSON.
+    ``n`` and every count must be JSON integers, not 2.5 or true."""
+    reports, n = d["reports"], d["n"]
+    if not isinstance(reports, dict):
+        raise TypeError("reports are a JSON object of counts")
+    if not (_is_int(n) and all(map(_is_int, reports.values()))):
+        raise TypeError("n and every report count must be integers")
     if isinstance(mech, BitVectorMechanism):
-        obs = _bit_reports(d["reports"], mech.input_alphabet.size)
+        obs = _bit_reports(reports, mech.input_alphabet.size)
     else:
         outputs = mech.output_values() if mech is not None else None
         known = {_value_key(z): z for z in outputs or ()}
-        obs = ObservationSet({known[k] if k in known else _decoded(k): c for k, c in d["reports"].items()})
-    if obs.n != d["n"]:
+        obs = ObservationSet({known[k] if k in known else _decoded(k): c for k, c in reports.items()})
+    if obs.n != n:
         raise ValueError("stored n disagrees with the report counts")
     return obs
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _bit_reports(reports: dict, k: int) -> ObservationSet:
@@ -265,75 +278,27 @@ def cmd_obfuscate(args) -> int:
     _write_json(out, reports_to_json(obs))
     if args.mech_out:
         _write_json(args.mech_out, mechanism_to_json(mech))
-    print(f"wrote {obs.n} reports ({len(obs.counts)} distinct) to {out}")
+    print(f"wrote {obs.n} reports ({len(obs.reports)} distinct) to {out}")
     return 0
 
 
-# mechanism file kind -> the keys it needs, and the keys its "params" need
-_MECHANISM_NEEDS = {
-    "finite": (("alphabet", "outputs", "matrix"), ()),
-    "geometric-linear": (("params",), ("eps_geo",)),
-    "rappor": (("alphabet", "params"), ("eps_ldp",)),
-}
-# alphabet kind -> the keys it reads
-_ALPHABET_NEEDS = {"categorical": ("labels",), "linear": ("values",), "explicit": ("values",),
-                   "planar": ("centers", "cell_width_km")}
-
-
-def _require(path: str, d, keys, what: str) -> dict:
-    """``d`` itself, if it is a JSON object holding ``keys``; otherwise a
-    MalformedInputError that names the file."""
-    if not isinstance(d, dict):
-        raise MalformedInputError(f"{path}: {what} is not a JSON object")
-    missing = [key for key in keys if key not in d]
-    if missing:
-        raise MalformedInputError(f"{path}: {what} lacks {', '.join(map(repr, missing))}")
-    return d
-
-
-def _read_input(path: str, keys, what: str) -> dict:
+def _read_input(path: str, reader, *args):
+    """``reader`` applied to the JSON in ``path``.  Whatever the reader
+    refuses (a missing key, a value of the wrong type, a file that is not
+    JSON, a value the library rejects) becomes a MalformedInputError that
+    names the file; a missing file stays a FileNotFoundError."""
     try:
-        d = _read_json(path)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"{path}: not a JSON file ({exc})") from exc
-    return _require(path, d, keys, what)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+        return reader(_read_json(path), *args)
+    except (KeyError, TypeError, ValueError, PrivDistError) as exc:
+        raise MalformedInputError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_mechanism(path: str):
-    d = _read_input(path, (), "the mechanism")
-    kind = d.get("mechanism", "custom")
-    if not isinstance(kind, str):
-        raise MalformedInputError(f"{path}: its mechanism kind {kind!r} is not a string")
-    keys, params = _MECHANISM_NEEDS.get("finite" if d.get("finite") else kind, ((), ()))
-    _require(path, d, keys, "the mechanism")
-    if "alphabet" in keys:
-        alphabet = _require(path, d["alphabet"], ("kind",), "its alphabet")
-        kind = alphabet["kind"]  # alphabet_from_json refuses a kind it does not know
-        _require(path, alphabet, _ALPHABET_NEEDS.get(kind, ()) if isinstance(kind, str) else (), "its alphabet")
-    if params:
-        _require(path, d["params"], params, "its params")
-    try:
-        return mechanism_from_json(d)
-    except (TypeError, ValueError, PrivDistError) as exc:
-        # an unknown kind, or values the mechanism or its alphabet refuse
-        raise MalformedInputError(f"{path}: {exc}") from exc
+    return _read_input(path, mechanism_from_json)
 
 
 def _load_observations(path: str, mech) -> ObservationSet:
-    d = _read_input(path, ("reports", "n"), "the report file")
-    reports = _require(path, d["reports"], (), "its reports")
-    if not (_is_int(d["n"]) and all(map(_is_int, reports.values()))):
-        raise MalformedInputError(f"{path}: n and every report count must be integers")
-    try:
-        return reports_from_json(d, mech)
-    except ValueError as exc:  # a count below 1, or an n that disagrees with the counts
-        raise MalformedInputError(f"{path}: {exc}") from exc
-    except (LengthMismatchError, ObservationOutsideDomainError) as exc:  # a RAPPOR key that is no bit vector
-        raise MalformedInputError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    return _read_input(path, reports_from_json, mech)
 
 
 def cmd_estimate(args) -> int:

@@ -281,21 +281,20 @@ def build_laplace_linear_discretized(alphabet: LinearAlphabet, eps_geo: float) -
     """Laplace noise on the line, binned back onto a contiguous integer range.
 
     Cell boundaries sit at midpoints between adjacent values; the two extreme
-    cells absorb the tails, so each row is an exact CDF telescope.
+    cells absorb the tails, so each row is an exact CDF telescope.  Cell j's
+    upper edge lies j - i + 0.5 above input i, so the CDF is evaluated once
+    per offset d = -k..k-1 (entry d + k), then 1 and 0 for the open ends.
     """
     require_eps(eps_geo)
     if not isinstance(alphabet, LinearAlphabet) or not alphabet.is_contiguous:
         raise NonContiguousAlphabetError("the alphabet must be a contiguous integer range")
     vals = alphabet.values
     k = len(vals)
-    edges = [-math.inf] + [v + 0.5 for v in vals[:-1]] + [math.inf]
-    matrix = np.empty((k, k))
-    for i, x in enumerate(vals):
-        for j in range(k):
-            lo, hi = edges[j], edges[j + 1]
-            hi_cdf = 1.0 if hi == math.inf else _laplace_cdf(hi - x, eps_geo)
-            lo_cdf = 0.0 if lo == -math.inf else _laplace_cdf(lo - x, eps_geo)
-            matrix[i, j] = hi_cdf - lo_cdf
+    cdf = np.array([_laplace_cdf(d + 0.5, eps_geo) for d in range(-k, k)] + [1.0, 0.0])
+    hi = np.arange(k) - np.arange(k)[:, None] + k
+    lo = hi - 1
+    hi[:, -1], lo[:, 0] = 2 * k, 2 * k + 1
+    matrix = cdf[hi] - cdf[lo]
     return FiniteMechanism(
         alphabet,
         vals,
@@ -326,10 +325,7 @@ def build_exponential(alphabet: Alphabet, metric, eps_geo: float) -> FiniteMecha
     require_eps(eps_geo)
     k = alphabet.size
     if callable(metric):
-        dist = np.empty((k, k))
-        for i, x in enumerate(alphabet.values):
-            for j, z in enumerate(alphabet.values):
-                dist[i, j] = metric(x, z)
+        dist = np.array([[metric(x, z) for z in alphabet.values] for x in alphabet.values], dtype=float)
     else:
         dist = np.asarray(metric, dtype=float)
         if dist.shape != (k, k):

@@ -8,12 +8,14 @@ one-input forms of the batch calls, which read more plainly in tests.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from privdist.analysis import RANK_TOL, ConcavityReport
 from privdist.core import Distribution, Mechanism, ObservationSet, ObsMatrix
 from privdist.errors import ElementOutsideAlphabetError, PrivDistError
+from privdist.mechanisms import _laplace_cdf
 
 
 class AlphabetTooLargeError(PrivDistError):
@@ -57,6 +59,22 @@ def void_sort_draw(mech, xs, counts, rng: np.random.Generator):
     rows = np.concatenate(packed)
     keys, cnts = np.unique(rows.view(np.dtype((np.void, width))).ravel(), return_counts=True)
     return np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=k), cnts
+
+
+def laplace_linear_cells(values, eps: float) -> np.ndarray:
+    """The discretized Laplace-line matrix cell by cell: row i, column j is
+    the Laplace CDF mass between the midpoints around ``values[j]``, with
+    the two extreme cells open to the tails."""
+    k = len(values)
+    edges = [-math.inf] + [v + 0.5 for v in values[:-1]] + [math.inf]
+    matrix = np.empty((k, k))
+    for i, x in enumerate(values):
+        for j in range(k):
+            lo, hi = edges[j], edges[j + 1]
+            hi_cdf = 1.0 if hi == math.inf else _laplace_cdf(hi - x, eps)
+            lo_cdf = 0.0 if lo == -math.inf else _laplace_cdf(lo - x, eps)
+            matrix[i, j] = hi_cdf - lo_cdf
+    return matrix
 
 
 def is_unlikely(mech: Mechanism, obs: ObservationSet, x_prime, x_candidate) -> bool:

@@ -8,7 +8,6 @@ import pytest
 
 from privdist.analysis import (
     RANK_TOL,
-    _scaled_frobenius_bound,
     identification_check,
     inv_geometric_error_lower_bound,
     inv_krr_error_bound,
@@ -313,9 +312,9 @@ def _rappor_obs_matrices():
 
 class TestConcavityScalesOnlyTheSample:
     """The check scales only its sampled columns and bounds the norm of the
-    scaled [A | 1] from per-column sums of squares; its verdicts, ranks and
-    witnesses must be the full-matrix rule's, and the bound must never fall
-    below the norm of the matrix the full rule builds."""
+    scaled [A | 1] by isqrt(k * cols) + 1; its verdicts, ranks and witnesses
+    must be the full-matrix rule's, and the bound must never fall below the
+    norm of the matrix the full rule builds."""
 
     def test_random_inputs_match_the_full_rule(self):
         reports = [_same_report(G) for G in _random_obs_matrices(240, seed=71)]
@@ -326,35 +325,16 @@ class TestConcavityScalesOnlyTheSample:
         reports = [_same_report(G) for G in _rappor_obs_matrices()]
         assert {rep.strictly_concave for rep in reports} == {True, False}
 
-    def test_frobenius_bound_is_never_below_the_norm(self):
-        # columns whose squared scale leaves the normal range count k each,
-        # so only without them is the bound as tight as the norm
-        guarded = 0
+    def test_integer_bound_is_never_below_the_norm(self):
+        # the scaled entries lie in [0, 1], so isqrt(k * cols) + 1 bounds the
+        # Frobenius norm of the scaled [A | 1], and with it sigma_max
         for G in (*_random_obs_matrices(240, seed=72), *_rappor_obs_matrices()):
             scale = G.matrix.max(axis=0)
             scale = np.where(scale > 0, scale, 1.0)
             augmented = np.hstack([G.matrix, np.ones((G.alphabet.size, 1))])
             augmented /= np.append(scale, 1.0)
-            norm = np.linalg.norm(augmented)
-            bound = _scaled_frobenius_bound(G.matrix, scale)
-            assert norm <= bound
-            if (scale > 2.0 ** -500).all():
-                assert bound <= norm * (1.0 + 1e-9)
-            else:
-                guarded += 1
-        assert guarded > 0
-
-    def test_bound_rounds_outward(self):
-        # 4,000 columns of equal squares: the sum of squares rounds, and the
-        # bound still sits above the norm numpy computes
-        rng = np.random.default_rng(3)
-        matrix = rng.uniform(0.1, 1.0, size=(64, 4000))
-        scale = matrix.max(axis=0)
-        augmented = np.hstack([matrix / scale, np.ones((64, 1))])
-        exact = math.sqrt(math.fsum((augmented ** 2).ravel().tolist()))
-        bound = _scaled_frobenius_bound(matrix, scale)
-        assert bound >= max(exact, np.linalg.norm(augmented))
-        assert bound <= exact * (1.0 + 1e-9)
+            k, cols = augmented.shape
+            assert np.linalg.norm(augmented) <= math.isqrt(k * cols) + 1
 
 
 class TestIdentification:

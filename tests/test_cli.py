@@ -462,8 +462,12 @@ class TestMalformedInputFiles:
         {"reports": {"1": 2, "{\"a\": 1}": 1}, "n": 3},
         {"reports": {"1": 2, "[[1]]": 1}, "n": 3},
         "not json",
+        {"reports": None, "n": 3},
+        {"reports": {"1": 2, "2": 1}, "n": None},
+        {"reports": {"1": 2, "2": None}, "n": 3},
     ], ids=["list", "no-reports", "no-n", "reports-list", "n-string", "n-bool", "float-counts",
-            "n-disagrees", "zero-count", "key-object", "key-nested-list", "not-json"])
+            "n-disagrees", "zero-count", "key-object", "key-nested-list", "not-json",
+            "reports-null", "n-null", "count-null"])
     def test_report_file(self, tmp_path, capsys, reports):
         mech = write_json(tmp_path / "mech.json", GOOD_MECHANISM)
         obs = tmp_path / "bad-reports.json"
@@ -494,11 +498,15 @@ class TestMalformedInputFiles:
         {"mechanism": "rappor", "finite": False, "alphabet": RAPPOR_ALPHABET,
          "params": {"eps_ldp": -1.0}},
         "{",
+        {**GOOD_MECHANISM, "mechanism": ["krr"]},
+        {"mechanism": "rappor", "finite": False, "alphabet": RAPPOR_ALPHABET, "params": None},
+        {**GOOD_MECHANISM, "alphabet": None},
     ], ids=["list", "finite-no-alphabet", "finite-no-matrix", "rappor-no-params",
             "rappor-no-eps", "rappor-no-alphabet", "line-no-eps", "line-params-list",
             "alphabet-no-labels", "alphabet-no-values", "alphabet-no-width", "alphabet-list",
             "kind-list", "kind-unknown", "alphabet-kind-unknown", "rows-not-stochastic",
-            "matrix-shape", "eps-negative", "not-json"])
+            "matrix-shape", "eps-negative", "not-json", "finite-kind-list", "params-null",
+            "alphabet-null"])
     def test_mechanism_file(self, tmp_path, capsys, mechanism):
         mech = tmp_path / "bad-mechanism.json"
         mech.write_text(mechanism if isinstance(mechanism, str) else json.dumps(mechanism))

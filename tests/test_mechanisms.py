@@ -52,7 +52,7 @@ from privdist.mechanisms import (
     rappor_keep_prob,
 )
 
-from oracles import cond_prob, sample_counts, void_sort_draw
+from oracles import cond_prob, laplace_linear_cells, sample_counts, void_sort_draw
 
 
 class TestKrr:
@@ -300,6 +300,13 @@ class TestLaplaceLinear:
     def test_non_contiguous(self):
         with pytest.raises(NonContiguousAlphabetError):
             build_laplace_linear_discretized(LinearAlphabet([0, 2, 3]), 1.0)
+
+    @pytest.mark.parametrize("lo, k", [(0, 1), (0, 2), (-3, 10), (5, 18), (-50, 100), (0, 150)])
+    def test_matches_the_cell_by_cell_matrix(self, lo, k):
+        alphabet = LinearAlphabet.range(lo, lo + k - 1)
+        for eps in (1e-3, 0.31, math.log(4.0), 2.0, 40.0):
+            np.testing.assert_array_equal(build_laplace_linear_discretized(alphabet, eps).matrix,
+                                          laplace_linear_cells(alphabet.values, eps))
 
 
 class TestLaplacePlanar:
