@@ -61,6 +61,7 @@ from .reduction import (
     likely_krr,
     likely_linear,
     likely_planar,
+    likely_subset,
     restrict_and_lift,
 )
 from .metrics import emd, emd_1d, emd_planar, l2sq, min_cost_transport, tv

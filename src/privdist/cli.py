@@ -68,7 +68,7 @@ from .mechanisms import (
     obfuscate_dataset,
     rappor_bits,
 )
-from .reduction import lift, likely_krr, likely_linear, likely_planar, restricted_alphabet
+from .reduction import lift, likely_subset
 
 _IO_ERRORS = (OSError, EmptyDatasetError, TooManyMalformedRowsError, BBoxGridMismatchError,
               MalformedInputError)
@@ -162,10 +162,18 @@ def _decoded(key: str):
 
 def reports_to_json(obs: ObservationSet) -> dict:
     """Counts under each report's JSON key.  Reports that share a key (1 and
-    "1") are refused, as their counts would be merged on write."""
-    items = obs.items()
-    reports = {_value_key(v): c for v, c in items}
-    if len(reports) < len(items):
+    "1") are refused, as their counts would be merged on write.  RAPPOR's
+    bit matrix is spelled in one pass, as ``_value_key`` spells each row."""
+    if isinstance(obs.reports, np.ndarray):
+        template, digits = _bit_key_template(obs.reports.shape[1])
+        chars = np.tile(template, (len(obs.reports), 1))
+        chars[:, digits] += obs.reports
+        text = chars.tobytes().decode("ascii")
+        keys = [text[j:j + template.size] for j in range(0, len(text), template.size)]
+    else:
+        keys = list(map(_value_key, obs.reports))
+    reports = dict(zip(keys, obs.count_array.tolist()))
+    if len(reports) < len(keys):
         raise ValueError("two distinct reports share a JSON key; their counts would be merged")
     return {"reports": reports, "n": obs.n}
 
@@ -198,6 +206,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _bit_key_template(k: int) -> tuple:
+    """The key "[0, 0, ..., 0]" of k zero bits as uint8 characters, and the
+    mask of its digits, where the key of any k-bit report has its bits."""
+    template = np.frombuffer(json.dumps([0] * k).encode(), dtype=np.uint8)
+    return template, template == ord("0")
+
+
 def _bit_reports(reports: dict, k: int) -> ObservationSet:
     """RAPPOR reports of k bits as the (m, k) uint8 store, in canonical order
     (``canonical_rows``).
@@ -209,12 +224,11 @@ def _bit_reports(reports: dict, k: int) -> ObservationSet:
     for an entry such as 2, 1.0 or true.  Two keys that decode to the same
     report are refused, as one of their counts would be lost."""
     keys = list(reports)
-    template = np.frombuffer(json.dumps([0] * k).encode(), dtype=np.uint8)
+    template, digits = _bit_key_template(k)
     fits = np.flatnonzero(np.fromiter(map(len, keys), dtype=np.intp, count=len(keys)) == template.size)
     # "replace" writes one byte per character, so each row stays template.size long
     chars = np.frombuffer("".join(keys[i] for i in fits).encode("ascii", "replace"),
                           dtype=np.uint8).reshape(-1, template.size)
-    digits = template == ord("0")
     bits = chars[:, digits] - np.uint8(ord("0"))
     written = (bits <= 1).all(axis=1) & (chars[:, ~digits] == template[~digits]).all(axis=1)
     rows = np.empty((len(keys), k), dtype=np.uint8)
@@ -302,15 +316,17 @@ def _load_observations(path: str, mech) -> ObservationSet:
 
 
 def cmd_estimate(args) -> int:
+    if args.likely_subset and args.estimator != "ibu":
+        raise IncompatibleEstimatorError(f"--likely-subset applies to ibu only, not {args.estimator}")
     mech = _load_mechanism(args.mechanism)
     obs = _load_observations(args.observations, mech)
     alphabet = mech.input_alphabet if isinstance(mech.input_alphabet, Alphabet) else None
 
     subset = None
     try:
-        if args.estimator == "ibu" and args.likely_subset:
-            subset = _build_subset(mech, obs)
-            alphabet = restricted_alphabet(subset)
+        if args.likely_subset:
+            subset = likely_subset(mech, obs)
+            alphabet = subset.alphabet
         if alphabet is None:
             hint = "; use --likely-subset" if args.estimator == "ibu" else ""
             raise IncompatibleEstimatorError(f"{args.estimator} needs a finite input alphabet{hint}")
@@ -335,23 +351,10 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _build_subset(mech, obs):
-    alphabet = mech.input_alphabet
-    if mech.kind == "krr":
-        return likely_krr(alphabet, obs)
-    if mech.distance_monotone and isinstance(alphabet, PlanarAlphabet):
-        return likely_planar(alphabet, obs)
-    if mech.distance_monotone and (alphabet is INTEGER_LINE or isinstance(alphabet, LinearAlphabet)):
-        return likely_linear(alphabet, obs)
-    raise IncompatibleEstimatorError(
-        f"no likely-subset construction applies to mechanism kind {mech.kind!r}"
-    )
-
-
 def cmd_reduce(args) -> int:
     mech = _load_mechanism(args.mechanism)
     obs = _load_observations(args.observations, mech)
-    subset = _build_subset(mech, obs)
+    subset = likely_subset(mech, obs)
     _write_json(args.out, subset_to_json(subset))
     print(f"likely subset: {subset.size} members ({subset.construction}); wrote {args.out}")
     return 0

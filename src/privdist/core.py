@@ -126,10 +126,13 @@ class LinearAlphabet(Alphabet):
     kind = "linear"
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
+        vals = tuple(values)
+        for v in vals:
+            if v not in INTEGER_LINE:
+                raise ValueError(f"linear alphabet values must be integers, not {v!r}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("linear alphabet values must be strictly increasing")
-        super().__init__(vals)
+        super().__init__(map(int, vals))
 
     @classmethod
     def range(cls, lo: int, hi: int) -> "LinearAlphabet":
@@ -291,6 +294,10 @@ def tally(domain, data: Sequence) -> tuple:
 # Observations
 # ---------------------------------------------------------------------------
 
+# The types a report may have: those that ``_value_key`` can name.
+_REPORT_TYPES = (str, tuple, int, np.integer, float, np.floating)
+
+
 def _value_key(v) -> str:
     """Stable JSON-object key for an observed value."""
     if isinstance(v, str):
@@ -299,7 +306,7 @@ def _value_key(v) -> str:
         return json.dumps(list(v))
     if isinstance(v, (int, np.integer)):
         return json.dumps(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, _REPORT_TYPES):  # what is left of them: a float
         return json.dumps(float(v))
     raise TypeError(f"cannot serialize observation value {v!r}")
 
@@ -429,6 +436,9 @@ class FiniteMechanism(Mechanism):
                  params: dict = None):
         super().__init__(input_alphabet)
         outputs = tuple(outputs)
+        for z in outputs:
+            if not isinstance(z, _REPORT_TYPES):
+                raise TypeError(f"output {z!r} is not a string, number or tuple, so no report can name it")
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (input_alphabet.size, len(outputs)):
             raise LengthMismatchError(

@@ -37,38 +37,22 @@ def convex_hull(points) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from each point to the segment [a, b]."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip(((points - a) @ ab) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(points - proj, axis=1)
-
-
 def distance_to_hull(points, hull: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to a convex hull (zero inside).
 
-    ``hull`` is the vertex array produced by :func:`convex_hull`; one or two
-    vertices are handled as a point or a segment.
+    ``hull`` is the vertex array produced by :func:`convex_hull`.  Every
+    edge runs from one vertex to the next, the last back to the first; a
+    one-vertex hull has one zero-length edge, which is that vertex, and a
+    two-vertex hull is its segment walked both ways.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    hull = np.asarray(hull, dtype=float)
-    if hull.shape[0] == 1:
-        return np.linalg.norm(pts - hull[0], axis=1)
-    if hull.shape[0] == 2:
-        return _segment_distance(pts, hull[0], hull[1])
-    edges = list(zip(hull, np.roll(hull, -1, axis=0)))
-    dist = np.min(
-        np.stack([_segment_distance(pts, a, b) for a, b in edges]), axis=0
-    )
-    inside = np.ones(pts.shape[0], dtype=bool)
-    for a, b in edges:
-        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-        inside &= cross >= 0  # hull is counter-clockwise
-    out = dist.copy()
-    out[inside] = 0.0
-    return out
-
+    a = np.asarray(hull, dtype=float)
+    ab = np.roll(a, -1, axis=0) - a
+    ap = pts[:, None, :] - a  # (points, edges, 2)
+    length2 = (ab * ab).sum(axis=1)
+    t = np.clip((ap * ab).sum(axis=2) / np.where(length2 > 0, length2, 1.0), 0.0, 1.0)
+    dist = np.sqrt(((pts[:, None, :] - (a + t[..., None] * ab)) ** 2).sum(axis=2)).min(axis=1)
+    # Inside is strictly left of every counter-clockwise edge.  No point is
+    # inside a hull of one or two vertices; a point on an edge has dist 0.
+    inside = (ab[:, 0] * ap[..., 1] - ab[:, 1] * ap[..., 0] > 0).all(axis=1)
+    return np.where(inside, 0.0, dist)

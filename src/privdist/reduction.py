@@ -6,11 +6,12 @@ likelihood maximizer puts probability zero on unlikely elements, so they may
 be dropped before estimating.  Three constructions identify likely subsets
 without scanning the whole alphabet: an interval for distance-monotone
 kernels on the line, an extended convex hull on planar grids, and the set of
-observed values under k-RR.
+observed values under k-RR; ``likely_subset`` picks the one that fits.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -25,11 +26,7 @@ from .core import (
     PlanarAlphabet,
     obs_matrix,
 )
-from .errors import (
-    ElementOutsideAlphabetError,
-    EmptyObservationsError,
-    ObservationOutsideDomainError,
-)
+from .errors import EmptyObservationsError, IncompatibleEstimatorError, ObservationOutsideDomainError
 from .estimators import DEFAULT_TOL, ibu
 from .geometry import convex_hull, distance_to_hull
 
@@ -37,32 +34,46 @@ from .geometry import convex_hull, distance_to_hull
 class LikelySubset:
     """A sub-alphabet outside of which every element is unlikely.
 
-    ``parent`` is the full alphabet, or INTEGER_LINE when the domain is the
-    whole integer line; ``construction`` records which rule produced the
-    subset and ``meta`` its parameters (interval ends, hull, radii).
+    ``parent`` is the full alphabet, or INTEGER_LINE for the whole integer
+    line.  ``alphabet`` holds the members, which lie in the parent, and is
+    what IBU runs on: a LinearAlphabet of integer members, otherwise an
+    explicit Alphabet in the parent's order.  ``construction`` names the
+    rule below that built the subset and ``meta`` its parameters.
     """
 
-    CONSTRUCTIONS = ("linear-interval", "planar-hull", "krr-observed")
-
-    def __init__(self, parent, members, construction: str, meta: dict = None):
-        if construction not in self.CONSTRUCTIONS:
-            raise ValueError(f"unknown construction {construction!r}")
-        members = tuple(members)
-        if isinstance(parent, Alphabet):
-            for m in members:
-                if m not in parent:
-                    raise ElementOutsideAlphabetError(f"{m!r} is not in the parent alphabet")
+    def __init__(self, parent, alphabet: Alphabet, construction: str, meta: dict):
         self.parent = parent
-        self.members = members
+        self.alphabet = alphabet
         self.construction = construction
-        self.meta = dict(meta or {})
+        self.meta = meta
+
+    @property
+    def members(self) -> tuple:
+        return self.alphabet.values
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.alphabet.size
 
     def __repr__(self):
         return f"LikelySubset({self.construction}, size={self.size})"
+
+
+def likely_subset(mech: Mechanism, obs: ObservationSet) -> LikelySubset:
+    """The likely subset of the construction that fits ``mech``: the observed
+    values under k-RR, and for a distance-monotone kernel the hull on a
+    planar grid or the interval on a linear alphabet or INTEGER_LINE.
+    Raises IncompatibleEstimatorError when none fits, as for RAPPOR."""
+    alphabet = mech.input_alphabet
+    if mech.kind == "krr":
+        return likely_krr(alphabet, obs)
+    if mech.distance_monotone and isinstance(alphabet, PlanarAlphabet):
+        return likely_planar(alphabet, obs)
+    if mech.distance_monotone and (alphabet is INTEGER_LINE or isinstance(alphabet, LinearAlphabet)):
+        return likely_linear(alphabet, obs)
+    raise IncompatibleEstimatorError(
+        f"no likely-subset construction applies to mechanism kind {mech.kind!r}"
+    )
 
 
 def likely_linear(alphabet, obs: ObservationSet) -> LikelySubset:
@@ -76,24 +87,20 @@ def likely_linear(alphabet, obs: ObservationSet) -> LikelySubset:
     """
     if obs.n < 1:
         raise EmptyObservationsError("cannot reduce without observations")
-    reports = obs.values()
-    zmin = min(reports)
-    zmax = max(reports)
+    zmin = min(obs.reports)
+    zmax = max(obs.reports)
     if alphabet is INTEGER_LINE:
         lo = math.floor(zmin)
         hi = math.ceil(zmax)
-        members = tuple(range(lo, hi + 1))
-        return LikelySubset(INTEGER_LINE, members, "linear-interval",
+        return LikelySubset(INTEGER_LINE, LinearAlphabet.range(lo, hi), "linear-interval",
                             {"x_min": lo, "x_max": hi})
     if not isinstance(alphabet, LinearAlphabet):
         raise ValueError("likely_linear requires a linear alphabet or INTEGER_LINE")
     vals = alphabet.values
-    below = [x for x in vals if x <= zmin]
-    above = [x for x in vals if x >= zmax]
-    lo = max(below) if below else vals[0]
-    hi = min(above) if above else vals[-1]
-    members = tuple(x for x in vals if lo <= x <= hi)
-    return LikelySubset(alphabet, members, "linear-interval", {"x_min": lo, "x_max": hi})
+    lo = max(bisect.bisect_right(vals, zmin) - 1, 0)
+    hi = min(bisect.bisect_left(vals, zmax), len(vals) - 1)
+    return LikelySubset(alphabet, LinearAlphabet(vals[lo:hi + 1]), "linear-interval",
+                        {"x_min": vals[lo], "x_max": vals[hi]})
 
 
 def likely_planar(grid: PlanarAlphabet, obs: ObservationSet) -> LikelySubset:
@@ -106,20 +113,15 @@ def likely_planar(grid: PlanarAlphabet, obs: ObservationSet) -> LikelySubset:
     """
     if obs.n < 1:
         raise EmptyObservationsError("cannot reduce without observations")
-    points = np.array([list(z) for z in obs.values()], dtype=float)
-    hull = convex_hull(points)
+    hull = convex_hull(np.array(obs.reports, dtype=float))
     delta = grid.cell_width_km / math.sqrt(2.0)
     diff = hull[:, None, :] - hull[None, :, :]  # the diameter joins two hull vertices
     d_max = float(np.sqrt((diff ** 2).sum(axis=2)).max())
     delta_prime = math.sqrt(delta ** 2 + 2.0 * delta * d_max)
-    centers = grid.centers_array()
-    dist = distance_to_hull(centers, hull)
-    members = tuple(
-        grid.values[i] for i in range(grid.size) if dist[i] <= delta_prime
-    )
+    kept = np.flatnonzero(distance_to_hull(grid.centers_array(), hull) <= delta_prime)
     return LikelySubset(
         grid,
-        members,
+        Alphabet([grid.values[i] for i in kept]),
         "planar-hull",
         {
             "delta": delta,
@@ -134,20 +136,19 @@ def likely_krr(alphabet: Alphabet, obs: ObservationSet) -> LikelySubset:
     """Under k-RR the observed values themselves form a likely subset."""
     if obs.n < 1:
         raise EmptyObservationsError("cannot reduce without observations")
-    observed = obs.values()
-    for z in observed:
+    for z in obs.reports:
         if z not in alphabet:
             raise ObservationOutsideDomainError(f"{z!r} is not an alphabet element")
-    members = tuple(sorted(observed, key=alphabet.index))
-    return LikelySubset(alphabet, members, "krr-observed", {})
+    if all(isinstance(z, (int, np.integer)) for z in obs.reports):
+        observed = LinearAlphabet(sorted(map(int, obs.reports)))
+    else:
+        observed = Alphabet(sorted(obs.reports, key=alphabet.index))
+    return LikelySubset(alphabet, observed, "krr-observed", {})
 
 
 def restricted_alphabet(subset: LikelySubset) -> Alphabet:
-    """Finite alphabet over the subset members, for running estimators on."""
-    members = subset.members
-    if all(isinstance(m, (int, np.integer)) for m in members):
-        return LinearAlphabet(sorted(int(m) for m in members))
-    return Alphabet(members)
+    """``subset.alphabet``: the finite alphabet of the members, which IBU runs on."""
+    return subset.alphabet
 
 
 def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset,
@@ -159,17 +160,16 @@ def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset
     When the parent domain is the integer line the result is returned over
     the finite member window (everything outside it is zero by construction).
     """
-    G = obs_matrix(mech, obs, alphabet=restricted_alphabet(subset))
+    G = obs_matrix(mech, obs, alphabet=subset.alphabet)
     return lift(subset, ibu(G, tol=tol).estimate)
 
 
 def lift(subset: LikelySubset, estimate: Distribution) -> Distribution:
-    """Put an estimate over ``restricted_alphabet(subset)`` back on the parent
-    alphabet, with probability zero outside the subset.  On the integer line
-    the estimate is returned as it is."""
+    """Put an estimate over ``subset.alphabet`` back on the parent alphabet,
+    with probability zero outside the subset.  On the integer line the
+    estimate is returned as it is."""
     if subset.parent is INTEGER_LINE:
         return estimate
     lifted = np.zeros(subset.parent.size)
-    for value, p in zip(estimate.alphabet.values, estimate.probs):
-        lifted[subset.parent.index(value)] = p
+    lifted[list(map(subset.parent.index, estimate.alphabet.values))] = estimate.probs
     return Distribution(subset.parent, lifted)

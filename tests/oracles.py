@@ -1,8 +1,9 @@
 """Test oracles and shorthands built on privdist's public API.
 
 Nothing in the library needs these: they are independent cross-checks (the
-brute-force likelihood search, the pairwise dominance test) and one-pair or
-one-input forms of the batch calls, which read more plainly in tests.
+brute-force likelihood search, the pairwise dominance test, the per-edge hull
+distance) and one-pair or one-input forms of the batch calls, which read more
+plainly in tests.
 """
 
 from __future__ import annotations
@@ -86,6 +87,35 @@ def is_unlikely(mech: Mechanism, obs: ObservationSet, x_prime, x_candidate) -> b
             raise ElementOutsideAlphabetError(f"{x!r} is not in the mechanism's input alphabet")
     a, b = mech.kernel([x_prime, x_candidate], obs.values())
     return bool(np.all(a <= b) and np.any(a < b))
+
+
+def distance_to_hull_per_edge(points, hull: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to a convex hull (zero inside),
+    one edge at a time: a one-vertex hull is a point, a two-vertex hull a
+    segment, and otherwise the minimum over the edges' segment distances,
+    with zero where the point is left of (or on) every counter-clockwise edge."""
+
+    def segment_distance(a, b):
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            return np.linalg.norm(pts - a, axis=1)
+        t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
+        return np.linalg.norm(pts - (a + t[:, None] * ab), axis=1)
+
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    hull = np.asarray(hull, dtype=float)
+    if hull.shape[0] == 1:
+        return np.linalg.norm(pts - hull[0], axis=1)
+    if hull.shape[0] == 2:
+        return segment_distance(hull[0], hull[1])
+    edges = list(zip(hull, np.roll(hull, -1, axis=0)))
+    dist = np.min(np.stack([segment_distance(a, b) for a, b in edges]), axis=0)
+    inside = np.ones(pts.shape[0], dtype=bool)
+    for a, b in edges:
+        inside &= (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0]) >= 0
+    dist[inside] = 0.0
+    return dist
 
 
 def concavity_full_rank(G: ObsMatrix) -> ConcavityReport:

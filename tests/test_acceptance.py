@@ -47,8 +47,22 @@ from privdist.metrics import emd_1d, emd_planar, l2sq
 from privdist.reduction import likely_krr, likely_linear, restrict_and_lift
 
 from oracles import mle_oracle
+from test_invariants import (
+    check_em_monotonicity_1000_cases,
+    check_emd_metric_axioms_1000_cases,
+    check_row_stochasticity_1000_cases,
+    check_sampler_matches_kernel_1000_cases,
+    check_simplex_projection_optimality_1000_cases,
+)
 
 MASTER = 20_240_808
+INVARIANT_SUITES = [
+    check_em_monotonicity_1000_cases,
+    check_row_stochasticity_1000_cases,
+    check_simplex_projection_optimality_1000_cases,
+    check_emd_metric_axioms_1000_cases,
+    check_sampler_matches_kernel_1000_cases,
+]
 
 
 def report(num, ok, detail):
@@ -356,20 +370,9 @@ def _timed(fn):
     return time.perf_counter() - t0
 
 
-def test_criterion_11_invariant_suites():
-    from test_invariants import (
-        test_em_monotonicity_1000_cases,
-        test_emd_metric_axioms_1000_cases,
-        test_row_stochasticity_1000_cases,
-        test_sampler_matches_kernel_1000_cases,
-        test_simplex_projection_optimality_1000_cases,
-    )
-
+@pytest.mark.parametrize("suite", INVARIANT_SUITES, ids=lambda suite: suite.__name__)
+def test_criterion_11_invariant_suites(suite):
     start = time.perf_counter()
-    test_em_monotonicity_1000_cases()
-    test_row_stochasticity_1000_cases()
-    test_simplex_projection_optimality_1000_cases()
-    test_emd_metric_axioms_1000_cases()
-    test_sampler_matches_kernel_1000_cases()
+    suite()
     elapsed = time.perf_counter() - start
-    report(11, True, f"five 1000-case invariant suites green in {elapsed:.0f}s")
+    report(11, True, f"{suite.__name__} green in {elapsed:.1f}s")

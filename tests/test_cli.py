@@ -145,6 +145,14 @@ class TestEstimate:
         expect = ibu(obs_matrix(mech, obs)).estimate.probs
         np.testing.assert_array_equal(json.loads(out.read_text())["probs"], expect)
 
+    def test_likely_subset_with_another_estimator_exits_3(self, tmp_path, capsys):
+        mech, obs = self._artifacts(tmp_path, mechanism="krr")
+        for estimator in ("inv-n", "inv-p", "rappor-decode"):
+            out = tmp_path / f"{estimator}.json"
+            assert main(["estimate", "--mechanism", mech, "--observations", obs, "--estimator",
+                         estimator, "--likely-subset", "--out", str(out)]) == 3
+            assert "IncompatibleEstimatorError" in capsys.readouterr().err and not out.exists()
+
     def test_likely_subset_reports_ibu_diagnostics(self, tmp_path):
         mech, obs = self._artifacts(tmp_path, mechanism="krr")
         out = tmp_path / "est.json"
@@ -424,6 +432,21 @@ class TestAnalyzeAndReduce:
         assert main(["analyze", "--mechanism", mech_path, "--observations", obs_path]) == 0
         assert "identification: no" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mechanism", [
+        {"mechanism": "rappor", "finite": False, "alphabet": {"kind": "linear", "values": [0, 1]},
+         "params": {"eps_ldp": 1.0}},
+        {"mechanism": "custom", "finite": True, "alphabet": {"kind": "linear", "values": [1, 2]},
+         "outputs": [1, 2], "matrix": [[0.5, 0.5], [0.25, 0.75]], "params": {}},
+    ], ids=["rappor", "custom-finite"])
+    def test_no_likely_subset_construction_exits_3(self, tmp_path, mechanism):
+        mech = write_json(tmp_path / "mech.json", mechanism)
+        reports = {"[0, 1]": 2, "[1, 1]": 1} if mechanism["mechanism"] == "rappor" else {"1": 2, "2": 1}
+        obs = write_json(tmp_path / "obs.json", {"reports": reports, "n": 3})
+        artifacts = ["--mechanism", mech, "--observations", obs]
+        assert main(["reduce", *artifacts, "--out", str(tmp_path / "subset.json")]) == 3
+        assert main(["estimate", *artifacts, "--estimator", "ibu", "--likely-subset",
+                     "--out", str(tmp_path / "est.json")]) == 3
+
     def test_reduce_writes_subset(self, tmp_path):
         cfg = base_config(tmp_path, mechanism={"name": "geometric", "eps": [0.8]})
         obs = tmp_path / "obs.json"
@@ -501,12 +524,15 @@ class TestMalformedInputFiles:
         {**GOOD_MECHANISM, "mechanism": ["krr"]},
         {"mechanism": "rappor", "finite": False, "alphabet": RAPPOR_ALPHABET, "params": None},
         {**GOOD_MECHANISM, "alphabet": None},
+        {**GOOD_MECHANISM, "alphabet": {"kind": "linear", "values": [0.9, 1.2]}},
+        {**GOOD_MECHANISM, "alphabet": {"kind": "linear", "values": [0, 2.5]}},
+        {**GOOD_MECHANISM, "outputs": [None, "2"]},
     ], ids=["list", "finite-no-alphabet", "finite-no-matrix", "rappor-no-params",
             "rappor-no-eps", "rappor-no-alphabet", "line-no-eps", "line-params-list",
             "alphabet-no-labels", "alphabet-no-values", "alphabet-no-width", "alphabet-list",
             "kind-list", "kind-unknown", "alphabet-kind-unknown", "rows-not-stochastic",
             "matrix-shape", "eps-negative", "not-json", "finite-kind-list", "params-null",
-            "alphabet-null"])
+            "alphabet-null", "linear-fractions", "linear-half", "output-null"])
     def test_mechanism_file(self, tmp_path, capsys, mechanism):
         mech = tmp_path / "bad-mechanism.json"
         mech.write_text(mechanism if isinstance(mechanism, str) else json.dumps(mechanism))
@@ -549,6 +575,14 @@ class TestRapporReportFiles:
         rewritten.write_text(json.dumps(reports_to_json(read), indent=2, sort_keys=True) + "\n")
         assert rewritten.read_bytes() == out.read_bytes()
         assert main(["analyze", "--mechanism", str(mech_out), "--observations", str(out)]) == 0
+
+    @pytest.mark.parametrize("k", [3, 8, 70])
+    def test_written_keys_are_the_json_of_each_report(self, k):
+        mech = build_mechanism("rappor", build_alphabet({"kind": "linear", "lo": 0, "hi": k - 1}), 1.0)
+        obs = obfuscate_dataset(mech, list(range(k)) * 20, np.random.default_rng(k))
+        assert isinstance(obs.reports, np.ndarray)
+        expect = {json.dumps(list(report)): count for report, count in obs.items()}
+        assert reports_to_json(obs) == {"reports": expect, "n": obs.n}
 
     def test_keys_in_other_spellings_read_as_the_same_reports(self):
         canonical = {"[1, 0, 0]": 2, "[0, 1, 1]": 1}

@@ -48,6 +48,13 @@ class TestAlphabets:
             LinearAlphabet([0, 2, 2])
         assert LinearAlphabet.range(3, 6).values == (3, 4, 5, 6)
 
+    def test_linear_values_are_integers(self):
+        values = LinearAlphabet(np.arange(3)).values
+        assert values == (0, 1, 2) and all(type(v) is int for v in values)
+        for bad in ([0.9, 1.2], [0, 2.5], [0, True], ["0", "1"]):
+            with pytest.raises(ValueError, match="integers"):
+                LinearAlphabet(bad)
+
     def test_planar_grid_layout(self):
         g = PlanarAlphabet.grid(3, 2, 0.5)
         assert g.size == 6
@@ -296,7 +303,7 @@ class TestPublicSurface:
             "emd_planar", "empirical_distribution", "grid_for_bbox", "ibu",
             "identification_check", "inv_geometric_error_lower_bound",
             "inv_krr_error_bound", "inv_normalize", "inv_project", "inv_raw", "l2sq",
-            "likely_krr", "likely_linear", "likely_planar", "load_ages",
+            "likely_krr", "likely_linear", "likely_planar", "likely_subset", "load_ages",
             "load_checkins", "log_likelihood", "min_cost_transport",
             "obfuscate_dataset", "obs_matrix", "project_to_simplex",
             "rappor_concavity_prob_bound", "rappor_decode", "restrict_and_lift",

@@ -9,31 +9,40 @@ from scipy.spatial import ConvexHull
 from privdist.analysis import log_likelihood
 from privdist.core import (
     INTEGER_LINE,
+    Alphabet,
     CategoricalAlphabet,
+    FiniteMechanism,
     LinearAlphabet,
     ObservationSet,
     PlanarAlphabet,
     distribution_new,
     obs_matrix,
 )
-from privdist.errors import EmptyObservationsError, ObservationOutsideDomainError
+from privdist.errors import (
+    EmptyObservationsError,
+    IncompatibleEstimatorError,
+    ObservationOutsideDomainError,
+)
 from privdist.estimators import ibu
 from privdist.geometry import convex_hull, distance_to_hull
 from privdist.mechanisms import (
     build_geometric_linear,
+    build_geometric_planar,
     build_geometric_truncated,
     build_identity,
     build_krr,
+    build_rappor,
     obfuscate_dataset,
 )
 from privdist.reduction import (
     likely_krr,
     likely_linear,
     likely_planar,
+    likely_subset,
     restrict_and_lift,
 )
 
-from oracles import from_reports, is_unlikely
+from oracles import distance_to_hull_per_edge, from_reports, is_unlikely
 
 
 class TestIsUnlikely:
@@ -145,6 +154,54 @@ class TestLikelyKrr:
         m1 = set(likely_krr(alpha, ObservationSet({1: 1})).members)
         m2 = set(likely_krr(alpha, ObservationSet({1: 1, 7: 1})).members)
         assert m1 <= m2
+
+
+class TestLikelySubset:
+    """``likely_subset`` picks the construction; each subset carries the
+    alphabet IBU runs on."""
+
+    GRID = PlanarAlphabet.grid(5, 4, 1.0)
+
+    @pytest.mark.parametrize("mech, reports, construction, alphabet", [
+        (build_krr(CategoricalAlphabet(["c", "a", "b"]), 1.0), {"b": 2, "c": 1},
+         "krr-observed", Alphabet(["c", "b"])),
+        (build_krr(LinearAlphabet.range(0, 9), 1.0), {7: 2, 3: 1},
+         "krr-observed", LinearAlphabet([3, 7])),
+        (build_geometric_truncated(0, 9, 0.5), {6: 2, 3: 1},
+         "linear-interval", LinearAlphabet.range(3, 6)),
+        (build_geometric_linear(0.5), {-2: 1, 1.5: 1},
+         "linear-interval", LinearAlphabet.range(-2, 2)),
+        (build_geometric_planar(GRID, GRID, 1.0), {GRID.values[0]: 3},
+         "planar-hull", Alphabet([GRID.values[0]])),
+    ], ids=["krr-labels", "krr-integers", "interval", "integer-line", "hull"])
+    def test_each_construction(self, mech, reports, construction, alphabet):
+        subset = likely_subset(mech, ObservationSet(reports))
+        assert subset.construction == construction
+        assert subset.parent is mech.input_alphabet
+        assert subset.alphabet == alphabet and type(subset.alphabet) is type(alphabet)
+        assert subset.members == alphabet.values and subset.size == alphabet.size
+
+    @pytest.mark.parametrize("mech", [
+        build_rappor(LinearAlphabet.range(0, 2), 1.0),
+        FiniteMechanism(LinearAlphabet.range(0, 1), [0, 1], [[0.5, 0.5], [0.25, 0.75]]),
+    ], ids=["rappor", "custom-finite"])
+    def test_no_construction_fits(self, mech):
+        obs = obfuscate_dataset(mech, [0, 1, 1], np.random.default_rng(3))
+        with pytest.raises(IncompatibleEstimatorError):
+            likely_subset(mech, obs)
+
+    def test_krr_on_integers_out_of_order(self):
+        # the integer members become a LinearAlphabet, in increasing order;
+        # lifting puts each probability back at its parent position
+        alpha = Alphabet([3, 1, 2])
+        mech = build_krr(alpha, 1.0)
+        obs = ObservationSet({3: 5, 2: 1})
+        subset = likely_krr(alpha, obs)
+        assert subset.alphabet == LinearAlphabet([2, 3])
+        lifted = restrict_and_lift(mech, obs, subset, tol=1e-12)
+        assert lifted.alphabet == alpha and lifted.probs[1] == 0.0
+        full = ibu(obs_matrix(mech, obs), tol=1e-12).estimate.probs
+        np.testing.assert_allclose(lifted.probs, full, atol=1e-6)
 
 
 class TestSoundness:
@@ -287,3 +344,23 @@ class TestGeometryHelpers:
         hull = convex_hull([(0, 0), (4, 0)])
         d = distance_to_hull([(2.0, 3.0), (6.0, 0.0)], hull)
         np.testing.assert_allclose(d, [3.0, 2.0], atol=1e-12)
+
+    def test_distance_matches_per_edge_reference(self):
+        # hulls of 1 and 2 vertices and of 3 to 11 vertices on a circle, with
+        # query points inside, outside, on the vertices, on edge midpoints and
+        # on each edge's line past its end
+        rng = np.random.default_rng(2020)
+        for h in (1, 2, *range(3, 12)):
+            for _ in range(40):
+                if h < 3:
+                    verts = rng.normal(scale=3.0, size=(h, 2))
+                else:
+                    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, h))
+                    verts = rng.normal(size=2) + rng.uniform(0.5, 4.0) * np.c_[np.cos(angles), np.sin(angles)]
+                hull = convex_hull(verts)
+                assert len(hull) == h
+                ends = np.roll(hull, -1, axis=0)
+                pts = np.vstack([rng.normal(scale=4.0, size=(60, 2)), hull,
+                                 (hull + ends) / 2.0, 2.0 * ends - hull])
+                np.testing.assert_allclose(distance_to_hull(pts, hull),
+                                           distance_to_hull_per_edge(pts, hull), rtol=0, atol=1e-12)
