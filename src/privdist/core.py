@@ -268,20 +268,47 @@ def uniform_distribution(alphabet: Alphabet) -> Distribution:
     return Distribution(alphabet, np.full(alphabet.size, 1.0 / alphabet.size))
 
 
+class CountedTuple(tuple):
+    """A tuple of data that carries its grouping: ``counts``, the distinct
+    data in the order they first occur, with how often each occurs (equal
+    data share the first one's key, so 3 and 3.0 are one), and ``samples``,
+    one datum of each type.  Both are computed from the data once, when
+    first read, unless the maker already knows them (``sample_synthetic``
+    takes them from its draws).  Reading them raises
+    ElementOutsideAlphabetError for unhashable data."""
+
+    def __new__(cls, data: Iterable = (), counts: dict = None, samples: dict = None):
+        self = super().__new__(cls, data)
+        if counts is not None:
+            self.__dict__.update(counts=counts, samples=samples)
+        return self
+
+    @cached_property
+    def counts(self) -> dict:
+        try:
+            return Counter(self)
+        except TypeError as exc:  # every domain element is hashable
+            raise ElementOutsideAlphabetError(f"a datum is not in the domain: {exc}") from exc
+
+    @cached_property
+    def samples(self) -> dict:
+        return dict(zip(map(type, self), self))
+
+
 def tally(domain, data: Sequence) -> tuple:
     """The distinct ``data`` in ``domain`` order, and how often each occurs.
 
-    On a finite Alphabet membership is by equality, so 3.0 counts as 3.  On
-    the integer line it also depends on the type: equal values share one key
-    (3 and 3.0), so with mixed types one datum of each type is checked too.
-    Raises ElementOutsideAlphabetError for a datum outside the domain."""
-    try:
-        grouped = Counter(data)
-    except TypeError as exc:  # every domain element is hashable
-        raise ElementOutsideAlphabetError(f"a datum is not in the domain: {exc}") from exc
+    A CountedTuple is read from its grouping, so it is counted at most once;
+    any other sequence is counted here.  On a finite Alphabet membership is
+    by equality, so 3.0 counts as 3.  On the integer line it also depends on
+    the type: equal values share one key (3 and 3.0), so after the distinct
+    values one datum of each type is checked.  Raises
+    ElementOutsideAlphabetError for a datum outside the domain, the first
+    one in the grouping's order."""
+    counted = data if isinstance(data, CountedTuple) else CountedTuple(data)
+    grouped = counted.counts
     if domain is INTEGER_LINE:
-        mixed = len(set(map(type, data))) > 1
-        for x in (*grouped, *(dict(zip(map(type, data), data)).values() if mixed else ())):
+        for x in (*grouped, *counted.samples.values()):
             if x not in INTEGER_LINE:
                 raise ElementOutsideAlphabetError(f"{x!r} is not an integer")
         xs = sorted(grouped)
@@ -305,7 +332,7 @@ def _value_key(v) -> str:
     if isinstance(v, tuple):
         return json.dumps(list(v))
     if isinstance(v, (int, np.integer)):
-        return json.dumps(int(v))
+        return str(int(v))  # what json.dumps writes for an int
     if isinstance(v, _REPORT_TYPES):  # what is left of them: a float
         return json.dumps(float(v))
     raise TypeError(f"cannot serialize observation value {v!r}")
@@ -413,11 +440,14 @@ class Mechanism:
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
         """Draw ``counts[i]`` independent reports for each input ``xs[i]``.
 
-        Inputs draw one after another, in the order given, each with the same
-        generator calls as a draw for that input alone.  Returns the distinct
-        reports in canonical order (``ObservationSet``'s), as a sequence or,
-        for RAPPOR, as a read-only (m, k) uint8 matrix with one row per
-        report, and an int64 array of their counts, summed over the inputs."""
+        The inputs draw from ``rng`` one after another, in the order given,
+        each taking the stream that a draw for that input alone takes; the
+        calls may be joined, as one ``rng.random(sum(counts))`` is the stream
+        of one ``rng.random(count)`` per input.  The reports are counted,
+        not listed.  Returns the distinct reports in canonical order
+        (``ObservationSet``'s), as a sequence or, for RAPPOR, as a read-only
+        (m, k) uint8 matrix with one row per report, and an int64 array of
+        their counts, summed over the inputs."""
         raise NotImplementedError
 
     def output_values(self):
@@ -507,14 +537,20 @@ class FiniteMechanism(Mechanism):
         return np.array(_canonical_order(self.outputs), dtype=np.intp)
 
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
-        # Per input, rng.random(count) searched in the row's normalized
-        # cumulative sum: the calls and arithmetic of rng.choice(p=row).
-        binned = np.zeros(len(self.outputs), dtype=np.int64)
-        for x, count in zip(xs, counts):
-            cdf = self.row(x).cumsum()
-            cdf /= cdf[-1]
-            picks = cdf.searchsorted(rng.random(count), side="right")
-            binned += np.bincount(picks, minlength=len(self.outputs))
+        # One rng.random(n) is the stream of one rng.random(count) per input.
+        # rng.choice(p=row) reports output j for a draw u with
+        # cdf[j-1] <= u < cdf[j], so output j takes #(u < cdf[j]) -
+        # #(u < cdf[j-1]) of the input's block: each block is sorted, the
+        # row's cdf is searched in it, and the ranks, summed over the
+        # inputs, are differenced once.
+        cdf = self.matrix[[self.input_alphabet.index(x) for x in xs]].cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        draws = rng.random(int(sum(counts)))
+        below = np.empty(cdf.shape, dtype=np.intp)
+        for block, row, ranks in zip(np.split(draws, np.cumsum(counts)[:-1]), cdf, below):
+            block.sort()
+            ranks[:] = block.searchsorted(row, side="left")
+        binned = np.diff(below.sum(axis=0), prepend=0)
         order = self._canonical_outputs[binned[self._canonical_outputs] > 0]
         return [self.outputs[j] for j in order], binned[order]
 

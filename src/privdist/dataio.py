@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Alphabet, Distribution, PlanarAlphabet, tally
+from .core import Alphabet, CountedTuple, Distribution, PlanarAlphabet, tally
 from .errors import (
     BBoxGridMismatchError,
     EmptyDatasetError,
@@ -29,7 +29,11 @@ MALFORMED_THRESHOLD = 0.01
 
 @dataclass(frozen=True)
 class RawDataset:
-    """An immutable loaded or generated dataset of alphabet elements."""
+    """An immutable loaded or generated dataset of alphabet elements.
+
+    ``values`` is a CountedTuple, so the dataset is counted at most once
+    however often it is tallied (obfuscated, or turned into its empirical
+    distribution)."""
 
     kind: str  # "ages" | "checkins" | "synthetic"
     values: tuple
@@ -38,6 +42,8 @@ class RawDataset:
     n_out_of_range: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.values, CountedTuple):
+            object.__setattr__(self, "values", CountedTuple(self.values))
         if self.kind == "ages" and any(not (0 <= v <= 150) for v in self.values):
             raise ValueError("ages must lie in [0, 150]")
 
@@ -85,7 +91,7 @@ def _dataset(kind: str, csv_path: str, values: list, n_parsed: int, total: int) 
         raise TooManyMalformedRowsError(
             f"{malformed} of {total} rows malformed (threshold {MALFORMED_THRESHOLD:.0%})"
         )
-    return RawDataset(kind, tuple(values), source=csv_path,
+    return RawDataset(kind, values, source=csv_path,
                       n_malformed=malformed, n_out_of_range=n_parsed - len(values))
 
 
@@ -177,6 +183,23 @@ class Explicit:
     distribution: Distribution
 
 
+def _counted(support: Sequence, idx: np.ndarray) -> CountedTuple:
+    """The data ``support[i]`` for each i in ``idx``, grouped as counting
+    them would group them, distinct data in the order they first occur,
+    from one bincount and one scatter of ``idx``.  The ``support`` values
+    must be distinct."""
+    first = np.full(len(support), len(idx))
+    np.minimum.at(first, idx, np.arange(len(idx)))
+    tallied = np.bincount(idx, minlength=len(support))
+    drawn = sorted(np.flatnonzero(tallied).tolist(), key=first.tolist().__getitem__)
+    xs = [support[j] for j in drawn]
+    objects = np.fromiter(support, dtype=object, count=len(support))
+    # A tuple subclass copies the tuple it is made from, so the gathered
+    # array is freed before that copy is made.
+    return CountedTuple(tuple(objects[idx]), dict(zip(xs, tallied[drawn].tolist())),
+                        {type(x): x for x in xs})
+
+
 def sample_synthetic(spec, n: int, rng: np.random.Generator) -> RawDataset:
     """Draw n i.i.d. samples from the given family."""
     if n < 1:
@@ -184,21 +207,21 @@ def sample_synthetic(spec, n: int, rng: np.random.Generator) -> RawDataset:
     if isinstance(spec, Binomial):
         if spec.k < 2 or not (0.0 <= spec.p <= 1.0):
             raise InvalidSpecError("binomial needs k >= 2 and p in [0, 1]")
-        draws = rng.binomial(spec.k - 1, spec.p, size=n)
-        values = tuple(draws.tolist())
+        values = _counted(range(spec.k), rng.binomial(spec.k - 1, spec.p, size=n))
         label = f"binomial(k={spec.k}, p={spec.p})"
     elif isinstance(spec, UniformOn):
         subset = tuple(spec.subset)
         if not subset:
             raise InvalidSpecError("uniform subset must be non-empty")
         idx = rng.integers(0, len(subset), size=n)
-        values = tuple(subset[i] for i in idx.tolist())
+        # the subset may repeat a value, or hold equal ones such as 3 and
+        # 3.0, so these data are grouped when first tallied
+        values = tuple(map(subset.__getitem__, idx.tolist()))
         label = f"uniform(|subset|={len(subset)})"
     elif isinstance(spec, Explicit):
         dist = spec.distribution
         idx = rng.choice(dist.alphabet.size, size=n, p=dist.probs)
-        support = dist.alphabet.values
-        values = tuple(support[i] for i in idx.tolist())
+        values = _counted(dist.alphabet.values, idx)
         label = "explicit"
     else:
         raise InvalidSpecError(f"unknown synthetic spec {spec!r}")

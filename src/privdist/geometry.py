@@ -12,11 +12,16 @@ def convex_hull(points) -> np.ndarray:
     Degenerate inputs collapse naturally: a single point gives one vertex,
     collinear points give the two extreme ones.
     """
+    # np.unique sorts the rows lexicographically, by x and then by y.
     pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+    # Between the lowest and the highest point of one x lie only points of
+    # their segment, which the walk would drop, so only those two are walked.
+    x = pts[:, 0]
+    ends = np.ones(len(pts), dtype=bool)
+    ends[1:-1] = (x[1:-1] != x[:-2]) | (x[1:-1] != x[2:])
+    pts = pts[ends]
     if pts.shape[0] <= 2:
         return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

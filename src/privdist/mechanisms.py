@@ -121,24 +121,32 @@ class IntegerLineMechanism(Mechanism):
 
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
         # The stay, sign and magnitude draws interleave per input, so the
-        # loop over inputs stays.  All reports are counted at once at the
-        # end, so only the distinct ones are sorted.
-        reports = [np.zeros(0, dtype=np.int64)]
+        # loop over inputs stays, but it only draws.  The moves are signed,
+        # offset and counted once, after it, with one np.unique; the stays
+        # are merged into those counts last.
+        moved, negative, moves = [], [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.int64)]
         for x, count in zip(xs, counts):
             if x not in INTEGER_LINE:
                 raise ElementOutsideAlphabetError(f"{x!r} is not an integer")
-            stay = rng.random(count) < self._c
-            m = int(count - stay.sum())
-            noise = np.zeros(count, dtype=np.int64)
+            m = int(count - np.count_nonzero(rng.random(count) < self._c))
             if m:
-                signs = np.where(rng.random(m) < 0.5, 1, -1)
-                mags = rng.geometric(1.0 - self._a, size=m)
-                noise[~stay] = signs * mags
-            reports.append(int(x) + noise)
-        distinct, cnts = np.unique(np.concatenate(reports), return_counts=True)
-        distinct = distinct.tolist()
-        order = _canonical_order(distinct)
-        return [distinct[j] for j in order], cnts[order]
+                negative.append(rng.random(m) >= 0.5)
+                moves.append(rng.geometric(1.0 - self._a, size=m))
+            moved.append(m)
+        xs = [int(x) for x in xs]
+        # rebinding frees each list once it is joined, so at most two
+        # arrays of the moved reports' size are alive at a time
+        moves = np.concatenate(moves)
+        np.negative(moves, out=moves, where=np.concatenate(negative))
+        moves += np.repeat(np.array(xs, dtype=np.int64), moved)
+        distinct, cnts = np.unique(moves, return_counts=True)
+        tallied = dict(zip(distinct.tolist(), cnts.tolist()))
+        for x, count, m in zip(xs, counts, moved):
+            if count > m:
+                tallied[x] = tallied.get(x, 0) + int(count - m)
+        values = list(tallied)
+        order = _canonical_order(values)
+        return [values[j] for j in order], np.array([tallied[values[j]] for j in order], dtype=np.int64)
 
     def params_dict(self):
         return {"eps_geo": self.eps_geo}

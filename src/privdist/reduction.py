@@ -118,7 +118,9 @@ def likely_planar(grid: PlanarAlphabet, obs: ObservationSet) -> LikelySubset:
     diff = hull[:, None, :] - hull[None, :, :]  # the diameter joins two hull vertices
     d_max = float(np.sqrt((diff ** 2).sum(axis=2)).max())
     delta_prime = math.sqrt(delta ** 2 + 2.0 * delta * d_max)
-    kept = np.flatnonzero(distance_to_hull(grid.centers_array(), hull) <= delta_prime)
+    # A cell at exactly delta' may be computed an ulp beyond it; the slack
+    # keeps it, and a kept cell too many only makes the subset larger.
+    kept = np.flatnonzero(distance_to_hull(grid.centers_array(), hull) <= delta_prime * (1.0 + 1e-12))
     return LikelySubset(
         grid,
         Alphabet([grid.values[i] for i in kept]),

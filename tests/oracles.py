@@ -2,8 +2,8 @@
 
 Nothing in the library needs these: they are independent cross-checks (the
 brute-force likelihood search, the pairwise dominance test, the per-edge hull
-distance) and one-pair or one-input forms of the batch calls, which read more
-plainly in tests.
+distance, the hull walk over every point) and one-pair or one-input forms of
+the batch calls, which read more plainly in tests.
 """
 
 from __future__ import annotations
@@ -116,6 +116,30 @@ def distance_to_hull_per_edge(points, hull: np.ndarray) -> np.ndarray:
         inside &= (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0]) >= 0
     dist[inside] = 0.0
     return dist
+
+
+def convex_hull_every_point(points) -> np.ndarray:
+    """Monotone-chain convex hull that walks every distinct point, in
+    lexicographic order, popping on cross <= 0: the reference for
+    ``geometry.convex_hull``, which walks only each x's lowest and highest
+    point."""
+    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chains = []
+    for walk in (pts.tolist(), pts.tolist()[::-1]):
+        chain = []
+        for p in walk:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains += chain[:-1]
+    return np.array(chains)
 
 
 def concavity_full_rank(G: ObsMatrix) -> ConcavityReport:

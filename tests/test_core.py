@@ -280,6 +280,22 @@ class TestFiniteMechanism:
                 tol = 4.0 * math.sqrt(p * (1 - p) / n)
                 assert abs(counts.get(z, 0) / n - p) < tol
 
+    def test_draw_is_rng_choice_per_input(self):
+        # outputs 0 and 3 have probability zero in every row, and input "b"
+        # draws no report; the reports and the stream are those of
+        # rng.choice(p=row) for each input in turn
+        mech = FiniteMechanism(CategoricalAlphabet(["a", "b", "c"]), [0, 1, 2, 3],
+                               [[0.0, 0.3, 0.7, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.1, 0.9, 0.0]])
+        xs, counts = ["c", "b", "a"], [400, 0, 600]
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        reports, drawn = mech.draw(xs, counts, rng)
+        expected = np.zeros(4, dtype=np.int64)
+        for x, count in zip(xs, counts):
+            expected += np.bincount(ref.choice(4, size=count, p=mech.row(x)), minlength=4)
+        assert expected[0] == expected[3] == 0
+        assert reports == [1, 2] and drawn.tolist() == expected[1:3].tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_uniform_start_helper(self):
         u = uniform_distribution(LinearAlphabet.range(0, 3))
         np.testing.assert_allclose(u.probs, 0.25)

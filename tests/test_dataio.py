@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from privdist.core import LinearAlphabet, PlanarAlphabet
+from privdist.core import INTEGER_LINE, Alphabet, CountedTuple, LinearAlphabet, PlanarAlphabet, tally
 from privdist.dataio import (
     Binomial,
     Explicit,
+    RawDataset,
     UniformOn,
     bbox_extent_km,
     empirical_distribution,
@@ -18,7 +19,14 @@ from privdist.dataio import (
     project_latlon,
     sample_synthetic,
 )
-from privdist.core import Distribution
+from privdist.core import Distribution, distribution_new
+from privdist.mechanisms import (
+    build_geometric_linear,
+    build_geometric_truncated,
+    build_krr,
+    build_rappor,
+    obfuscate_dataset,
+)
 from privdist.errors import (
     BBoxGridMismatchError,
     EmptyDatasetError,
@@ -190,3 +198,80 @@ def test_empirical_distribution():
     alpha = LinearAlphabet.range(0, 2)
     d = empirical_distribution(alpha, [0, 1, 1, 2])
     np.testing.assert_allclose(d.probs, [0.25, 0.5, 0.25])
+
+
+ALPHA12 = LinearAlphabet.range(0, 11)
+# two ints, two floats (8.0 is a member of ALPHA12), a string and a tuple
+MIXED = Distribution(Alphabet([2, 2.5, "a", 7, (1, 2), 8.0]), [0.1, 0.2, 0.1, 0.3, 0.1, 0.2])
+COUNTED_MECHANISMS = {
+    "krr": build_krr(ALPHA12, 1.0),
+    "geometric-truncated": build_geometric_truncated(0, 11, 0.5),
+    "integer-line": build_geometric_linear(0.5),
+    "rappor": build_rappor(ALPHA12, 2.0),
+}
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, reduced to comparable values, or the
+    type and message of the error it raises."""
+    try:
+        out = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if hasattr(out, "probs"):
+        return out.probs.tolist()
+    if hasattr(out, "items"):
+        return out.items()
+    return out
+
+
+def _ages_csv(tmp_path) -> str:
+    return write(tmp_path / "ages.csv", "age\n" + "\n".join(map(str, [3, 7, 7, 11, 0, 7, 5, 3])) + "\n")
+
+
+# name -> the dataset, made in a temporary directory
+COUNTED_DATASETS = {
+    "explicit": lambda tmp: sample_synthetic(
+        Explicit(distribution_new(ALPHA12, np.r_[np.zeros(3), np.ones(9)])), 600, np.random.default_rng(1)),
+    "binomial": lambda tmp: sample_synthetic(Binomial(12, 0.4), 600, np.random.default_rng(2)),
+    "explicit-mixed-types": lambda tmp: sample_synthetic(Explicit(MIXED), 600, np.random.default_rng(7)),
+    "uniform-repeats": lambda tmp: sample_synthetic(UniformOn((5, 2, 5, 9, 2)), 600, np.random.default_rng(3)),
+    "uniform-3-and-3.0": lambda tmp: sample_synthetic(UniformOn((3, 3.0)), 600, np.random.default_rng(4)),
+    "loaded": lambda tmp: load_ages(_ages_csv(tmp), lo=0, hi=11),
+    "hand-built": lambda tmp: RawDataset("synthetic", (4, 2, 4, 11, 4)),
+    "hand-built-outside": lambda tmp: RawDataset("synthetic", (4, 12, 4)),
+    "hand-built-bool": lambda tmp: RawDataset("synthetic", (4, True)),
+    "hand-built-unhashable": lambda tmp: RawDataset("synthetic", (4, [4])),
+    "hand-built-empty": lambda tmp: RawDataset("synthetic", ()),
+}
+
+
+class TestCountedDataset:
+    """A dataset's values carry their grouping; every counting call gives
+    on them what it gives on the same data as a plain list."""
+
+    @pytest.mark.parametrize("name", list(COUNTED_DATASETS))
+    def test_same_as_plain_list(self, tmp_path, name):
+        values = COUNTED_DATASETS[name](tmp_path).values
+        assert isinstance(values, CountedTuple)
+        for domain in (ALPHA12, INTEGER_LINE):
+            assert _outcome(tally, domain, values) == _outcome(tally, domain, list(values))
+        assert (_outcome(empirical_distribution, ALPHA12, values)
+                == _outcome(empirical_distribution, ALPHA12, list(values)))
+        for mech in COUNTED_MECHANISMS.values():
+            rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+            assert (_outcome(obfuscate_dataset, mech, values, rng)
+                    == _outcome(obfuscate_dataset, mech, list(values), ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["explicit", "binomial", "explicit-mixed-types"])
+    def test_sampled_data_come_grouped_as_counted(self, tmp_path, name):
+        # Explicit and Binomial data are grouped from their draws before any
+        # tally, in the order that counting the tuple gives, with a datum of
+        # each type that the data hold
+        values = COUNTED_DATASETS[name](tmp_path).values
+        assert set(vars(values)) == {"counts", "samples"}
+        counted = CountedTuple(tuple(values))
+        assert list(values.counts.items()) == list(counted.counts.items())
+        assert values.samples.keys() == counted.samples.keys()
+        assert all(type(x) is t for t, x in values.samples.items())

@@ -1,5 +1,6 @@
 """Mechanism constructors: kernels, stochasticity, privacy ratios, samplers."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -19,6 +20,7 @@ from privdist.core import (
     ObservationSet,
     PlanarAlphabet,
     _value_key,
+    distribution_new,
     obs_matrix,
 )
 from privdist.errors import (
@@ -32,7 +34,7 @@ from privdist.errors import (
     NonPositiveEpsilonError,
     ObservationOutsideDomainError,
 )
-from privdist.dataio import empirical_distribution
+from privdist.dataio import Explicit, empirical_distribution, sample_synthetic
 from privdist.estimators import rappor_bit_counts
 from privdist.experiment import MECHANISMS, build_mechanism
 from privdist.mechanisms import (
@@ -702,6 +704,83 @@ class TestObfuscateGrouping:
         if alphabet is not INTEGER_LINE:
             with pytest.raises(ElementOutsideAlphabetError):
                 empirical_distribution(alphabet, data)
+
+
+AGES = LinearAlphabet.range(0, 99)
+GRID76 = PlanarAlphabet.grid(7, 6, 1.0)
+
+
+def ages_like(alphabet, n, seed):
+    """A sampled dataset shaped like the Adult ages: a bell over the
+    alphabet's indices with no mass on its lowest sixth."""
+    x = np.arange(alphabet.size, dtype=float)
+    w = np.exp(-0.5 * ((x - 0.38 * alphabet.size) / (0.14 * alphabet.size)) ** 2)
+    w[:alphabet.size // 6] = 0.0
+    return sample_synthetic(Explicit(distribution_new(alphabet, w)), n, np.random.default_rng(seed))
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestObfuscateDigest:
+    """The reports and the generator state after each of two draws from one
+    generator, as SHA-256 digests of their reprs: a change to the random
+    stream, to the reports or to their order fails here.  The digests also
+    depend on numpy's own samplers (``choice``, ``random``, ``geometric``),
+    so a numpy release that changes one of them changes them too."""
+
+    CASES = {
+        "krr": (build_krr(AGES, 1.0), AGES, 5_000),
+        "geometric-truncated": (build_geometric_truncated(0, 99, 0.5), AGES, 5_000),
+        "integer-line": (build_geometric_linear(0.5), AGES, 5_000),
+        "planar-geometric": (build_geometric_planar(GRID76, GRID76, 0.7), GRID76, 3_000),
+        "rappor": (build_rappor(AGES, 2.0), AGES, 2_000),
+    }
+    # case -> (reports, state) after the first draw, then after the second
+    DIGESTS = {
+        "krr": [
+            "c0c49b34743f81ede04578a60f1925bbff4e499fd8ad0c6e3b846a89bbdae0e5",
+            "bc4d43877a9461fac5b604c021171c430fa83bdd529b49e37748248d3bbbbbb2",
+            "73b3e2561254884f3ae2b055b2e91136fd35cfc68816aacf7184cb686f647898",
+            "adbf3cfe3255103ebc1df87e346fd8d555097b114b8c24b5e5ccc4caaaf65ccf",
+        ],
+        "geometric-truncated": [
+            "0432d974d567928f6598707612eebab0f69439c1c20fdc0cd240ca8cda9833ce",
+            "bc4d43877a9461fac5b604c021171c430fa83bdd529b49e37748248d3bbbbbb2",
+            "2f58042fa218ecc2babc2aeb06234924c629ff38eddf0aabc2f8d384cccc11f1",
+            "adbf3cfe3255103ebc1df87e346fd8d555097b114b8c24b5e5ccc4caaaf65ccf",
+        ],
+        "integer-line": [
+            "97cfc7064f9301a4b0fcd42cc07e1e52860d9fd04af6cba14f69fb1d72a8c299",
+            "84f479b5f84e7653cc3f9b6a98f6b8fde92fbcdfb7f02723e554dc19e8c85371",
+            "dda3bd7145f970012035638655d4f03cf89538716bd605e8c6b9c0153481b18f",
+            "8985917611f7b58745e8f6cf88a8a931f05f3c8d45ebc2fbeeee6a74160c9f1a",
+        ],
+        "planar-geometric": [
+            "26319b998b8998d34d1c1951e323d51fef9f51cfb2f84f9c603cd250d75ccf03",
+            "1b55d21b9f60346e3e7ddc51de22208987616851eebb30f0f706f553d5409f1c",
+            "e03e1ffa02add552464cab87e951411c725da9dd1284589091613ed7d51250b9",
+            "1de4f061c1dfb548bb031214a27895844c7fe641ecd02fd50d3774b80ce1ac8f",
+        ],
+        "rappor": [
+            "cfad0acf6b08d81498df34723f81e74470e9c81eb2326b1796364a8412f6300f",
+            "3324f43056cf753ddf008dddf148ec4cf90b2c10f53f6e0241b4dd6d5564c460",
+            "9acb16cd6a5a9c9fa504214b0c26873fd07cd4f38b94c3f52921242958be3de4",
+            "0b4d924ef05ee0f0a80dc76b32d50ceec90fec45b169e7d95650082d48c62cc4",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_reports_and_state_digests(self, name):
+        mech, alphabet, n = self.CASES[name]
+        data = ages_like(alphabet, n, 2101)
+        rng = np.random.default_rng(2102)
+        got = []
+        for _ in range(2):
+            obs = obfuscate_dataset(mech, data.values, rng)
+            got += [_sha256(obs.items()), _sha256(rng.bit_generator.state)]
+        assert got == self.DIGESTS[name]
 
 
 # config mechanism name -> the alphabet it is built on (a contiguous line by default)

@@ -1,6 +1,7 @@
 """Likely-subset constructions and the restrict-and-lift pipeline."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from privdist.reduction import (
     restrict_and_lift,
 )
 
-from oracles import distance_to_hull_per_edge, from_reports, is_unlikely
+from oracles import convex_hull_every_point, distance_to_hull_per_edge, from_reports, is_unlikely
 
 
 class TestIsUnlikely:
@@ -131,6 +132,26 @@ class TestLikelyPlanar:
         corners = [grid.values[0], grid.values[3], grid.values[8], grid.values[11]]
         subset = likely_planar(grid, ObservationSet({c: 1 for c in corners}))
         assert set(subset.members) == set(grid.values)
+
+
+    def test_keeps_cells_at_exactly_delta_prime(self):
+        # Reports two cells apart on a diagonal: d_max = 2 sqrt(2) w, so
+        # delta' = 3 delta = 3 w / sqrt(2) exactly, and cells three diagonals
+        # off the segment lie at exactly delta' (squared, 9/2 in cell units).
+        # With w = 0.1 the rounded distance of cell (3, 4) exceeds delta'.
+        grid = PlanarAlphabet.grid(4, 7, 0.1)
+        a, b = np.array([0, 4]), np.array([2, 6])
+        subset = likely_planar(grid, ObservationSet({grid.values[4 * 4]: 1, grid.values[6 * 4 + 2]: 1}))
+        assert subset.meta["delta_prime"] == pytest.approx(3 * subset.meta["delta"], rel=1e-14)
+        kept = set()
+        for i, c in enumerate(grid.lattice_coords()):
+            # exact squared distance to the segment, in cell units
+            t = min(max(Fraction(int((c - a) @ (b - a)), 8), Fraction(0)), Fraction(1))
+            gap = c - a - t * (b - a)
+            if gap[0] ** 2 + gap[1] ** 2 <= Fraction(9, 2):
+                kept.add(grid.values[i])
+        assert grid.values[4 * 4 + 3] in kept
+        assert set(subset.members) == kept
 
 
 class TestLikelyKrr:
@@ -334,6 +355,22 @@ class TestGeometryHelpers:
                     x, y = hull.T
                     assert x @ np.roll(y, -1) - y @ np.roll(x, -1) > 0  # counter-clockwise
                 assert set(map(tuple, hull)) == expected and len(hull) == len(expected)
+
+    def test_hull_matches_walk_over_every_point(self):
+        # lattice points (many share an x, repeat, or lie on hull edges),
+        # floats rounded to one decimal (some share an x), plain floats, and
+        # collinear inputs: vertical, horizontal and diagonal
+        rng = np.random.default_rng(2101)
+        cases = []
+        for size in (1, 2, 3, 5, 12, 40, 300):
+            for _ in range(30):
+                cases.append(rng.integers(0, 8, (size, 2)).astype(float))
+                cases.append(np.round(rng.normal(scale=2.0, size=(size, 2)), 1))
+                cases.append(rng.normal(scale=2.0, size=(size, 2)))
+                t = rng.integers(-5, 6, size).astype(float)
+                cases += [np.c_[np.full(size, 1.5), t], np.c_[t, np.full(size, -2.0)], np.c_[t, 2.0 * t]]
+        for pts in cases:
+            np.testing.assert_array_equal(convex_hull(pts), convex_hull_every_point(pts))
 
     def test_point_distance(self):
         hull = convex_hull([(0, 0), (2, 0), (2, 2), (0, 2)])
