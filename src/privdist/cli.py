@@ -54,6 +54,7 @@ from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .experiment import (
     ESTIMATORS,
     ExperimentConfig,
+    _tupled,
     build_alphabet,
     build_mechanism,
     derive_rng,
@@ -72,7 +73,7 @@ from .reduction import lift, likely_subset
 
 _IO_ERRORS = (OSError, EmptyDatasetError, TooManyMalformedRowsError, BBoxGridMismatchError,
               MalformedInputError)
-_CONFIG_ERRORS = (ConfigError, InvalidSpecError, KeyError, ValueError)
+_CONFIG_ERRORS = (ConfigError, IncompatibleEstimatorError, InvalidSpecError, KeyError, ValueError)
 
 
 def _read_json(path: str) -> dict:
@@ -88,15 +89,12 @@ def _write_json(path: str, payload: dict):
 
 # ---------------------------------------------------------------------------
 # File formats, here and nowhere else.  JSON has no tuples, so a tuple value
-# (a planar cell, a RAPPOR report) is written as a list and read back as one.
+# (a planar cell, a RAPPOR report) is written as a list, and read back by
+# ``experiment._tupled``, the rule a config's uniform subset is read by too.
 # ---------------------------------------------------------------------------
 
 def _listed(v):
     return list(v) if isinstance(v, tuple) else v
-
-
-def _tupled(v):
-    return tuple(v) if isinstance(v, list) else v
 
 
 def alphabet_to_json(alphabet: Alphabet) -> dict:
@@ -285,14 +283,16 @@ def cmd_obfuscate(args) -> int:
     cfg = _load_config(args)
     alphabet = build_alphabet(cfg.alphabet)
     data = load_dataset(cfg.dataset, alphabet, cfg.master_seed)
-    eps = cfg.eps_grid()[0] if cfg.eps_grid() else 0.0
+    eps = (cfg.eps_grid() or [0.0])[0]
     mech = build_mechanism(cfg.mechanism["name"], alphabet, eps)
     obs = obfuscate_dataset(mech, data.values, derive_rng(cfg.master_seed, 1, 0))
     out = args.out or cfg.out
     _write_json(out, reports_to_json(obs))
     if args.mech_out:
         _write_json(args.mech_out, mechanism_to_json(mech))
-    print(f"wrote {obs.n} reports ({len(obs.reports)} distinct) to {out}")
+    skipped = (f"; skipped {data.n_malformed} malformed and {data.n_out_of_range} out-of-range rows"
+               if data.n_malformed or data.n_out_of_range else "")
+    print(f"wrote {obs.n} reports ({len(obs.reports)} distinct) to {out}{skipped}")
     return 0
 
 
@@ -307,19 +307,17 @@ def _read_input(path: str, reader, *args):
         raise MalformedInputError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _load_mechanism(path: str):
-    return _read_input(path, mechanism_from_json)
-
-
-def _load_observations(path: str, mech) -> ObservationSet:
-    return _read_input(path, reports_from_json, mech)
+def _load_inputs(args) -> tuple:
+    """The mechanism in ``--mechanism``, and the reports in ``--observations``
+    read against it."""
+    mech = _read_input(args.mechanism, mechanism_from_json)
+    return mech, _read_input(args.observations, reports_from_json, mech)
 
 
 def cmd_estimate(args) -> int:
     if args.likely_subset and args.estimator != "ibu":
         raise IncompatibleEstimatorError(f"--likely-subset applies to ibu only, not {args.estimator}")
-    mech = _load_mechanism(args.mechanism)
-    obs = _load_observations(args.observations, mech)
+    mech, obs = _load_inputs(args)
     alphabet = mech.input_alphabet if isinstance(mech.input_alphabet, Alphabet) else None
 
     subset = None
@@ -352,8 +350,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    mech = _load_mechanism(args.mechanism)
-    obs = _load_observations(args.observations, mech)
+    mech, obs = _load_inputs(args)
     subset = likely_subset(mech, obs)
     _write_json(args.out, subset_to_json(subset))
     print(f"likely subset: {subset.size} members ({subset.construction}); wrote {args.out}")
@@ -361,39 +358,23 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    mech = _load_mechanism(args.mechanism)
-    obs = _load_observations(args.observations, mech)
-    report: dict = {}
+    mech, obs = _load_inputs(args)
+    if not isinstance(mech, (FiniteMechanism, BitVectorMechanism)):
+        raise IncompatibleEstimatorError("analyze needs a finite mechanism; reduce the alphabet first")
+    report = {"concavity": concavity_to_json(strict_concavity_check(obs_matrix(mech, obs)))}
+    k = mech.input_alphabet.size
     if isinstance(mech, FiniteMechanism):
-        G = obs_matrix(mech, obs)
-        report["concavity"] = concavity_to_json(strict_concavity_check(G))
         report["identification"] = identification_check(mech)
         params = mech.params_dict()
-        k = mech.input_alphabet.size
         if mech.kind == "krr" and params.get("eps_ldp", 0) > 0:
-            report["inv_error_upper_bound"] = inv_krr_error_bound(
-                k, params["eps_ldp"], obs.n
-            )
-        if mech.kind in ("geometric-truncated",) and params.get("eps_geo", 0) < math.log(2):
-            report["inv_error_lower_bound"] = inv_geometric_error_lower_bound(
-                params["eps_geo"], obs.n
-            )
-    elif isinstance(mech, BitVectorMechanism):
-        G = obs_matrix(mech, obs)
-        report["concavity"] = concavity_to_json(strict_concavity_check(G))
-        k = mech.input_alphabet.size
-        if obs.n >= k:
-            report["concavity_probability_bound"] = rappor_concavity_prob_bound(
-                k, mech.eps_ldp, obs.n
-            )
-    elif isinstance(mech, IntegerLineMechanism):
-        raise IncompatibleEstimatorError(
-            "analyze needs a finite mechanism; reduce the alphabet first"
-        )
+            report["inv_error_upper_bound"] = inv_krr_error_bound(k, params["eps_ldp"], obs.n)
+        if mech.kind == "geometric-truncated" and params.get("eps_geo", 0) < math.log(2):
+            report["inv_error_lower_bound"] = inv_geometric_error_lower_bound(params["eps_geo"], obs.n)
+    elif obs.n >= k:
+        report["concavity_probability_bound"] = rappor_concavity_prob_bound(k, mech.eps_ldp, obs.n)
     if args.out:
         _write_json(args.out, report)
-    verdict = report.get("concavity", {}).get("strictly_concave")
-    print("strictly concave" if verdict else "not strictly concave")
+    print("strictly concave" if report["concavity"]["strictly_concave"] else "not strictly concave")
     if "identification" in report:
         print("identification:", "yes" if report["identification"] else "no")
     for key in ("inv_error_upper_bound", "inv_error_lower_bound", "concavity_probability_bound"):
@@ -416,6 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate original distributions from locally obfuscated data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--mechanism", required=True)
+    inputs.add_argument("--observations", required=True)
 
     p = sub.add_parser("obfuscate", help="sample noisy reports from a dataset")
     p.add_argument("--config", required=True, help="experiment config JSON")
@@ -425,14 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", help="override epsilon grid, comma separated")
     p.set_defaults(func=cmd_obfuscate)
 
-    p = sub.add_parser("estimate", help="run one estimator on saved artifacts")
-    p.add_argument("--mechanism", required=True)
-    p.add_argument("--observations", required=True)
+    p = sub.add_parser("estimate", parents=[inputs], help="run one estimator on saved artifacts")
     p.add_argument("--estimator", required=True, choices=ESTIMATORS)
     p.add_argument("--likely-subset", action="store_true",
                    help="restrict ibu to a likely subset before estimating")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="certified log-likelihood gap, in nats, at which ibu stops")
+                   help="certified log-likelihood gap, in nats, at which ibu stops; "
+                        "never below 4*n*2.2e-16, the least that rounding can certify")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                    help="cap on ibu's iterations (certificate tests)")
     p.add_argument("--out", default="estimate.json")
@@ -446,15 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, help="override replications")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("analyze", help="concavity / identification report")
-    p.add_argument("--mechanism", required=True)
-    p.add_argument("--observations", required=True)
+    p = sub.add_parser("analyze", parents=[inputs], help="concavity / identification report")
     p.add_argument("--out", help="write the full report JSON here")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("reduce", help="construct a likely subset")
-    p.add_argument("--mechanism", required=True)
-    p.add_argument("--observations", required=True)
+    p = sub.add_parser("reduce", parents=[inputs], help="construct a likely subset")
     p.add_argument("--out", default="subset.json")
     p.set_defaults(func=cmd_reduce)
 
@@ -475,9 +454,6 @@ def main(argv=None) -> int:
     except _IO_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except IncompatibleEstimatorError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except _CONFIG_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -64,7 +64,9 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     (EM, theta[x] <- theta[x] g[x], g = A (q / (theta A))) converges to.
 
     The maximum log-likelihood exceeds L(theta) by at most n log max_x g[x]
-    (Jensen); the run stops once that gap is at most ``tol`` nats.  After one
+    (Jensen); the run stops once that gap is at most ``tol`` nats, or at most
+    4 n eps (eps = 2.2e-16, the float spacing at 1), the least that rounding
+    in g can certify, when ``tol`` is below that floor.  After one
     EM step, the default (uniform) start takes interior-point Newton steps
     (``_newton_step``), or the EM step where those are not finite or lower the
     likelihood.  An explicit ``theta0`` takes EM steps only, so it ends at its
@@ -91,18 +93,18 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     loglik = float(weights.dot(np.log(mix)))
     trace = [loglik]
     duals, iterations, converged, gap = None, 0, False, math.inf
+    stop = max(tol, 4.0 * n * np.finfo(float).eps)
     # ndarray.dot has less call overhead than @.  An impossible report gives log 0 = -inf.
     with np.errstate(divide="ignore"):
         while iterations < max_iter:
             g = A.dot(q / mix)
             iterations += 1
             gap = n * math.log(g.max())
-            if gap <= tol:
+            if gap <= stop:
                 converged = True
                 break
             candidates = [(theta * g, duals)]
-            # within 4 rounding units of the maximum, cheap EM steps re-round the gap
-            if theta0 is None and iterations > 1 and gap > 4.0 * n * np.finfo(float).eps:
+            if theta0 is None and iterations > 1:
                 candidates = [*_newton_step(A, q, theta, mix, g, duals), *candidates]
             for new, new_duals in candidates:
                 new /= new.sum()

@@ -122,6 +122,12 @@ class ExperimentConfig:
         return [float(e) for e in eps]
 
 
+def _tupled(v):
+    """JSON has no tuples, so a tuple value (a planar cell, a RAPPOR report)
+    is written as a list; this reads such a list back as the tuple."""
+    return tuple(v) if isinstance(v, list) else v
+
+
 def build_alphabet(spec: dict) -> Alphabet:
     kind = spec.get("kind")
     if kind == "linear":
@@ -179,8 +185,7 @@ def load_dataset(spec: dict, alphabet: Alphabet, master_seed: int) -> RawDataset
         if family == "binomial":
             return sample_synthetic(Binomial(int(spec["k"]), float(spec["p"])), n, rng)
         if family == "uniform":
-            subset = tuple(tuple(v) if isinstance(v, list) else v for v in spec["subset"])
-            return sample_synthetic(UniformOn(subset), n, rng)
+            return sample_synthetic(UniformOn(tuple(map(_tupled, spec["subset"]))), n, rng)
         if family == "explicit":
             dist = Distribution(alphabet, spec["probs"])
             return sample_synthetic(Explicit(dist), n, rng)
@@ -220,19 +225,13 @@ def run_estimator(name: str, mech: Mechanism, obs, alphabet: Alphabet, **ibu_opt
     raise IncompatibleEstimatorError(f"unknown estimator {name!r}")
 
 
-def _quantiles(values: list) -> dict:
+def _quantiles(values: list) -> list:
+    """The count, min, q1, median, q3 and max of a summary row."""
     arr = np.asarray(values, dtype=float)
-    return {
-        "count": arr.size,
-        "min": float(arr.min()),
-        "q1": float(np.percentile(arr, 25)),
-        "median": float(np.percentile(arr, 50)),
-        "q3": float(np.percentile(arr, 75)),
-        "max": float(arr.max()),
-    }
+    return [arr.size, *(f"{q:.10g}" for q in np.percentile(arr, [0, 25, 50, 75, 100]))]
 
 
-def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Run the replicated sweep and write raw + summary CSV files.
 
     Returns a dict with the file paths and the failure count.  A run fails
@@ -245,32 +244,27 @@ def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
     data = load_dataset(config.dataset, alphabet, config.master_seed)
     truth = empirical_distribution(alphabet, data.values)
     mech_name = config.mechanism["name"]
-    eps_grid = config.eps_grid() or [0.0]
-
-    out_prefix = out_prefix or config.out
-    raw_path = f"{out_prefix}_raw.csv"
-    summary_path = f"{out_prefix}_summary.csv"
+    raw_path, summary_path = f"{config.out}_raw.csv", f"{config.out}_summary.csv"
 
     rows = []
     cells: dict = {}
-    failures = 0
-    runs = 0
-    for eps in eps_grid:
+    failures = runs = 0
+    for eps in config.eps_grid() or [0.0]:
         mech = build_mechanism(mech_name, alphabet, eps)
         for rep in range(config.replications):
             obs = obfuscate_dataset(mech, data.values, derive_rng(config.master_seed, 1, rep))
             for est in config.estimators:
                 runs += 1
+                head = [mech_name, eps, est, rep]
                 start = time.perf_counter()
                 try:
                     estimate, result = run_estimator(est, mech, obs, alphabet)
                 except PrivDistError as exc:
-                    runtime_ms = 1000.0 * (time.perf_counter() - start)
                     failures += 1
-                    rows.append([mech_name, eps, est, rep, "", "",
-                                 f"{runtime_ms:.3f}", f"error:{type(exc).__name__}"])
+                    rows.append([*head, "", "", f"{1000.0 * (time.perf_counter() - start):.3f}",
+                                 f"error:{type(exc).__name__}"])
                     continue
-                runtime_ms = 1000.0 * (time.perf_counter() - start)
+                runtime_ms = f"{1000.0 * (time.perf_counter() - start):.3f}"
                 status = "unconverged" if result is not None and not result.converged else "ok"
                 failed = False
                 for metric in config.metrics:
@@ -278,11 +272,9 @@ def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
                         value = METRICS[metric](estimate, truth)
                     except PrivDistError as exc:
                         failed = True
-                        rows.append([mech_name, eps, est, rep, metric, "",
-                                     f"{runtime_ms:.3f}", f"error:{type(exc).__name__}"])
+                        rows.append([*head, metric, "", runtime_ms, f"error:{type(exc).__name__}"])
                         continue
-                    rows.append([mech_name, eps, est, rep, metric,
-                                 f"{value:.10g}", f"{runtime_ms:.3f}", status])
+                    rows.append([*head, metric, f"{value:.10g}", runtime_ms, status])
                     cells.setdefault((mech_name, eps, est, metric), []).append(value)
                 failures += failed
 
@@ -297,9 +289,7 @@ def run_experiment(config: ExperimentConfig, out_prefix: str = None) -> dict:
         writer.writerow(["mechanism", "eps", "estimator", "metric",
                          "count", "min", "q1", "median", "q3", "max"])
         for key in sorted(cells, key=lambda k: (k[1], k[2], k[3])):
-            q = _quantiles(cells[key])
-            writer.writerow([key[0], key[1], key[2], key[3], q["count"],
-                             *(f"{q[s]:.10g}" for s in ("min", "q1", "median", "q3", "max"))])
+            writer.writerow([*key, *_quantiles(cells[key])])
 
     result = {"raw": raw_path, "summary": summary_path,
               "failures": failures, "runs": runs}

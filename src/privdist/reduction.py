@@ -20,6 +20,7 @@ from .core import (
     INTEGER_LINE,
     Alphabet,
     Distribution,
+    FiniteMechanism,
     LinearAlphabet,
     Mechanism,
     ObservationSet,
@@ -61,11 +62,12 @@ class LikelySubset:
 
 def likely_subset(mech: Mechanism, obs: ObservationSet) -> LikelySubset:
     """The likely subset of the construction that fits ``mech``: the observed
-    values under k-RR, and for a distance-monotone kernel the hull on a
+    values under k-RR (a mechanism of kind "krr" whose matrix has k-RR form,
+    ``_has_krr_form``), and for a distance-monotone kernel the hull on a
     planar grid or the interval on a linear alphabet or INTEGER_LINE.
     Raises IncompatibleEstimatorError when none fits, as for RAPPOR."""
     alphabet = mech.input_alphabet
-    if mech.kind == "krr":
+    if mech.kind == "krr" and _has_krr_form(mech):
         return likely_krr(alphabet, obs)
     if mech.distance_monotone and isinstance(alphabet, PlanarAlphabet):
         return likely_planar(alphabet, obs)
@@ -74,6 +76,16 @@ def likely_subset(mech: Mechanism, obs: ObservationSet) -> LikelySubset:
     raise IncompatibleEstimatorError(
         f"no likely-subset construction applies to mechanism kind {mech.kind!r}"
     )
+
+
+def _has_krr_form(mech: Mechanism) -> bool:
+    """Whether ``mech`` is finite, its outputs are its input alphabet's
+    values, and its matrix has one value on the diagonal and one, no larger,
+    off it: the form under which the observed values are a likely subset."""
+    if not isinstance(mech, FiniteMechanism) or mech.outputs != mech.input_alphabet.values:
+        return False
+    diagonal, off = mech.matrix.diagonal(), mech.matrix[~np.eye(len(mech.outputs), dtype=bool)]
+    return diagonal.min() == diagonal.max() and (off.size == 0 or off.min() == off.max() <= diagonal[0])
 
 
 def likely_linear(alphabet, obs: ObservationSet) -> LikelySubset:

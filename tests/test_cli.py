@@ -3,11 +3,13 @@
 import csv
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from privdist import experiment
+from privdist.analysis import inv_geometric_error_lower_bound
 from privdist.cli import main, mechanism_to_json, reports_from_json, reports_to_json
 from privdist.errors import ConfigError, SolverNonConvergenceError
 from privdist.estimators import ibu
@@ -614,3 +616,169 @@ class TestRapporReportFiles:
             assert main([*command, "--mechanism", mech, "--observations", obs]) == 2
             err = capsys.readouterr().err
             assert obs in err and error in err
+
+
+def raw_without_runtime(path) -> list:
+    with open(path) as fh:
+        return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in csv.DictReader(fh)]
+
+
+class TestOverrideFlags:
+    """--seed, --eps and --replications write what a config holding those values writes."""
+
+    def test_experiment_flags_match_config(self, tmp_path):
+        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+        flagged.mkdir()
+        configured.mkdir()
+        cfg = base_config(flagged)
+        assert main(["experiment", "--config", cfg, "--seed", "7", "--eps", "0.5,1.5",
+                     "--replications", "3", "--out", str(flagged / "results")]) == 0
+        cfg = base_config(configured, master_seed=7, replications=3,
+                          mechanism={"name": "krr", "eps": [0.5, 1.5]})
+        assert main(["experiment", "--config", cfg]) == 0
+        assert (raw_without_runtime(flagged / "results_raw.csv")
+                == raw_without_runtime(configured / "results_raw.csv"))
+        assert ((flagged / "results_summary.csv").read_bytes()
+                == (configured / "results_summary.csv").read_bytes())
+        assert {row["eps"] for row in raw_without_runtime(flagged / "results_raw.csv")} == {"0.5", "1.5"}
+
+    def test_obfuscate_flags_match_config(self, tmp_path):
+        files = {}
+        for name, overrides, flags in (
+            ("flagged", {}, ["--seed", "7", "--eps", "0.5,3.0"]),
+            ("configured", {"master_seed": 7, "mechanism": {"name": "krr", "eps": [0.5]}}, []),
+        ):
+            (tmp_path / name).mkdir()
+            cfg = base_config(tmp_path / name, **overrides)
+            obs, mech = tmp_path / name / "obs.json", tmp_path / name / "mech.json"
+            assert main(["obfuscate", "--config", cfg, *flags, "--out", str(obs),
+                         "--mech-out", str(mech)]) == 0
+            files[name] = obs.read_bytes(), mech.read_bytes()
+        assert files["flagged"] == files["configured"]
+        assert json.loads(files["flagged"][1])["params"] == {"eps_ldp": 0.5}
+
+
+CHECKIN_BBOX = [40.70, 40.72, -74.02, -74.00]
+
+
+def checkins_config(tmp_path) -> str:
+    """A check-ins CSV inside CHECKIN_BBOX (a 3 x 4 grid of 0.5 km cells),
+    with one malformed row and one row outside the bbox, and its config."""
+    rng = np.random.default_rng(11)
+    lat, lon = rng.uniform(40.701, 40.719, 300), rng.uniform(-74.019, -74.001, 300)
+    rows = [f"{a:.5f},{b:.5f}" for a, b in zip(lat, lon)] + ["40.71,west", "40.80,-74.01"]
+    path = tmp_path / "checkins.csv"
+    path.write_text("lat,lon\n" + "\n".join(rows) + "\n")
+    return base_config(tmp_path, dataset={"kind": "checkins", "path": str(path), "bbox": CHECKIN_BBOX},
+                       alphabet={"kind": "planar", "bbox": CHECKIN_BBOX, "cell_km": 0.5},
+                       mechanism={"name": "planar-geometric", "eps": [1.0]},
+                       estimators=["ibu", "inv-p"])
+
+
+class TestCheckins:
+    def test_obfuscate_draws_the_loaded_cells(self, tmp_path):
+        cfg = checkins_config(tmp_path)
+        obs = tmp_path / "obs.json"
+        assert main(["obfuscate", "--config", cfg, "--out", str(obs)]) == 0
+        config = ExperimentConfig.from_dict(json.loads(open(cfg).read()))
+        grid = build_alphabet(config.alphabet)
+        assert isinstance(grid, PlanarAlphabet) and (grid.nx, grid.ny) == (3, 4)
+        data = load_dataset(config.dataset, grid, config.master_seed)
+        assert len(data.values) == 300 and data.n_malformed == 1 and data.n_out_of_range == 1
+        mech = build_mechanism("planar-geometric", grid, 1.0)
+        drawn = obfuscate_dataset(mech, data.values, derive_rng(config.master_seed, 1, 0))
+        assert json.loads(obs.read_text()) == reports_to_json(drawn)
+
+    def test_experiment_writes_both_files(self, tmp_path):
+        assert main(["experiment", "--config", checkins_config(tmp_path)]) == 0
+        raw = raw_without_runtime(tmp_path / "results_raw.csv")
+        assert len(raw) == 2 * 2 * 2 and {row["status"] for row in raw} == {"ok"}
+        with open(tmp_path / "results_summary.csv") as fh:
+            summary = list(csv.DictReader(fh))
+        assert {(row["estimator"], row["metric"], row["count"]) for row in summary} == {
+            (est, metric, "2") for est in ("ibu", "inv-p") for metric in ("emd", "tv")}
+
+
+class TestAnalyzeBranches:
+    def _artifacts(self, tmp_path, **overrides):
+        cfg = base_config(tmp_path, **overrides)
+        obs, mech = tmp_path / "obs.json", tmp_path / "mech.json"
+        assert main(["obfuscate", "--config", cfg, "--out", str(obs), "--mech-out", str(mech)]) == 0
+        return ["--mechanism", str(mech), "--observations", str(obs)]
+
+    def test_truncated_geometric_below_ln2_prints_lower_bound(self, tmp_path, capsys):
+        artifacts = self._artifacts(tmp_path, mechanism={"name": "geometric", "eps": [0.5]})
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        assert main(["analyze", *artifacts, "--out", str(report)]) == 0
+        bound = inv_geometric_error_lower_bound(0.5, 400)
+        assert json.loads(report.read_text())["inv_error_lower_bound"] == bound
+        assert capsys.readouterr().out.splitlines() == [
+            "strictly concave", "identification: yes", f"inv_error_lower_bound: {bound:.6g}"]
+
+    def test_rappor_with_fewer_reports_than_bits_prints_no_bound(self, tmp_path, capsys):
+        artifacts = self._artifacts(
+            tmp_path, dataset={"kind": "synthetic", "family": "binomial", "k": 8, "p": 0.4, "n": 5},
+            alphabet={"kind": "linear", "lo": 0, "hi": 7}, mechanism={"name": "rappor", "eps": [2.0]},
+            estimators=["rappor-decode"])
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        assert main(["analyze", *artifacts, "--out", str(report)]) == 0
+        assert set(json.loads(report.read_text())) == {"concavity"}
+        assert capsys.readouterr().out == "not strictly concave\n"
+
+    def test_integer_line_exits_3(self, tmp_path, capsys):
+        artifacts = self._artifacts(tmp_path, mechanism={"name": "geometric-linear", "eps": [1.0]},
+                                    estimators=["ibu"])
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        assert main(["analyze", *artifacts, "--out", str(report)]) == 3
+        assert capsys.readouterr().err == ("IncompatibleEstimatorError: analyze needs a finite "
+                                           "mechanism; reduce the alphabet first\n")
+        assert not report.exists()
+
+
+def test_inversion_of_a_singular_mechanism_exits_1(tmp_path, capsys):
+    mech = write_json(tmp_path / "mech.json", {**GOOD_MECHANISM, "matrix": [[0.5, 0.5], [0.5, 0.5]]})
+    obs = write_json(tmp_path / "obs.json", GOOD_REPORTS)
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--mechanism", mech, "--observations", obs, "--estimator", "inv-p",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("estimation failed: SingularMechanismError: ") and not out.exists()
+
+
+@pytest.mark.parametrize("eps", [0.0, 2.0, math.inf])
+def test_krr_file_reduces_to_the_observed_labels(tmp_path, eps):
+    mech = build_mechanism("krr", build_alphabet({"kind": "categorical", "labels": ["c", "a", "b"]}), eps)
+    mech_path = write_json(tmp_path / "mech.json", mechanism_to_json(mech))
+    obs = write_json(tmp_path / "obs.json", {"reports": {"b": 2, "c": 1}, "n": 3})
+    out = tmp_path / "subset.json"
+    assert main(["reduce", "--mechanism", mech_path, "--observations", obs, "--out", str(out)]) == 0
+    subset = json.loads(out.read_text())
+    assert subset["construction"] == "krr-observed" and subset["members"] == ["c", "b"]
+
+
+def test_krr_file_of_another_matrix_exits_3(tmp_path, capsys):
+    alpha = build_alphabet({"kind": "linear", "lo": 0, "hi": 9})
+    matrix = build_mechanism("exponential", alpha, 0.2).matrix
+    mech = write_json(tmp_path / "mech.json", {
+        "mechanism": "krr", "finite": True, "alphabet": {"kind": "linear", "values": list(range(10))},
+        "outputs": list(range(10)), "matrix": matrix.tolist(), "params": {}})
+    obs = write_json(tmp_path / "obs.json", {"reports": {"3": 10, "5": 10}, "n": 20})
+    out = tmp_path / "subset.json"
+    assert main(["reduce", "--mechanism", mech, "--observations", obs, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("IncompatibleEstimatorError: ") and not out.exists()
+
+
+def test_obfuscate_says_which_rows_it_skipped(tmp_path, capsys):
+    rows = [str(17 + i % 74) for i in range(150)] + ["unknown", "120", "-3"]
+    (tmp_path / "ages.csv").write_text("age\n" + "\n".join(rows) + "\n")
+    cfg = base_config(tmp_path, dataset={"kind": "ages", "path": str(tmp_path / "ages.csv")},
+                      alphabet={"kind": "linear", "lo": 0, "hi": 99},
+                      mechanism={"name": "geometric", "eps": [0.5]}, estimators=["ibu"])
+    out = tmp_path / "obs.json"
+    assert main(["obfuscate", "--config", cfg, "--out", str(out)]) == 0
+    distinct = len(json.loads(out.read_text())["reports"])
+    assert capsys.readouterr().out == (f"wrote 150 reports ({distinct} distinct) to {out}; "
+                                       "skipped 1 malformed and 2 out-of-range rows\n")

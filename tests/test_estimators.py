@@ -218,6 +218,21 @@ class TestIbuCertificate:
         assert abs(res.estimate.probs.sum() - 1.0) < 1e-12
         assert np.all(np.diff(res.loglik_trace) >= -1e-9)
 
+    def test_tol_below_rounding_stops_at_the_floor(self):
+        # n = 152,348: the gap re-rounds at about one rounding unit of n
+        # (3.4e-11), so tol = 1e-13 is out of reach; the run stops at the
+        # floor 4 n eps = 1.35e-10 instead of running to the cap
+        rng = np.random.default_rng(25)
+        k = int(rng.integers(3, 12))
+        m = int(rng.integers(k, 60))
+        mech = FiniteMechanism(LinearAlphabet.range(0, k - 1), range(m), rng.dirichlet(np.ones(m), size=k))
+        G = obs_matrix(mech, ObservationSet(dict(enumerate(rng.integers(1, 20000, size=m).tolist()))))
+        assert (k, m, G.n) == (7, 15, 152_348)
+        floor = 4.0 * G.n * np.finfo(float).eps
+        res = ibu(G, tol=1e-13, max_iter=500)
+        assert res.converged and res.iterations < 500 and res.gap <= floor
+        assert certified_gap(G, res.estimate.probs) <= 2.0 * floor
+
     def test_flat_geometric_inputs_all_certified(self):
         # criterion 4's ten inputs: at eps=0.05 the likelihood is so flat
         # that EM needs 15k to over 100k steps on them

@@ -27,6 +27,7 @@ from privdist.errors import (
 from privdist.estimators import ibu
 from privdist.geometry import convex_hull, distance_to_hull
 from privdist.mechanisms import (
+    build_exponential,
     build_geometric_linear,
     build_geometric_planar,
     build_geometric_truncated,
@@ -208,6 +209,21 @@ class TestLikelySubset:
     ], ids=["rappor", "custom-finite"])
     def test_no_construction_fits(self, mech):
         obs = obfuscate_dataset(mech, [0, 1, 1], np.random.default_rng(3))
+        with pytest.raises(IncompatibleEstimatorError):
+            likely_subset(mech, obs)
+
+    def test_kind_krr_without_krr_form_fits_no_construction(self):
+        # a squared-distance exponential matrix labelled "krr": the reports 3
+        # and 5 are best explained by 4, which the observed values leave out,
+        # so IBU on them would fall 1.21 nats below the MLE
+        alpha = LinearAlphabet.range(0, 9)
+        matrix = build_exponential(alpha, lambda x, z: (x - z) ** 2, 0.2).matrix
+        mech = FiniteMechanism(alpha, alpha.values, matrix, kind="krr")
+        obs = ObservationSet({3: 10, 5: 10})
+        full = ibu(obs_matrix(mech, obs), tol=1e-10)
+        observed = ibu(obs_matrix(mech, obs, alphabet=LinearAlphabet([3, 5])), tol=1e-10)
+        assert np.flatnonzero(full.estimate.probs > 1e-6).tolist() == [4]
+        assert full.loglik_trace[-1] - observed.loglik_trace[-1] > 1.2
         with pytest.raises(IncompatibleEstimatorError):
             likely_subset(mech, obs)
 
