@@ -283,7 +283,8 @@ def cmd_obfuscate(args) -> int:
     cfg = _load_config(args)
     alphabet = build_alphabet(cfg.alphabet)
     data = load_dataset(cfg.dataset, alphabet, cfg.master_seed)
-    eps = (cfg.eps_grid() or [0.0])[0]
+    grid = cfg.eps_grid()
+    eps = (grid or [0.0])[0]
     mech = build_mechanism(cfg.mechanism["name"], alphabet, eps)
     obs = obfuscate_dataset(mech, data.values, derive_rng(cfg.master_seed, 1, 0))
     out = args.out or cfg.out
@@ -293,6 +294,9 @@ def cmd_obfuscate(args) -> int:
     skipped = (f"; skipped {data.n_malformed} malformed and {data.n_out_of_range} out-of-range rows"
                if data.n_malformed or data.n_out_of_range else "")
     print(f"wrote {obs.n} reports ({len(obs.reports)} distinct) to {out}{skipped}")
+    if len(grid) > 1:
+        print(f"drew at eps {eps}, the first of {len(grid)} grid values; {len(grid) - 1} not drawn",
+              file=sys.stderr)
     return 0
 
 
@@ -365,11 +369,13 @@ def cmd_analyze(args) -> int:
     k = mech.input_alphabet.size
     if isinstance(mech, FiniteMechanism):
         report["identification"] = identification_check(mech)
+        # A file may carry no eps (a custom matrix, or params emptied): no bound then.
         params = mech.params_dict()
-        if mech.kind == "krr" and params.get("eps_ldp", 0) > 0:
-            report["inv_error_upper_bound"] = inv_krr_error_bound(k, params["eps_ldp"], obs.n)
-        if mech.kind == "geometric-truncated" and params.get("eps_geo", 0) < math.log(2):
-            report["inv_error_lower_bound"] = inv_geometric_error_lower_bound(params["eps_geo"], obs.n)
+        eps_ldp, eps_geo = params.get("eps_ldp"), params.get("eps_geo")
+        if mech.kind == "krr" and eps_ldp is not None and eps_ldp > 0:
+            report["inv_error_upper_bound"] = inv_krr_error_bound(k, eps_ldp, obs.n)
+        if mech.kind == "geometric-truncated" and eps_geo is not None and eps_geo < math.log(2):
+            report["inv_error_lower_bound"] = inv_geometric_error_lower_bound(eps_geo, obs.n)
     elif obs.n >= k:
         report["concavity_probability_bound"] = rappor_concavity_prob_bound(k, mech.eps_ldp, obs.n)
     if args.out:

@@ -10,6 +10,7 @@ debiasing estimator for one-hot bit-vector reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -66,12 +67,20 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     The maximum log-likelihood exceeds L(theta) by at most n log max_x g[x]
     (Jensen); the run stops once that gap is at most ``tol`` nats, or at most
     4 n eps (eps = 2.2e-16, the float spacing at 1), the least that rounding
-    in g can certify, when ``tol`` is below that floor.  After one
-    EM step, the default (uniform) start takes interior-point Newton steps
-    (``_newton_step``), or the EM step where those are not finite or lower the
-    likelihood.  An explicit ``theta0`` takes EM steps only, so it ends at its
-    own fixed point where the maximizer is not unique.  ``iterations`` counts
-    gap tests; at ``max_iter`` the run returns ``converged=False``."""
+    in g can certify, when ``tol`` is below that floor.  The default start
+    is the exact maximizer when every column of ``G.matrix`` has k-RR form
+    (``_krr_maximizer``): the likelihood is then separable, and its
+    maximizer is the report frequencies rescaled and clipped at 0.  Where
+    nothing clips, that is the inversion estimate (q - b) / (a - b), which is
+    why IBU tracks inversion under k-RR.  The start is kept when its gap
+    test passes, as it does unless the stop lies within the rounding of g
+    (up to about 12 eps at k = 100, so n above about 3e8 at tol = 1e-6);
+    otherwise the start is the uniform distribution.
+    After one EM step, the default start takes interior-point Newton steps
+    (``_InteriorPoint``), or the EM step where those are not finite or lower
+    the likelihood.  An explicit ``theta0`` takes EM steps only, so it ends at
+    its own fixed point where the maximizer is not unique.  ``iterations``
+    counts gap tests; at ``max_iter`` the run returns ``converged=False``."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -82,18 +91,25 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
         raise DeadColumnError(
             f"observed value {G.values[dead[0]]!r} has zero probability under every alphabet element"
         )
-    start = uniform_distribution(G.alphabet) if theta0 is None else theta0
-    if start.alphabet != G.alphabet:
-        raise AlphabetMismatchError("the starting distribution is over a different alphabet")
-    if np.any(start.probs <= 0):
-        raise ZeroSupportStartError("the starting distribution must have full support")
+    stop = max(tol, 4.0 * n * np.finfo(float).eps)
+    if theta0 is None:
+        theta = _krr_maximizer(A, q)
+        # Near the floor, rounding in g can fail even the exact maximizer,
+        # and Newton steps from it can stall at rounding level.
+        if theta is None or not n * math.log(A.dot(q / theta.dot(A)).max()) <= stop:
+            theta = uniform_distribution(G.alphabet).probs.copy()
+    else:
+        if theta0.alphabet != G.alphabet:
+            raise AlphabetMismatchError("the starting distribution is over a different alphabet")
+        if np.any(theta0.probs <= 0):
+            raise ZeroSupportStartError("the starting distribution must have full support")
+        theta = theta0.probs.copy()
 
-    theta = start.probs.copy()
     mix = theta.dot(A)
     loglik = float(weights.dot(np.log(mix)))
     trace = [loglik]
     duals, iterations, converged, gap = None, 0, False, math.inf
-    stop = max(tol, 4.0 * n * np.finfo(float).eps)
+    newton = None  # the interior-point steps, set up at the first one
     # ndarray.dot has less call overhead than @.  An impossible report gives log 0 = -inf.
     with np.errstate(divide="ignore"):
         while iterations < max_iter:
@@ -105,7 +121,8 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
                 break
             candidates = [(theta * g, duals)]
             if theta0 is None and iterations > 1:
-                candidates = [*_newton_step(A, q, theta, mix, g, duals), *candidates]
+                newton = newton or _InteriorPoint(A, q)
+                candidates = itertools.chain(newton.steps(theta, mix, g, duals), candidates)
             for new, new_duals in candidates:
                 new /= new.sum()
                 new_mix = new.dot(A)
@@ -120,56 +137,107 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     return IbuResult(Distribution(G.alphabet, theta), iterations, trace, converged, gap)
 
 
-def _newton_step(A, q, theta, mix, g, duals):
+def _krr_maximizer(A, q):
+    """The maximizer of q log(theta A) on the simplex when every column of
+    ``A`` has k-RR form, else None.  The form, tested by exact equality:
+    each column holds one value a on a row that no other column uses, and
+    one value b < a everywhere else (b >= 0 holds in every ObsMatrix).
+    Column j then reads b + (a - b) theta[x_j] for its row x_j, so the
+    likelihood is separable and its maximizer is the water level
+    theta[x_j] = max(0, q_j / lam - b / (a - b)), with lam setting the sum
+    to 1 (one sort, as in ``project_to_simplex``); rows without a column
+    get 0."""
+    col = A[:, 0]
+    a, b = col.max(), col.min()
+    if not b < a or np.count_nonzero(col == b) != col.size - 1:
+        return None  # column 0 alone rules out most other kernels
+    top = A == a
+    if not ((top | (A == b)).all() and (top.sum(axis=0) == 1).all() and top.sum(axis=1).max() <= 1):
+        return None
+    offset = b / (a - b)
+    u = np.sort(q)[::-1]
+    cum = np.cumsum(u)
+    # rho, the number of positive entries, is the largest with u_rho / lam > offset
+    rho = np.flatnonzero(u * (1.0 + offset * np.arange(1, u.size + 1)) > offset * cum)[-1] + 1
+    # theta is proportional to max(0, q - lam offset), lam = cum_rho / (1 + rho offset).
+    # Dividing by its sum, not by lam, keeps sum(theta) within rounding of 1:
+    # lam's error grows with rho offset, and g with it.
+    theta = np.zeros(A.shape[0])
+    theta[top.argmax(axis=0)] = np.maximum(q - offset * cum[rho - 1] / (1.0 + rho * offset), 0.0)
+    return theta / theta.sum()
+
+
+class _InteriorPoint:
     """Primal-dual interior-point steps (Wright, 1997) for max q log(theta A)
-    on the simplex, multipliers lam for sum(theta) = 1 and z for theta >= 0
-    (first read off the certificate); yields (theta, (z, lam)) for finite ones.
-    Newton's method on g - lam + z = 0, theta z = sigma mu (mu the mean of
-    theta z) solves M dtheta = b - dlam, M = D + A W A^T, D = z / theta, W =
-    q / mix^2, b = g - lam + sigma mu / theta, for a centred step (sigma =
-    min(0.1, sqrt mu)) and an affine one (sigma = 0, which raises the
-    likelihood when short enough).  Rows with D above their curvature M_xx
-    go through an m x m system (Woodbury) when they outnumber the m reports.
-    Steps stop 0.995 of the way to the boundary."""
-    z, lam = duals or (np.maximum(g.max() - g, (g.max() - 1.0) / g.size), g.max())
-    free = theta > 1e-200  # entries below are held still
-    t, zf, Af = theta[free], z[free], A[free]
-    k, m = Af.shape
-    mu = t.dot(zf) / k
-    sigma_mu = min(0.1, math.sqrt(mu)) * mu
-    d, w = zf / t, q / mix / mix
-    R = np.column_stack([g[free] - lam + sigma_mu / t, g[free] - lam, np.ones(k)])
-    out = d >= (Af * Af).dot(w)
-    try:
-        if np.count_nonzero(out) <= m:
-            X = _solve_scaled((Af * w).dot(Af.T), d, R)
-        else:  # V = P^-1 [A^T, A^T D^-1 R] on the kept and out rows, P = W^-1 + A^T D^-1 A
-            Ak, DA = Af[~out], Af[out] / d[out, None]
-            V = np.linalg.solve(Af[out].T.dot(DA) + np.diag(1.0 / w),
-                                np.column_stack([Ak.T, DA.T.dot(R[out])]))
-            s, X = Ak.shape[0], np.empty((k, 3))
-            X[~out] = _solve_scaled(Ak.dot(V[:, :s]), d[~out], R[~out] - Ak.dot(V[:, s:]))
-            X[out] = (R[out] - Af[out].dot(V[:, :s].dot(X[~out]) + V[:, s:])) / d[out, None]
-    except np.linalg.LinAlgError:
-        return
-    for col, target in ((0, sigma_mu), (1, 0.0)):
-        dlam = X[:, col].sum() / X[:, 2].sum()
-        step = X[:, col] - dlam * X[:, 2]
-        if np.isfinite(step).all():
-            dz = (target - zf * step) / t - zf
-            a_primal = min(1.0, 0.995 * (t[step < 0] / -step[step < 0]).min(initial=np.inf))
-            a_dual = min(1.0, 0.995 * (zf[dz < 0] / -dz[dz < 0]).min(initial=np.inf))
-            new, new_z = theta.copy(), z.copy()
-            new[free], new_z[free] = t + a_primal * step, zf + a_dual * dz
-            yield new, (new_z, lam + a_dual * dlam)
+    on the simplex, with what every step of one solve shares: a C-ordered
+    copy of A (the order fixes BLAS's summation order), A * A, and the
+    right-hand side's (k, 3) buffer."""
+
+    def __init__(self, A, q):
+        self.A = np.ascontiguousarray(A)
+        self.AA = self.A * self.A
+        self.q = q
+        self.R = np.empty((A.shape[0], 3))
+
+    def steps(self, theta, mix, g, duals):
+        """Multipliers lam for sum(theta) = 1 and z for theta >= 0 (first
+        read off the certificate); yields (theta, (z, lam)) for finite
+        steps.  Newton's method on g - lam + z = 0, theta z = sigma mu (mu
+        the mean of theta z) solves M dtheta = b - dlam, M = D + A W A^T,
+        D = z / theta, W = q / mix^2, b = g - lam + sigma mu / theta, for a
+        centred step (sigma = min(0.1, sqrt mu)) and then, lazily, an affine
+        one (sigma = 0, which raises the likelihood when short enough).  Rows
+        with D above their curvature M_xx go through an m x m system
+        (Woodbury) when they outnumber the m reports.  Steps stop 0.995 of
+        the way to the boundary."""
+        z, lam = duals or (np.maximum(g.max() - g, (g.max() - 1.0) / g.size), g.max())
+        free = theta > 1e-200  # entries below are held still
+        if free.all():
+            t, zf, gf, Af, AAf = theta, z, g, self.A, self.AA
+        else:
+            t, zf, gf, Af, AAf = theta[free], z[free], g[free], self.A[free], self.AA[free]
+        k, m = Af.shape
+        mu = t.dot(zf) / k
+        sigma_mu = min(0.1, math.sqrt(mu)) * mu
+        d, w = zf / t, self.q / mix / mix
+        R = self.R[:k]
+        R[:, 1] = gf - lam
+        R[:, 0] = R[:, 1] + sigma_mu / t
+        R[:, 2] = 1.0
+        out = d >= AAf.dot(w)
+        try:
+            if np.count_nonzero(out) <= m:
+                X = _solve_scaled((Af * w).dot(Af.T), d, R)
+            else:  # V = P^-1 [A^T, A^T D^-1 R] on the kept and out rows, P = W^-1 + A^T D^-1 A
+                Ak, DA = Af[~out], Af[out] / d[out, None]
+                V = np.linalg.solve(Af[out].T.dot(DA) + np.diag(1.0 / w),
+                                    np.column_stack([Ak.T, DA.T.dot(R[out])]))
+                s, X = Ak.shape[0], np.empty((k, 3))
+                X[~out] = _solve_scaled(Ak.dot(V[:, :s]), d[~out], R[~out] - Ak.dot(V[:, s:]))
+                X[out] = (R[out] - Af[out].dot(V[:, :s].dot(X[~out]) + V[:, s:])) / d[out, None]
+        except np.linalg.LinAlgError:
+            return
+        for col, target in ((0, sigma_mu), (1, 0.0)):
+            dlam = X[:, col].sum() / X[:, 2].sum()
+            step = X[:, col] - dlam * X[:, 2]
+            if np.isfinite(step).all():
+                dz = (target - zf * step) / t - zf
+                a_primal = min(1.0, 0.995 * (t[step < 0] / -step[step < 0]).min(initial=np.inf))
+                a_dual = min(1.0, 0.995 * (zf[dz < 0] / -dz[dz < 0]).min(initial=np.inf))
+                new, new_z = theta.copy(), z.copy()
+                new[free], new_z[free] = t + a_primal * step, zf + a_dual * dz
+                yield new, (new_z, lam + a_dual * dlam)
 
 
 def _solve_scaled(H, d, R):
     """(H + diag d)^-1 R, solved at unit diagonal as d spans hundreds of
-    decades; H is overwritten."""
+    decades; H and R are overwritten."""
     H.flat[::H.shape[0] + 1] += d
     scale = np.sqrt(np.maximum(H.diagonal(), 1e-300))[:, None]
-    return np.linalg.solve(H / scale / scale.T, R / scale) / scale
+    H /= scale
+    H /= scale.T
+    R /= scale
+    return np.linalg.solve(H, R) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +311,14 @@ def inv_project(v, alphabet: Alphabet) -> Distribution:
 
 def rappor_bit_counts(obs, alphabet: Alphabet) -> np.ndarray:
     """Per-position counts of set bits over an ObservationSet of bit vectors,
-    as int64.  One float64 BLAS product gives them: every partial sum is an
-    integer below n, which float64 holds exactly while n < 2^53."""
+    as int64.  One BLAS product gives them: every partial sum is an integer
+    of at most n, which float32 holds exactly while n < 2^24 and float64
+    while n < 2^53; above that the product is taken in int64."""
     bits = rappor_bits(obs.reports, alphabet.size)
     if obs.n >= 2 ** 53:
         return obs.count_array @ bits
-    return (obs.count_array.astype(float) @ bits).astype(np.int64)
+    exact = np.float32 if obs.n < 2 ** 24 else np.float64
+    return (obs.count_array.astype(exact) @ bits).astype(np.int64)
 
 
 def rappor_decode(bit_counts, n: int, alphabet: Alphabet, eps_ldp: float,

@@ -22,8 +22,13 @@ from privdist.experiment import (
     derive_rng,
     load_dataset,
 )
-from privdist.core import ObservationSet, PlanarAlphabet, obs_matrix
-from privdist.mechanisms import build_geometric_planar, obfuscate_dataset
+from privdist.core import LinearAlphabet, ObservationSet, PlanarAlphabet, obs_matrix
+from privdist.mechanisms import (
+    build_geometric_planar,
+    build_geometric_truncated,
+    build_krr,
+    obfuscate_dataset,
+)
 
 rng_free = np.random.default_rng(0)
 
@@ -259,10 +264,11 @@ class TestExperiment:
         assert {r["estimator"] for r in summary} == {"ibu"}
 
     def test_ibu_at_the_cap_is_unconverged(self, tmp_path, monkeypatch):
-        # two EM steps cannot certify the k-RR estimate, so every ibu row
-        # says so while inversion rows stay ok
+        # two steps cannot certify the truncated geometric estimate (the gap
+        # is still about 45 nats), so every ibu row says so while inversion
+        # rows stay ok; k-RR would start at its exact maximizer
         monkeypatch.setattr(experiment, "ibu", functools.partial(experiment.ibu, max_iter=2))
-        cfg = base_config(tmp_path, replications=1)
+        cfg = base_config(tmp_path, replications=1, mechanism={"name": "geometric", "eps": [2.0]})
         assert main(["experiment", "--config", cfg]) == 0
         with open(tmp_path / "results_raw.csv") as fh:
             statuses = {(r["estimator"], r["metric"]): r["status"] for r in csv.DictReader(fh)}
@@ -658,6 +664,17 @@ class TestOverrideFlags:
         assert json.loads(files["flagged"][1])["params"] == {"eps_ldp": 0.5}
 
 
+def test_obfuscate_names_the_eps_it_drew_at(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    out = tmp_path / "obs.json"
+    assert main(["obfuscate", "--config", cfg, "--eps", "0.5,3.0", "--out", str(out)]) == 0
+    said = capsys.readouterr()
+    assert said.out.startswith("wrote 400 reports (") and said.out.endswith(f") to {out}\n")
+    assert said.err == "drew at eps 0.5, the first of 2 grid values; 1 not drawn\n"
+    assert main(["obfuscate", "--config", cfg, "--eps", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 CHECKIN_BBOX = [40.70, 40.72, -74.02, -74.00]
 
 
@@ -715,6 +732,18 @@ class TestAnalyzeBranches:
         assert json.loads(report.read_text())["inv_error_lower_bound"] == bound
         assert capsys.readouterr().out.splitlines() == [
             "strictly concave", "identification: yes", f"inv_error_lower_bound: {bound:.6g}"]
+
+    @pytest.mark.parametrize("mech", [build_geometric_truncated(0, 3, 0.5),
+                                      build_krr(LinearAlphabet.range(0, 3), 1.0)],
+                             ids=["geometric-truncated", "krr"])
+    def test_file_without_eps_prints_no_bound(self, tmp_path, capsys, mech):
+        mech_path = write_json(tmp_path / "mech.json", {**mechanism_to_json(mech), "params": {}})
+        obs_path = write_json(tmp_path / "obs.json", {"reports": {"0": 3, "2": 1}, "n": 4})
+        report = tmp_path / "report.json"
+        assert main(["analyze", "--mechanism", mech_path, "--observations", obs_path,
+                     "--out", str(report)]) == 0
+        assert set(json.loads(report.read_text())) == {"concavity", "identification"}
+        assert "bound" not in capsys.readouterr().out
 
     def test_rappor_with_fewer_reports_than_bits_prints_no_bound(self, tmp_path, capsys):
         artifacts = self._artifacts(
