@@ -87,13 +87,15 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
 
     The rank counts singular values above RANK_TOL * sigma_max * max(dims).
     With more than 2k columns, full rank is first sought on 2k columns
-    spaced evenly across the canonical order: deleting columns never raises
-    a singular value, and the scaled entries lie in [0, 1], so sigma_max is
-    at most ||[A | 1]||_F <= sqrt(k * cols) < isqrt(k * cols) + 1.  A sample
+    spaced evenly across the canonical order, the first column and the ones
+    column included: deleting columns never raises a singular value, and
+    the scaled entries lie in [0, 1], so sigma_max is at most
+    ||[A | 1]||_F <= sqrt(k * cols) < isqrt(k * cols) + 1.  A sample
     whose k-th singular value exceeds RANK_TOL * (isqrt(k * cols) + 1) *
     max(dims) certifies full rank.  Only the sampled columns are scaled.
     Otherwise the whole matrix decides, and only then is the scaled [A | 1]
-    built.
+    built; a wide one goes through the QR factor of its transpose and one
+    SVD, so every verdict, rank and witness is the full-matrix rule's.
     """
     A, k = G.matrix, G.alphabet.size
     scale = A.max(axis=0)

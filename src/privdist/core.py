@@ -419,9 +419,12 @@ class Mechanism:
     Subclasses provide ``kernel`` (P(z | x) for whole batches of inputs and
     outputs) and ``draw`` (reports for a batch of inputs, drawn with the
     kernel's probabilities from a caller-owned Generator and counted in
-    canonical order).  ``distance_monotone`` marks kernels that
-    are strictly decreasing in the input-output distance for every fixed
-    output, the premise of the interval/hull reduction constructions.
+    canonical order).  ``distance_monotone`` is the builder's claim that
+    the interval (on a line) or hull (on a planar grid) subset of
+    ``reduction.likely_subset`` loses no likelihood.  It does not say that
+    the kernel falls with distance: at a grid's edge, a folded planar
+    geometric row or a renormalized exponential row can make a farther
+    input the likelier one.  ``reduction`` names the tests of the claim.
     """
 
     kind = "custom"

@@ -78,9 +78,10 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     otherwise the start is the uniform distribution.
     After one EM step, the default start takes interior-point Newton steps
     (``_InteriorPoint``), or the EM step where those are not finite or lower
-    the likelihood.  An explicit ``theta0`` takes EM steps only, so it ends at
-    its own fixed point where the maximizer is not unique.  ``iterations``
-    counts gap tests; at ``max_iter`` the run returns ``converged=False``."""
+    the likelihood, so the log-likelihood never falls beyond rounding.  An
+    explicit ``theta0`` takes EM steps only, so it ends at its own fixed
+    point where the maximizer is not unique.  ``iterations`` counts gap
+    tests; at ``max_iter`` the run returns ``converged=False``."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:

@@ -4,9 +4,20 @@ An element is *unlikely* when another element is at least as probable a cause
 of every observed report and strictly more probable for one of them; any
 likelihood maximizer puts probability zero on unlikely elements, so they may
 be dropped before estimating.  Three constructions identify likely subsets
-without scanning the whole alphabet: an interval for distance-monotone
-kernels on the line, an extended convex hull on planar grids, and the set of
-observed values under k-RR; ``likely_subset`` picks the one that fits.
+without scanning the whole alphabet: the set of observed values for a matrix
+of k-RR form, and, for a mechanism whose builder sets ``distance_monotone``,
+an interval on the line or an extended convex hull on a planar grid;
+``likely_subset`` picks the one that fits.
+
+The flag is the builder's claim that the interval or hull loses no
+likelihood, not a proof: the planar geometric and exponential kernels are not
+strictly decreasing in distance at a grid's edge, and on a 6 x 6 exponential
+grid the hull can drop a cell that no kept cell dominates.  The tests check
+the claim.  ``test_linear_excluded_are_unlikely`` and
+``test_planar_excluded_are_unlikely`` find a dominating kept element for
+every excluded one, under truncated geometric and planar geometric noise.
+``test_flagged_kernels_lose_no_likelihood`` certifies the lifted estimate on
+the full alphabet where the kernel is not monotone.
 """
 
 from __future__ import annotations
@@ -62,12 +73,12 @@ class LikelySubset:
 
 def likely_subset(mech: Mechanism, obs: ObservationSet) -> LikelySubset:
     """The likely subset of the construction that fits ``mech``: the observed
-    values under k-RR (a mechanism of kind "krr" whose matrix has k-RR form,
-    ``_has_krr_form``), and for a distance-monotone kernel the hull on a
-    planar grid or the interval on a linear alphabet or INTEGER_LINE.
-    Raises IncompatibleEstimatorError when none fits, as for RAPPOR."""
+    values when its matrix has k-RR form (``_has_krr_form``), whatever its
+    kind, and when it is flagged ``distance_monotone`` the hull on a planar
+    grid or the interval on a linear alphabet or INTEGER_LINE.  Raises
+    IncompatibleEstimatorError when none fits, as for RAPPOR."""
     alphabet = mech.input_alphabet
-    if mech.kind == "krr" and _has_krr_form(mech):
+    if _has_krr_form(mech):
         return likely_krr(alphabet, obs)
     if mech.distance_monotone and isinstance(alphabet, PlanarAlphabet):
         return likely_planar(alphabet, obs)

@@ -4,13 +4,20 @@ import csv
 import functools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from privdist import experiment
 from privdist.analysis import inv_geometric_error_lower_bound
-from privdist.cli import main, mechanism_to_json, reports_from_json, reports_to_json
+from privdist.cli import (
+    main,
+    mechanism_from_json,
+    mechanism_to_json,
+    reports_from_json,
+    reports_to_json,
+)
 from privdist.errors import ConfigError, SolverNonConvergenceError
 from privdist.estimators import ibu
 from privdist.experiment import (
@@ -377,6 +384,10 @@ class TestMechanismTable:
         }
         assert len(rows) == 2 * 3 * len(applies)
         assert all(r["status"] == "ok" for r in rows)
+        assert all(0.0 <= float(r["value"]) < math.inf for r in rows if r["metric"] == "emd")
+        with open(tmp_path / "results_summary.csv") as fh:
+            cells = {(float(r["eps"]), r["estimator"], r["metric"]) for r in csv.DictReader(fh)}
+        assert cells == {(1.0, est, metric) for est in applies for metric in ("emd", "tv", "l2sq")}
 
     @pytest.mark.parametrize("name, kind", [
         ("geometric", "planar"), ("geometric", "categorical"),
@@ -583,6 +594,8 @@ class TestRapporReportFiles:
         rewritten.write_text(json.dumps(reports_to_json(read), indent=2, sort_keys=True) + "\n")
         assert rewritten.read_bytes() == out.read_bytes()
         assert main(["analyze", "--mechanism", str(mech_out), "--observations", str(out)]) == 0
+        assert main(["estimate", "--mechanism", str(mech_out), "--observations", str(out),
+                     "--estimator", "rappor-decode", "--out", str(tmp_path / "decode.json")]) == 0
 
     @pytest.mark.parametrize("k", [3, 8, 70])
     def test_written_keys_are_the_json_of_each_report(self, k):
@@ -788,6 +801,16 @@ def test_krr_file_reduces_to_the_observed_labels(tmp_path, eps):
     assert subset["construction"] == "krr-observed" and subset["members"] == ["c", "b"]
 
 
+def test_identity_file_reduces_to_the_observed_labels(tmp_path):
+    mech = build_mechanism("identity", build_alphabet({"kind": "categorical", "labels": ["c", "a", "b"]}),
+                           0.0)
+    mech_path = write_json(tmp_path / "mech.json", mechanism_to_json(mech))
+    obs = write_json(tmp_path / "obs.json", {"reports": {"b": 2, "c": 1}, "n": 3})
+    out = tmp_path / "subset.json"
+    assert main(["reduce", "--mechanism", mech_path, "--observations", obs, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["construction"] == "krr-observed"
+
+
 def test_krr_file_of_another_matrix_exits_3(tmp_path, capsys):
     alpha = build_alphabet({"kind": "linear", "lo": 0, "hi": 9})
     matrix = build_mechanism("exponential", alpha, 0.2).matrix
@@ -811,3 +834,135 @@ def test_obfuscate_says_which_rows_it_skipped(tmp_path, capsys):
     distinct = len(json.loads(out.read_text())["reports"])
     assert capsys.readouterr().out == (f"wrote 150 reports ({distinct} distinct) to {out}; "
                                        "skipped 1 malformed and 2 out-of-range rows\n")
+    assert sum(json.loads(out.read_text())["reports"].values()) == 150
+    again = tmp_path / "again.json"
+    assert main(["obfuscate", "--config", cfg, "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
+# Round trips through the files the CLI writes: one config each, and the
+# subcommands run on its files in order, each with the exit code it must
+# give and, where there is one, a check of what it wrote or printed.
+
+LABELS = ["true", "false", "null", "1e3", "10", "2"]  # each also reads as a JSON value
+
+
+def round_trip_config(dataset, alphabet, mechanism, estimators, **more) -> dict:
+    return {"dataset": dataset, "alphabet": alphabet, "mechanism": mechanism,
+            "estimators": estimators, "replications": 1, "master_seed": 7, "out": "results", **more}
+
+
+def checkins_round_trip_config(d) -> dict:
+    """501 lat/lon rows about a point inside the bbox, one of them malformed,
+    on a planar grid built from the same bbox."""
+    rng = random.Random(7)
+    rows = [f"{rng.gauss(40.725, 0.006):.5f},{rng.gauss(-73.995, 0.006):.5f}" for _ in range(500)]
+    rows.insert(250, "40.72,east")
+    (d / "checkins.csv").write_text("lat,lon\n" + "\n".join(rows) + "\n")
+    bbox = [40.70, 40.75, -74.02, -73.97]
+    return {"dataset": {"kind": "checkins", "path": str(d / "checkins.csv"), "bbox": bbox},
+            "alphabet": {"kind": "planar", "bbox": bbox, "cell_km": 0.5},
+            "mechanism": {"name": "planar-geometric", "eps": [1.0]}, "estimators": ["ibu", "inv-p"],
+            "replications": 2, "master_seed": 7, "out": str(d / "sweep")}
+
+
+def written(d, name) -> dict:
+    return json.loads((d / name).read_text())
+
+
+def converged(name, iterations=None):
+    def check(d, said):
+        diagnostics = written(d, name)["diagnostics"]
+        return diagnostics["converged"] and iterations in (None, diagnostics["iterations"])
+    return check
+
+
+def construction(name):
+    return lambda d, said: written(d, "subset.json")["construction"] == name
+
+
+def reads_back_the_labels(d, said):
+    mech = mechanism_from_json(written(d, "mech.json"))
+    return set(reports_from_json(written(d, "obs.json"), mech).reports) == set(LABELS)
+
+
+def swept(d, said):
+    return (said.endswith("(4 runs, 0 failures)\n")
+            and all((d / f"sweep_{part}.csv").stat().st_size > 0 for part in ("raw", "summary")))
+
+
+ROUND_TRIPS = {
+    # The k-RR start is the exact maximizer, found from the matrix the
+    # mechanism file carries, so both ibu runs pass their first gap test.
+    # EMD needs a metric alphabet, so the sweep scores by total variation.
+    "krr-labels": (lambda d: round_trip_config(
+        {"kind": "synthetic", "family": "uniform", "n": 500, "subset": LABELS},
+        {"kind": "categorical", "labels": LABELS},
+        {"name": "krr", "eps": [2.0]}, ["ibu", "inv-p"], metrics=["tv"]), [
+        ("obfuscate", 0, reads_back_the_labels),
+        ("estimate --estimator ibu --out {d}/ibu.json", 0, converged("ibu.json", iterations=1)),
+        ("estimate --estimator inv-p --out {d}/inv-p.json", 0, None),
+        ("analyze", 0, None),
+        ("reduce --out {d}/subset.json", 0, construction("krr-observed")),
+        ("estimate --estimator ibu --likely-subset --out {d}/ibu-subset.json", 0,
+         converged("ibu-subset.json", iterations=1)),
+        ("estimate --estimator inv-p --likely-subset --out {d}/inv-p-subset.json", 3, None),
+        ("experiment --out {d}/sweep", 0, None),
+    ]),
+    # Planar cells and reports are tuples, which the files store as lists.
+    "planar": (lambda d: round_trip_config(
+        {"kind": "synthetic", "family": "uniform", "n": 400,
+         "subset": [[0.5, 0.5], [1.5, 2.5], [3.5, 1.5], [5.5, 4.5]]},
+        {"kind": "planar", "nx": 6, "ny": 5, "cell_km": 1.0},
+        {"name": "planar-geometric", "eps": [1.0]}, ["ibu"]), [
+        ("obfuscate", 0, None),
+        ("estimate --estimator ibu --likely-subset --out {d}/ibu.json", 0, None),
+        ("reduce --out {d}/subset.json", 0, None),
+        ("analyze", 0, None),
+    ]),
+    # RAPPOR reports are drawn as one bit matrix, written as lists and read
+    # back into the matrix.
+    "rappor-k8": (lambda d: round_trip_config(
+        {"kind": "synthetic", "family": "binomial", "k": 8, "p": 0.4, "n": 300},
+        {"kind": "linear", "lo": 0, "hi": 7},
+        {"name": "rappor", "eps": [2.0]}, ["rappor-decode", "ibu"]), [
+        ("obfuscate", 0, None),
+        ("estimate --estimator rappor-decode --out {d}/decode.json", 0, None),
+        ("estimate --estimator ibu --out {d}/ibu.json", 0, None),
+        ("analyze", 0, None),
+    ]),
+    # A geometric-linear mechanism file has no alphabet: IBU runs on a
+    # likely subset, and the commands that need a finite alphabet exit 3.
+    "integer-line": (lambda d: round_trip_config(
+        {"kind": "synthetic", "family": "binomial", "k": 12, "p": 0.4, "n": 600},
+        {"kind": "linear", "lo": 0, "hi": 11},
+        {"name": "geometric-linear", "eps": [1.0]}, ["ibu"]), [
+        ("obfuscate", 0, None),
+        ("estimate --estimator ibu --likely-subset --out {d}/ibu.json", 0, converged("ibu.json")),
+        ("reduce --out {d}/subset.json", 0, None),
+        ("estimate --estimator ibu --out {d}/no-subset.json", 3, None),
+        ("analyze", 3, None),
+    ]),
+    "checkins": (checkins_round_trip_config, [
+        ("obfuscate", 0, lambda d, said: said.endswith("; skipped 1 malformed and 0 out-of-range rows\n")),
+        ("estimate --estimator ibu --likely-subset --out {d}/ibu.json", 0, converged("ibu.json")),
+        ("reduce --out {d}/subset.json", 0, construction("planar-hull")),
+        ("experiment", 0, swept),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_round_trip(tmp_path, capsys, name):
+    make_config, steps = ROUND_TRIPS[name]
+    cfg = write_json(tmp_path / "config.json", make_config(tmp_path))
+    obs, mech = str(tmp_path / "obs.json"), str(tmp_path / "mech.json")
+    inputs = {"obfuscate": ["--config", cfg, "--out", obs, "--mech-out", mech],
+              "experiment": ["--config", cfg]}
+    for step, code, check in steps:
+        command, *args = step.split()
+        argv = [command, *inputs.get(command, ["--mechanism", mech, "--observations", obs]),
+                *(arg.format(d=tmp_path) for arg in args)]
+        assert main(argv) == code, step
+        said = capsys.readouterr().out
+        assert check is None or check(tmp_path, said), f"{step}: {said}"

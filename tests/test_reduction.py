@@ -25,6 +25,7 @@ from privdist.errors import (
     ObservationOutsideDomainError,
 )
 from privdist.estimators import ibu
+from privdist.experiment import build_mechanism
 from privdist.geometry import convex_hull, distance_to_hull
 from privdist.mechanisms import (
     build_exponential,
@@ -37,6 +38,7 @@ from privdist.mechanisms import (
     obfuscate_dataset,
 )
 from privdist.reduction import (
+    lift,
     likely_krr,
     likely_linear,
     likely_planar,
@@ -195,7 +197,14 @@ class TestLikelySubset:
          "linear-interval", LinearAlphabet.range(-2, 2)),
         (build_geometric_planar(GRID, GRID, 1.0), {GRID.values[0]: 3},
          "planar-hull", Alphabet([GRID.values[0]])),
-    ], ids=["krr-labels", "krr-integers", "interval", "integer-line", "hull"])
+        # the matrix decides, not the kind
+        (build_identity(CategoricalAlphabet(["c", "a", "b"])), {"b": 2, "c": 1},
+         "krr-observed", Alphabet(["c", "b"])),
+        (FiniteMechanism(CategoricalAlphabet(["c", "a", "b"]), ["c", "a", "b"],
+                         [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]),
+         {"b": 2, "c": 1}, "krr-observed", Alphabet(["c", "b"])),
+    ], ids=["krr-labels", "krr-integers", "interval", "integer-line", "hull", "identity",
+            "custom-krr"])
     def test_each_construction(self, mech, reports, construction, alphabet):
         subset = likely_subset(mech, ObservationSet(reports))
         assert subset.construction == construction
@@ -242,7 +251,9 @@ class TestLikelySubset:
 
 
 class TestSoundness:
-    """Every excluded element must be dominated by some retained element."""
+    """An excluded element carries no likelihood: a retained element dominates
+    it, or, for the flagged kernels that do not fall with distance, the lifted
+    estimate is certified on the full alphabet."""
 
     def test_linear_excluded_are_unlikely(self):
         rng = np.random.default_rng(77)
@@ -292,6 +303,30 @@ class TestSoundness:
                 assert any(
                     is_unlikely(mech, obs, x, tuple(retained[i])) for i in order[:5]
                 )
+
+    @pytest.mark.parametrize("name, alphabet, eps, reports, z, dropped, kept", [
+        ("planar-geometric", PlanarAlphabet.grid(4, 4, 1.0), 2.0, {(0.5, 0.5): 2, (1.5, 1.5): 1},
+         (0.5, 0.5), (3.5, 0.5), (2.5, 2.5)),
+        ("exponential", LinearAlphabet.range(0, 9), 0.1, {3: 2, 5: 1}, 3, 0, 5),
+        ("exponential", PlanarAlphabet.grid(6, 6, 1.0), 0.5, {(2.5, 0.5): 1, (4.5, 3.5): 1},
+         (2.5, 0.5), (5.5, 0.5), (2.5, 2.5)),
+    ], ids=["planar-geometric-4x4", "exponential-line", "exponential-6x6"])
+    def test_flagged_kernels_lose_no_likelihood(self, name, alphabet, eps, reports, z, dropped, kept):
+        # distance_monotone is the builder's claim that the subset loses no
+        # likelihood, not that the kernel falls with distance: here the subset
+        # drops an input that is farther from the report z than a kept one,
+        # and more likely to report it
+        mech = build_mechanism(name, alphabet, eps)
+        obs = ObservationSet(reports)
+        subset = likely_subset(mech, obs)
+        assert dropped not in subset.members and kept in subset.members
+        x, y, j = alphabet.index(dropped), alphabet.index(kept), alphabet.index(z)
+        assert np.linalg.norm(np.subtract(dropped, z)) > np.linalg.norm(np.subtract(kept, z))
+        assert mech.matrix[x, j] > mech.matrix[y, j]
+        restricted = ibu(obs_matrix(mech, obs, alphabet=subset.alphabet), tol=1e-12)
+        theta = lift(subset, restricted.estimate).probs
+        G = obs_matrix(mech, obs)
+        assert G.n * math.log(G.matrix.dot(G.q / theta.dot(G.matrix)).max()) <= 1e-9
 
 
 class TestRestrictAndLift:
