@@ -351,9 +351,12 @@ class ObservationSet:
     order (by JSON key, ties in insertion order) and kept as ``reports``: a
     tuple, or for RAPPOR reports (drawn, or read from a report file) the
     read-only (m, k) uint8 matrix that ``BitVectorMechanism.draw`` returns,
-    whose rows become tuples only when ``values()`` or ``items()`` first
-    asks.  ``count_array`` holds their counts in that order, read-only and
-    int64."""
+    whose rows become tuples, kept, only when ``values()`` or ``items()``
+    first asks; ``obs_matrix`` and ``rappor_bit_counts`` read the matrix as
+    it is.  A set built from a dict holds tuples, and both stores give the
+    same values, items, matrices, bit counts and report files.
+    ``count_array`` holds the counts in that order, read-only and int64;
+    ``counts`` builds a dict from the two on request."""
 
     def __init__(self, counts: dict):
         ordered = sorted(counts, key=_value_key)
@@ -462,7 +465,9 @@ class Mechanism:
 
 
 class FiniteMechanism(Mechanism):
-    """Dense row-stochastic kernel over a finite output set."""
+    """Dense row-stochastic kernel over a finite output set.  The matrix is
+    kept as a read-only C-ordered copy, with entries above 1 (rows may sum
+    to 1 within PROB_ATOL) clipped to 1, as ``ObsMatrix`` clips them."""
 
     def __init__(self, input_alphabet: Alphabet, outputs: Sequence, matrix,
                  kind: str = "custom", distance_monotone: bool = False,
@@ -486,7 +491,7 @@ class FiniteMechanism(Mechanism):
         if np.any(np.abs(rows - 1.0) > PROB_ATOL):
             worst = float(np.max(np.abs(rows - 1.0)))
             raise ValueError(f"kernel rows must sum to 1 (worst deviation {worst:.3e})")
-        matrix = matrix.copy()
+        matrix = np.minimum(matrix, 1.0, order="C")
         matrix.flags.writeable = False
         self.outputs = outputs
         self.matrix = matrix

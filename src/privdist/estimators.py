@@ -77,7 +77,7 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     (up to about 12 eps at k = 100, so n above about 3e8 at tol = 1e-6);
     otherwise the start is the uniform distribution.
     After one EM step, the default start takes interior-point Newton steps
-    (``_InteriorPoint``), or the EM step where those are not finite or lower
+    (``_newton_steps``), or the EM step where those are not finite or lower
     the likelihood, so the log-likelihood never falls beyond rounding.  An
     explicit ``theta0`` takes EM steps only, so it ends at its own fixed
     point where the maximizer is not unique.  ``iterations`` counts gap
@@ -110,7 +110,7 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     loglik = float(weights.dot(np.log(mix)))
     trace = [loglik]
     duals, iterations, converged, gap = None, 0, False, math.inf
-    newton = None  # the interior-point steps, set up at the first one
+    Ac = None  # A in C order for the Newton steps (it fixes BLAS's summation order)
     # ndarray.dot has less call overhead than @.  An impossible report gives log 0 = -inf.
     with np.errstate(divide="ignore"):
         while iterations < max_iter:
@@ -122,8 +122,8 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
                 break
             candidates = [(theta * g, duals)]
             if theta0 is None and iterations > 1:
-                newton = newton or _InteriorPoint(A, q)
-                candidates = itertools.chain(newton.steps(theta, mix, g, duals), candidates)
+                Ac = np.ascontiguousarray(A) if Ac is None else Ac
+                candidates = itertools.chain(_newton_steps(Ac, q, theta, mix, g, duals), candidates)
             for new, new_duals in candidates:
                 new /= new.sum()
                 new_mix = new.dot(A)
@@ -168,66 +168,55 @@ def _krr_maximizer(A, q):
     return theta / theta.sum()
 
 
-class _InteriorPoint:
+def _newton_steps(A, q, theta, mix, g, duals):
     """Primal-dual interior-point steps (Wright, 1997) for max q log(theta A)
-    on the simplex, with what every step of one solve shares: a C-ordered
-    copy of A (the order fixes BLAS's summation order), A * A, and the
-    right-hand side's (k, 3) buffer."""
-
-    def __init__(self, A, q):
-        self.A = np.ascontiguousarray(A)
-        self.AA = self.A * self.A
-        self.q = q
-        self.R = np.empty((A.shape[0], 3))
-
-    def steps(self, theta, mix, g, duals):
-        """Multipliers lam for sum(theta) = 1 and z for theta >= 0 (first
-        read off the certificate); yields (theta, (z, lam)) for finite
-        steps.  Newton's method on g - lam + z = 0, theta z = sigma mu (mu
-        the mean of theta z) solves M dtheta = b - dlam, M = D + A W A^T,
-        D = z / theta, W = q / mix^2, b = g - lam + sigma mu / theta, for a
-        centred step (sigma = min(0.1, sqrt mu)) and then, lazily, an affine
-        one (sigma = 0, which raises the likelihood when short enough).  Rows
-        with D above their curvature M_xx go through an m x m system
-        (Woodbury) when they outnumber the m reports.  Steps stop 0.995 of
-        the way to the boundary."""
-        z, lam = duals or (np.maximum(g.max() - g, (g.max() - 1.0) / g.size), g.max())
-        free = theta > 1e-200  # entries below are held still
-        if free.all():
-            t, zf, gf, Af, AAf = theta, z, g, self.A, self.AA
-        else:
-            t, zf, gf, Af, AAf = theta[free], z[free], g[free], self.A[free], self.AA[free]
-        k, m = Af.shape
-        mu = t.dot(zf) / k
-        sigma_mu = min(0.1, math.sqrt(mu)) * mu
-        d, w = zf / t, self.q / mix / mix
-        R = self.R[:k]
-        R[:, 1] = gf - lam
-        R[:, 0] = R[:, 1] + sigma_mu / t
-        R[:, 2] = 1.0
-        out = d >= AAf.dot(w)
-        try:
-            if np.count_nonzero(out) <= m:
-                X = _solve_scaled((Af * w).dot(Af.T), d, R)
-            else:  # V = P^-1 [A^T, A^T D^-1 R] on the kept and out rows, P = W^-1 + A^T D^-1 A
-                Ak, DA = Af[~out], Af[out] / d[out, None]
-                V = np.linalg.solve(Af[out].T.dot(DA) + np.diag(1.0 / w),
-                                    np.column_stack([Ak.T, DA.T.dot(R[out])]))
-                s, X = Ak.shape[0], np.empty((k, 3))
-                X[~out] = _solve_scaled(Ak.dot(V[:, :s]), d[~out], R[~out] - Ak.dot(V[:, s:]))
-                X[out] = (R[out] - Af[out].dot(V[:, :s].dot(X[~out]) + V[:, s:])) / d[out, None]
-        except np.linalg.LinAlgError:
-            return
-        for col, target in ((0, sigma_mu), (1, 0.0)):
-            dlam = X[:, col].sum() / X[:, 2].sum()
-            step = X[:, col] - dlam * X[:, 2]
-            if np.isfinite(step).all():
-                dz = (target - zf * step) / t - zf
-                a_primal = min(1.0, 0.995 * (t[step < 0] / -step[step < 0]).min(initial=np.inf))
-                a_dual = min(1.0, 0.995 * (zf[dz < 0] / -dz[dz < 0]).min(initial=np.inf))
-                new, new_z = theta.copy(), z.copy()
-                new[free], new_z[free] = t + a_primal * step, zf + a_dual * dz
-                yield new, (new_z, lam + a_dual * dlam)
+    on the simplex, with multipliers lam for sum(theta) = 1 and z for
+    theta >= 0 (first read off the certificate); yields (theta, (z, lam))
+    for finite steps.  Newton's method on g - lam + z = 0, theta z = sigma mu
+    (mu the mean of theta z) solves M dtheta = b - dlam, M = D + A W A^T,
+    D = z / theta, W = q / mix^2, b = g - lam + sigma mu / theta, for a
+    centred step (sigma = min(0.1, sqrt mu)) and then, lazily, an affine one
+    (sigma = 0, which raises the likelihood when short enough).  Rows with D
+    above their curvature M_xx go through an m x m system (Woodbury) when
+    they outnumber the m reports.  Steps stop 0.995 of the way to the
+    boundary."""
+    z, lam = duals or (np.maximum(g.max() - g, (g.max() - 1.0) / g.size), g.max())
+    free = theta > 1e-200  # entries below are held still
+    if free.all():
+        t, zf, gf, Af = theta, z, g, A
+    else:
+        t, zf, gf, Af = theta[free], z[free], g[free], A[free]
+    k, m = Af.shape
+    mu = t.dot(zf) / k
+    sigma_mu = min(0.1, math.sqrt(mu)) * mu
+    d, w = zf / t, q / mix / mix
+    Aw = Af * w
+    R = np.empty((k, 3))
+    R[:, 1], R[:, 2] = gf - lam, 1.0
+    R[:, 0] = R[:, 1] + sigma_mu / t
+    out = d >= np.einsum("ij,ij->i", Aw, Af)  # (A W A^T)_xx from A W: no A * A is stored
+    try:
+        if np.count_nonzero(out) <= m:
+            X = _solve_scaled(Aw.dot(Af.T), d, R)
+        else:  # V = P^-1 [A^T, A^T D^-1 R] on the kept and out rows, P = W^-1 + A^T D^-1 A
+            Ak, DA = Af[~out], Af[out] / d[out, None]
+            V = np.linalg.solve(Af[out].T.dot(DA) + np.diag(1.0 / w),
+                                np.column_stack([Ak.T, DA.T.dot(R[out])]))
+            s, X = Ak.shape[0], np.empty((k, 3))
+            X[~out] = _solve_scaled(Ak.dot(V[:, :s]), d[~out], R[~out] - Ak.dot(V[:, s:]))
+            X[out] = (R[out] - Af[out].dot(V[:, :s].dot(X[~out]) + V[:, s:])) / d[out, None]
+    except np.linalg.LinAlgError:
+        return
+    for col, target in ((0, sigma_mu), (1, 0.0)):
+        dlam = X[:, col].sum() / X[:, 2].sum()
+        step = X[:, col] - dlam * X[:, 2]
+        if np.isfinite(step).all():
+            dz = (target - zf * step) / t - zf
+            a_primal = min(1.0, 0.995 * (t[step < 0] / -step[step < 0]).min(initial=np.inf))
+            a_dual = min(1.0, 0.995 * (zf[dz < 0] / -dz[dz < 0]).min(initial=np.inf))
+            new, new_z = theta.copy(), z.copy()
+            new[free], new_z[free] = t + a_primal * step, zf + a_dual * dz
+            yield new, (new_z, lam + a_dual * dlam)
 
 
 def _solve_scaled(H, d, R):

@@ -102,6 +102,13 @@ class ExperimentConfig:
         name = self.mechanism.get("name")
         if name not in MECHANISMS:
             raise ConfigError(f"unknown mechanism {name!r}; choose from {MECHANISMS}")
+        kind = self.alphabet.get("kind")
+        if kind not in _ALPHABETS:
+            raise ConfigError(f"unknown alphabet kind {kind!r}")
+        kinds = _BUILDERS[name][0]
+        if not issubclass(_ALPHABETS[kind], kinds):
+            needs = " or ".join(k.kind for k in kinds)
+            raise ConfigError(f"the {name} mechanism needs a {needs} alphabet")
         for metric in self.metrics:
             if metric not in METRICS:
                 raise ConfigError(f"unknown metric {metric!r}; choose from {tuple(METRICS)}")
@@ -126,6 +133,9 @@ def _tupled(v):
     """JSON has no tuples, so a tuple value (a planar cell, a RAPPOR report)
     is written as a list; this reads such a list back as the tuple."""
     return tuple(v) if isinstance(v, list) else v
+
+
+_ALPHABETS = {a.kind: a for a in (LinearAlphabet, CategoricalAlphabet, PlanarAlphabet)}
 
 
 def build_alphabet(spec: dict) -> Alphabet:
@@ -166,14 +176,8 @@ MECHANISMS = tuple(_BUILDERS)
 
 
 def build_mechanism(name: str, alphabet: Alphabet, eps: float) -> Mechanism:
-    if name not in _BUILDERS:
-        raise ConfigError(f"unknown mechanism {name!r}; choose from {MECHANISMS}")
-    kinds, build = _BUILDERS[name]
-    if not isinstance(alphabet, kinds) or (name == "geometric" and not alphabet.is_contiguous):
-        needs = " or ".join(k.kind for k in kinds)
-        raise ConfigError(f"the {name} mechanism needs a "
-                          f"{'contiguous ' if name == 'geometric' else ''}{needs} alphabet")
-    return build(alphabet, eps)
+    """The config mechanism ``name`` on an alphabet that ``ExperimentConfig.validate`` accepts."""
+    return _BUILDERS[name][1](alphabet, eps)
 
 
 def load_dataset(spec: dict, alphabet: Alphabet, master_seed: int) -> RawDataset:
@@ -217,12 +221,10 @@ def run_estimator(name: str, mech: Mechanism, obs, alphabet: Alphabet, **ibu_opt
         v = inv_raw(to_empirical(obs), mech)
         post = inv_normalize if name == "inv-n" else inv_project
         return post(v, alphabet), None
-    if name == "rappor-decode":
-        if not isinstance(mech, BitVectorMechanism):
-            raise IncompatibleEstimatorError("rappor-decode requires the rappor mechanism")
-        counts = rappor_bit_counts(obs, alphabet)
-        return rappor_decode(counts, obs.n, alphabet, mech.eps_ldp, post="project"), None
-    raise IncompatibleEstimatorError(f"unknown estimator {name!r}")
+    if not isinstance(mech, BitVectorMechanism):  # rappor-decode
+        raise IncompatibleEstimatorError("rappor-decode requires the rappor mechanism")
+    counts = rappor_bit_counts(obs, alphabet)
+    return rappor_decode(counts, obs.n, alphabet, mech.eps_ldp, post="project"), None
 
 
 def _quantiles(values: list) -> list:
@@ -238,9 +240,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     when its estimator or one of its metrics raises a PrivDistError; the
     failure is a row with status ``error:<Type>``.  Raises
     FailureThresholdExceededError (after writing the files) when more than
-    10% of the estimator runs failed.
+    10% of the estimator runs failed, and ConfigError before any data are
+    read when a metric cannot score the alphabet (EMD on a categorical one).
     """
     alphabet = build_alphabet(config.alphabet)
+    if "emd" in config.metrics and isinstance(alphabet, CategoricalAlphabet):
+        raise ConfigError("the emd metric needs a linear or planar alphabet; "
+                          "score a categorical one by tv or l2sq")
     data = load_dataset(config.dataset, alphabet, config.master_seed)
     truth = empirical_distribution(alphabet, data.values)
     mech_name = config.mechanism["name"]

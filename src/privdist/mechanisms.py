@@ -400,7 +400,9 @@ def canonical_rows(packed: np.ndarray, k: int) -> tuple:
 def rappor_bits(zs, k: int) -> np.ndarray:
     """RAPPOR reports as a (len(zs), k) uint8 0/1 matrix.  ``zs`` is such a
     matrix already (the store of a drawn ``ObservationSet``), returned
-    unchanged after one check, or a sequence of tuples or lists of k ints."""
+    unchanged after one check, or a sequence of tuples or lists of k ints.
+    A matrix of another width, dtype or dimension, or with an entry above 1,
+    raises the errors of the tuple form."""
     if isinstance(zs, np.ndarray):
         if zs.ndim != 2 or zs.shape[1] != k:
             raise LengthMismatchError(f"reports must be bit vectors of length {k}, the alphabet size")

@@ -402,6 +402,34 @@ class TestMechanismTable:
         assert main(["experiment", "--config", cfg]) == 3
         assert f"the {name} mechanism needs a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["experiment", "obfuscate"])
+    def test_wrong_alphabet_kind_exits_3_before_reading_data(self, tmp_path, capsys, command):
+        # the check-ins file does not exist: the config is refused before it is looked for
+        cfg = base_config(tmp_path, dataset={"kind": "checkins", "path": str(tmp_path / "missing.csv"),
+                                             "bbox": CHECKIN_BBOX},
+                          alphabet={"kind": "planar", "bbox": CHECKIN_BBOX, "cell_km": 0.5},
+                          mechanism={"name": "geometric", "eps": [1.0]})
+        assert main([command, "--config", cfg]) == 3
+        assert "the geometric mechanism needs a linear alphabet" in capsys.readouterr().err
+
+    def test_unknown_alphabet_kind_is_a_config_error(self, tmp_path):
+        cfg = grid_config(tmp_path, "krr", "linear", ["ibu"])
+        cfg["alphabet"] = {"kind": "hexagonal"}
+        with pytest.raises(ConfigError, match="unknown alphabet kind 'hexagonal'"):
+            ExperimentConfig.from_dict(cfg)
+
+    def test_emd_on_a_categorical_alphabet_exits_3_before_reading_data(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        def read(*args):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(experiment, "load_dataset", read)
+        cfg = grid_config(tmp_path, "krr", "categorical", ["ibu"])
+        cfg["metrics"] = ["tv", "emd"]
+        assert main(["experiment", "--config", write_json(tmp_path / "config.json", cfg)]) == 3
+        assert "the emd metric needs a linear or planar alphabet" in capsys.readouterr().err
+        assert not (tmp_path / "results_raw.csv").exists()
+
     def test_unknown_metric_is_a_config_error(self, tmp_path):
         cfg = grid_config(tmp_path, "krr", "linear", ["ibu"])
         cfg["metrics"] = ["emd", "wasserstein"]

@@ -267,6 +267,13 @@ class TestFiniteMechanism:
         with pytest.raises(ValueError, match="finite"):
             FiniteMechanism(AB, AB.values, [[bad, 0.5], [0.5, 0.5]])
 
+    def test_entries_above_one_within_the_row_tolerance_are_clipped(self):
+        # the rows pass the 1e-9 sum check, and obs_matrix accepts the result
+        mech = FiniteMechanism(AB, AB.values, np.asfortranarray([[1 + 5e-10, 0.0], [0.0, 1.0]]))
+        assert mech.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]] and mech.matrix.flags.c_contiguous
+        G = obs_matrix(mech, ObservationSet({"a": 2, "b": 1}))
+        np.testing.assert_array_equal(G.matrix, np.eye(2))
+
     def test_sampler_matches_kernel(self):
         # statistical contract: 1e5 draws, frequencies within 4 sigma of the
         # kernel for every output with probability >= 0.01

@@ -408,6 +408,22 @@ class TestIbuCertificate:
         assert res.converged and res.iterations <= 50
         assert certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
 
+    @pytest.mark.parametrize("seed, tests", [(29, 9), (53, 7), (126, 8), (184, 8), (279, 8)])
+    def test_rows_below_the_hold_stay_still(self, seed, tests):
+        # random sparse kernels with 1-3 reports: entries of the iterate fall
+        # below 1e-200, and the Newton step must hold them still; solving
+        # for them too makes the step non-finite and raises a RuntimeWarning
+        rng = np.random.default_rng(seed)
+        k, m = int(rng.integers(2, 40)), int(rng.integers(1, 60))
+        A = rng.random((k, m)) * (rng.random((k, m)) > 0.3)
+        A[:, A.sum(axis=0) == 0] = 1.0
+        A /= A.sum(axis=0).max() * 1.01
+        G = ObsMatrix(LinearAlphabet.range(0, k - 1), range(m), A, rng.integers(1, 50, m))
+        res = ibu(G)
+        assert res.converged and res.iterations <= tests
+        assert res.estimate.probs.min() < 1e-200
+        assert certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
+
     def test_explicit_start_takes_plain_em_steps(self):
         rng = np.random.default_rng(71)
         alpha = LinearAlphabet.range(0, 4)
