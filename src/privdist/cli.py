@@ -69,7 +69,7 @@ from .mechanisms import (
     obfuscate_dataset,
     rappor_bits,
 )
-from .reduction import lift, likely_subset
+from .reduction import ibu_on_subset, lift, likely_subset
 
 _IO_ERRORS = (OSError, EmptyDatasetError, TooManyMalformedRowsError, BBoxGridMismatchError,
               MalformedInputError)
@@ -124,8 +124,7 @@ def mechanism_to_json(mech) -> dict:
     if isinstance(mech.input_alphabet, Alphabet):
         d["alphabet"] = alphabet_to_json(mech.input_alphabet)
     if isinstance(mech, FiniteMechanism):
-        d.update(outputs=[_listed(z) for z in mech.outputs], matrix=mech.matrix.tolist(),
-                 distance_monotone=mech.distance_monotone)
+        d.update(outputs=[_listed(z) for z in mech.outputs], matrix=mech.matrix.tolist())
     return d
 
 
@@ -137,8 +136,7 @@ def mechanism_from_json(d: dict):
         raise TypeError(f"mechanism kind {kind!r} is not a string")
     if d.get("finite"):
         return FiniteMechanism(alphabet_from_json(d["alphabet"]), [_tupled(z) for z in d["outputs"]],
-                               d["matrix"], kind=kind, params=d.get("params"),
-                               distance_monotone=d.get("distance_monotone", False))
+                               d["matrix"], kind=kind, params=d.get("params"))
     if kind == "geometric-linear":
         return IntegerLineMechanism(d["params"]["eps_geo"])
     if kind == "rappor":
@@ -322,20 +320,17 @@ def cmd_estimate(args) -> int:
     if args.likely_subset and args.estimator != "ibu":
         raise IncompatibleEstimatorError(f"--likely-subset applies to ibu only, not {args.estimator}")
     mech, obs = _load_inputs(args)
-    alphabet = mech.input_alphabet if isinstance(mech.input_alphabet, Alphabet) else None
-
-    subset = None
+    if not args.likely_subset and not isinstance(mech.input_alphabet, Alphabet):
+        hint = "; use --likely-subset" if args.estimator == "ibu" else ""
+        raise IncompatibleEstimatorError(f"{args.estimator} needs a finite input alphabet{hint}")
     try:
         if args.likely_subset:
-            subset = likely_subset(mech, obs)
-            alphabet = subset.alphabet
-        if alphabet is None:
-            hint = "; use --likely-subset" if args.estimator == "ibu" else ""
-            raise IncompatibleEstimatorError(f"{args.estimator} needs a finite input alphabet{hint}")
-        estimate, result = run_estimator(args.estimator, mech, obs, alphabet,
-                                         tol=args.tol, max_iter=args.max_iter)
-        if subset is not None:
-            estimate = lift(subset, estimate)
+            start = likely_subset(mech, obs)
+            result, subset = ibu_on_subset(mech, obs, start, tol=args.tol, max_iter=args.max_iter)
+            estimate = lift(subset, result.estimate)
+        else:
+            estimate, result = run_estimator(args.estimator, mech, obs, mech.input_alphabet,
+                                             tol=args.tol, max_iter=args.max_iter)
     except IncompatibleEstimatorError:
         raise
     except PrivDistError as exc:
@@ -346,8 +341,9 @@ def cmd_estimate(args) -> int:
     if result is not None:
         payload["diagnostics"] = {"iterations": result.iterations, "converged": result.converged,
                                   "gap": result.gap, "loglik": result.loglik_trace[-1]}
-        if subset is not None:
-            payload["diagnostics"]["likely_subset"] = subset_to_json(subset)
+        if args.likely_subset:
+            payload["diagnostics"]["likely_subset"] = {**subset_to_json(subset),
+                                                       "added_by_pricing": subset.size - start.size}
     _write_json(args.out, payload)
     print(f"wrote estimate to {args.out}")
     return 0
@@ -418,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[inputs], help="run one estimator on saved artifacts")
     p.add_argument("--estimator", required=True, choices=ESTIMATORS)
     p.add_argument("--likely-subset", action="store_true",
-                   help="restrict ibu to a likely subset before estimating")
+                   help="run ibu on a likely subset, grown until the estimate is "
+                        "certified within --tol on the full alphabet")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="certified log-likelihood gap, in nats, at which ibu stops; "
                         "never below 4*n*2.2e-16, the least that rounding can certify")

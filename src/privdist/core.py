@@ -422,16 +422,9 @@ class Mechanism:
     Subclasses provide ``kernel`` (P(z | x) for whole batches of inputs and
     outputs) and ``draw`` (reports for a batch of inputs, drawn with the
     kernel's probabilities from a caller-owned Generator and counted in
-    canonical order).  ``distance_monotone`` is the builder's claim that
-    the interval (on a line) or hull (on a planar grid) subset of
-    ``reduction.likely_subset`` loses no likelihood.  It does not say that
-    the kernel falls with distance: at a grid's edge, a folded planar
-    geometric row or a renormalized exponential row can make a farther
-    input the likelier one.  ``reduction`` names the tests of the claim.
-    """
+    canonical order)."""
 
     kind = "custom"
-    distance_monotone = False
 
     def __init__(self, input_alphabet):
         self.input_alphabet = input_alphabet
@@ -470,8 +463,7 @@ class FiniteMechanism(Mechanism):
     to 1 within PROB_ATOL) clipped to 1, as ``ObsMatrix`` clips them."""
 
     def __init__(self, input_alphabet: Alphabet, outputs: Sequence, matrix,
-                 kind: str = "custom", distance_monotone: bool = False,
-                 params: dict = None):
+                 kind: str = "custom", params: dict = None):
         super().__init__(input_alphabet)
         outputs = tuple(outputs)
         for z in outputs:
@@ -497,7 +489,6 @@ class FiniteMechanism(Mechanism):
         self.matrix = matrix
         self._out_index = {z: j for j, z in enumerate(outputs)}
         self.kind = kind
-        self.distance_monotone = distance_monotone
         self._params = dict(params or {})
 
     @property

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -52,12 +54,12 @@ class RawDataset:
         return len(self.values)
 
 
-def _read_rows(csv_path: str, columns: Sequence, parse) -> tuple:
-    """The rows of a CSV file that ``parse`` accepts, and the number of rows.
+def _read_rows(csv_path: str, columns: Sequence, parse) -> int:
+    """The number of rows of a CSV file, each handed to ``parse``.
 
     ``parse`` gets the cells of ``columns`` (header names, or indices) and
-    rejects a row with ValueError or IndexError.  Blank rows are skipped and
-    not counted."""
+    keeps what it reads, or rejects the row with ValueError or IndexError
+    before keeping anything.  Blank rows are skipped and not counted."""
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -68,17 +70,17 @@ def _read_rows(csv_path: str, columns: Sequence, parse) -> tuple:
             if not isinstance(c, int) and c not in header:
                 raise ValueError(f"column {c!r} not found in header {header}")
         cols = [c if isinstance(c, int) else header.index(c) for c in columns]
-        parsed = []
+        cells = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
         total = 0
         for row in reader:
-            if not any(c.strip() for c in row):
+            if not "".join(row).strip():  # every cell blank
                 continue
             total += 1
             try:
-                parsed.append(parse(*[row[c] for c in cols]))
+                parse(*cells(row))
             except (ValueError, IndexError):
                 pass
-    return parsed, total
+    return total
 
 
 def _dataset(kind: str, csv_path: str, values: list, n_parsed: int, total: int) -> RawDataset:
@@ -101,8 +103,9 @@ def load_ages(csv_path: str, age_column="age", lo: int = 0, hi: int = 99) -> Raw
     Unparseable rows are counted and skipped up to a 1% threshold; rows
     outside [lo, hi] are dropped with a count.
     """
-    rows, total = _read_rows(csv_path, [age_column], lambda age: int(age.strip()))
-    return _dataset("ages", csv_path, [a for a in rows if lo <= a <= hi], len(rows), total)
+    ages = []
+    total = _read_rows(csv_path, [age_column], lambda age: ages.append(int(age.strip())))
+    return _dataset("ages", csv_path, [a for a in ages if lo <= a <= hi], len(ages), total)
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +114,12 @@ def load_ages(csv_path: str, age_column="age", lo: int = 0, hi: int = 99) -> Raw
 
 def project_latlon(lat, lon, bbox) -> tuple:
     """Equirectangular projection to kilometres, anchored at the bbox
-    lower-left corner with the cosine taken at the bbox center latitude."""
+    lower-left corner with the cosine taken at the bbox center latitude.
+    ``lat`` and ``lon`` may be numbers or arrays."""
     lat_min, lat_max, lon_min, lon_max = bbox
     lat0 = math.radians((lat_min + lat_max) / 2.0)
-    x = EARTH_RADIUS_KM * math.cos(lat0) * math.radians(lon - lon_min)
-    y = EARTH_RADIUS_KM * math.radians(lat - lat_min)
+    x = EARTH_RADIUS_KM * math.cos(lat0) * np.radians(lon - lon_min)
+    y = EARTH_RADIUS_KM * np.radians(lat - lat_min)
     return x, y
 
 
@@ -136,7 +140,9 @@ def grid_for_bbox(bbox, cell_km: float) -> PlanarAlphabet:
 
 def load_checkins(csv_path: str, bbox, grid: PlanarAlphabet) -> RawDataset:
     """Read lat/lon rows, drop points outside the bbox, and map each retained
-    point to the center of its enclosing grid cell."""
+    point to the center of its enclosing grid cell.  The coordinates are
+    parsed into one float array and projected and binned with numpy; the
+    cells are grouped as ``sample_synthetic`` groups its draws."""
     lat_min, lat_max, lon_min, lon_max = bbox
     width, height = bbox_extent_km(bbox)
     w = grid.cell_width_km
@@ -145,16 +151,16 @@ def load_checkins(csv_path: str, bbox, grid: PlanarAlphabet) -> RawDataset:
             f"grid extent {grid.nx * w:.2f}x{grid.ny * w:.2f} km does not cover "
             f"the bbox extent {width:.2f}x{height:.2f} km"
         )
-    rows, total = _read_rows(csv_path, ["lat", "lon"], lambda lat, lon: (float(lat), float(lon)))
+    # both floats are read before extend, so a rejected row keeps neither
+    latlon = array("d")
+    total = _read_rows(csv_path, ["lat", "lon"], lambda lat, lon: latlon.extend((float(lat), float(lon))))
+    lat, lon = np.frombuffer(latlon, dtype=float).reshape(-1, 2).T
+    inside = (lat_min <= lat) & (lat <= lat_max) & (lon_min <= lon) & (lon <= lon_max)
+    x, y = project_latlon(lat[inside], lon[inside], bbox)
     ox, oy = grid.origin
-    cells = []
-    for lat, lon in rows:
-        if lat_min <= lat <= lat_max and lon_min <= lon <= lon_max:
-            x, y = project_latlon(lat, lon, bbox)
-            ix = min(max(int((x - ox + w / 2.0) // w), 0), grid.nx - 1)
-            iy = min(max(int((y - oy + w / 2.0) // w), 0), grid.ny - 1)
-            cells.append(grid.values[iy * grid.nx + ix])
-    return _dataset("checkins", csv_path, cells, len(rows), total)
+    ix = np.clip((x - ox + w / 2.0) // w, 0, grid.nx - 1).astype(np.intp)
+    iy = np.clip((y - oy + w / 2.0) // w, 0, grid.ny - 1).astype(np.intp)
+    return _dataset("checkins", csv_path, _counted(grid.values, iy * grid.nx + ix), lat.size, total)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
         raise DeadColumnError(
             f"observed value {G.values[dead[0]]!r} has zero probability under every alphabet element"
         )
-    stop = max(tol, 4.0 * n * np.finfo(float).eps)
+    stop = ibu_stop(tol, n)
     if theta0 is None:
         theta = _krr_maximizer(A, q)
         # Near the floor, rounding in g can fail even the exact maximizer,
@@ -136,6 +136,12 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
             loglik += gain
             trace.append(loglik)
     return IbuResult(Distribution(G.alphabet, theta), iterations, trace, converged, gap)
+
+
+def ibu_stop(tol: float, n: float) -> float:
+    """The gap, in nats, at which ``ibu`` stops on n reports: ``tol``, or
+    4 n eps where that is larger, the least that rounding in g can certify."""
+    return max(tol, 4.0 * n * np.finfo(float).eps)
 
 
 def _krr_maximizer(A, q):

@@ -9,6 +9,7 @@ configuration and a master seed, every output byte is reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -218,13 +219,23 @@ def run_estimator(name: str, mech: Mechanism, obs, alphabet: Alphabet, **ibu_opt
     if name in ("inv-n", "inv-p"):
         if not isinstance(mech, FiniteMechanism) or not mech.is_square:
             raise IncompatibleEstimatorError(f"{name} requires a square finite mechanism")
-        v = inv_raw(to_empirical(obs), mech)
         post = inv_normalize if name == "inv-n" else inv_project
-        return post(v, alphabet), None
+        return post(_inverted(mech, obs), alphabet), None
     if not isinstance(mech, BitVectorMechanism):  # rappor-decode
         raise IncompatibleEstimatorError("rappor-decode requires the rappor mechanism")
     counts = rappor_bit_counts(obs, alphabet)
     return rappor_decode(counts, obs.n, alphabet, mech.eps_ldp, post="project"), None
+
+
+@functools.lru_cache(maxsize=1)
+def _inverted(mech: FiniteMechanism, obs) -> np.ndarray:
+    """``inv_raw`` on the reports, kept for the last (mechanism, reports)
+    pair, so that inv-n and inv-p on one replication share one solve.  Both
+    are keyed by identity (neither defines equality) and held while cached,
+    so no other pair can take their key."""
+    v = inv_raw(to_empirical(obs), mech)
+    v.flags.writeable = False
+    return v
 
 
 def _quantiles(values: list) -> list:

@@ -98,7 +98,6 @@ class IntegerLineMechanism(Mechanism):
     """
 
     kind = "geometric-linear"
-    distance_monotone = True
 
     def __init__(self, eps_geo: float):
         require_eps(eps_geo)
@@ -178,7 +177,6 @@ def build_geometric_truncated(r1: int, r2: int, eps_geo: float) -> FiniteMechani
         alphabet.values,
         matrix,
         kind="geometric-truncated",
-        distance_monotone=True,
         params={"eps_geo": float(eps_geo), "r1": int(r1), "r2": int(r2)},
     )
 
@@ -262,7 +260,6 @@ def _planar_mechanism(input_grid: PlanarAlphabet, output_grid: PlanarAlphabet, e
         output_grid.values,
         weight / weight.sum(axis=1, keepdims=True),
         kind=kind,
-        distance_monotone=True,
         params={"eps_geo": float(eps)},
     )
 
@@ -308,7 +305,6 @@ def build_laplace_linear_discretized(alphabet: LinearAlphabet, eps_geo: float) -
         vals,
         matrix,
         kind="laplace-linear",
-        distance_monotone=True,
         params={"eps_geo": float(eps_geo)},
     )
 
@@ -354,7 +350,6 @@ def build_exponential(alphabet: Alphabet, metric, eps_geo: float) -> FiniteMecha
         alphabet.values,
         matrix,
         kind="exponential",
-        distance_monotone=True,
         params={"eps_geo": float(eps_geo)},
     )
 
@@ -429,7 +424,6 @@ class BitVectorMechanism(Mechanism):
     """
 
     kind = "rappor"
-    distance_monotone = False
 
     def __init__(self, alphabet: Alphabet, eps_ldp: float):
         require_eps(eps_ldp, zero_ok=True)

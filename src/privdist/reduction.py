@@ -1,23 +1,21 @@
-"""Likely-subset reduction: run IBU on a finite sub-alphabet without loss.
+"""Likely-subset reduction: run IBU on a finite sub-alphabet, certified on the parent.
 
 An element is *unlikely* when another element is at least as probable a cause
 of every observed report and strictly more probable for one of them; any
 likelihood maximizer puts probability zero on unlikely elements, so they may
-be dropped before estimating.  Three constructions identify likely subsets
-without scanning the whole alphabet: the set of observed values for a matrix
-of k-RR form, and, for a mechanism whose builder sets ``distance_monotone``,
-an interval on the line or an extended convex hull on a planar grid;
-``likely_subset`` picks the one that fits.
+be dropped before estimating.  Three constructions give a starting subset
+without scanning the whole alphabet: the observed values for a matrix of k-RR
+form, an interval on the line and an extended convex hull on a planar grid;
+``likely_subset`` picks the one that fits the mechanism's type.
 
-The flag is the builder's claim that the interval or hull loses no
-likelihood, not a proof: the planar geometric and exponential kernels are not
-strictly decreasing in distance at a grid's edge, and on a 6 x 6 exponential
-grid the hull can drop a cell that no kept cell dominates.  The tests check
-the claim.  ``test_linear_excluded_are_unlikely`` and
-``test_planar_excluded_are_unlikely`` find a dominating kept element for
-every excluded one, under truncated geometric and planar geometric noise.
-``test_flagged_kernels_lose_no_likelihood`` certifies the lifted estimate on
-the full alphabet where the kernel is not monotone.
+A construction is a start, not a proof: at a grid's edge the planar geometric
+and exponential kernels do not fall with distance, and on a 6 x 6 exponential
+grid the hull drops a cell that no kept cell dominates.  ``ibu_on_subset``
+decides on a finite parent: it prices KKT's g <= 1 on every excluded element
+and grows the subset until none exceeds ``ibu``'s stop, so its gap is the
+parent's.  On INTEGER_LINE nothing needs pricing: under the two-sided
+geometric kernel the nearer end of [floor(min z), ceil(max z)] strictly
+dominates every integer outside it.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .core import (
     obs_matrix,
 )
 from .errors import EmptyObservationsError, IncompatibleEstimatorError, ObservationOutsideDomainError
-from .estimators import DEFAULT_TOL, ibu
+from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL, ibu, ibu_stop
 from .geometry import convex_hull, distance_to_hull
 
 
@@ -72,21 +70,23 @@ class LikelySubset:
 
 
 def likely_subset(mech: Mechanism, obs: ObservationSet) -> LikelySubset:
-    """The likely subset of the construction that fits ``mech``: the observed
-    values when its matrix has k-RR form (``_has_krr_form``), whatever its
-    kind, and when it is flagged ``distance_monotone`` the hull on a planar
-    grid or the interval on a linear alphabet or INTEGER_LINE.  Raises
-    IncompatibleEstimatorError when none fits, as for RAPPOR."""
+    """The starting subset for ``mech``'s type: the observed values when its
+    matrix has k-RR form (``_has_krr_form``); the hull for a finite mechanism
+    with (x, y) outputs on a planar grid; the interval on INTEGER_LINE, or for
+    a finite mechanism with integer outputs on a linear alphabet.  Raises
+    IncompatibleEstimatorError for anything else, RAPPOR included."""
     alphabet = mech.input_alphabet
     if _has_krr_form(mech):
         return likely_krr(alphabet, obs)
-    if mech.distance_monotone and isinstance(alphabet, PlanarAlphabet):
+    finite = isinstance(mech, FiniteMechanism)
+    if finite and isinstance(alphabet, PlanarAlphabet) and all(
+            isinstance(z, tuple) and len(z) == 2 and all(isinstance(c, (int, float)) for c in z)
+            for z in mech.outputs):
         return likely_planar(alphabet, obs)
-    if mech.distance_monotone and (alphabet is INTEGER_LINE or isinstance(alphabet, LinearAlphabet)):
+    if alphabet is INTEGER_LINE or (finite and isinstance(alphabet, LinearAlphabet)
+                                    and all(z in INTEGER_LINE for z in mech.outputs)):
         return likely_linear(alphabet, obs)
-    raise IncompatibleEstimatorError(
-        f"no likely-subset construction applies to mechanism kind {mech.kind!r}"
-    )
+    raise IncompatibleEstimatorError(f"no likely-subset construction fits mechanism kind {mech.kind!r}")
 
 
 def _has_krr_form(mech: Mechanism) -> bool:
@@ -176,17 +176,39 @@ def restricted_alphabet(subset: LikelySubset) -> Alphabet:
     return subset.alphabet
 
 
+def ibu_on_subset(mech: Mechanism, obs: ObservationSet, subset: LikelySubset,
+                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> tuple:
+    """IBU on the rows of ``subset``, certified on its parent alphabet: on a
+    finite parent, g = A (q / theta A) is priced on every excluded element
+    with one kernel block, those with n log g above ``ibu``'s stop join the
+    subset, and IBU runs again until none do.  Returns the last IbuResult,
+    with ``gap`` the parent's, and the final subset."""
+    while True:
+        G = obs_matrix(mech, obs, alphabet=subset.alphabet)
+        result = ibu(G, tol=tol, max_iter=max_iter)
+        if subset.parent is INTEGER_LINE or subset.size == subset.parent.size:
+            return result, subset
+        kept = set(subset.members)
+        excluded = [x for x in subset.parent.values if x not in kept]
+        g = mech.kernel(excluded, obs.reports).dot(G.q / result.estimate.probs.dot(G.matrix))
+        with np.errstate(divide="ignore"):
+            gaps = G.n * np.log(g)
+        result.gap = max(result.gap, float(gaps.max()))
+        kept.update(excluded[i] for i in np.flatnonzero(gaps > ibu_stop(tol, G.n)))
+        if len(kept) == subset.size or not result.converged:
+            return result, subset
+        members = [x for x in subset.parent.values if x in kept]
+        linear = isinstance(subset.alphabet, LinearAlphabet)
+        alphabet = LinearAlphabet(sorted(members)) if linear else Alphabet(members)
+        subset = LikelySubset(subset.parent, alphabet, subset.construction, subset.meta)
+
+
 def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset,
                       tol: float = DEFAULT_TOL) -> Distribution:
-    """Run IBU on the subset rows only, then lift by assigning probability
-    zero to every excluded element.
-
-    The lifted distribution maximizes the likelihood over the full alphabet.
-    When the parent domain is the integer line the result is returned over
-    the finite member window (everything outside it is zero by construction).
-    """
-    G = obs_matrix(mech, obs, alphabet=subset.alphabet)
-    return lift(subset, ibu(G, tol=tol).estimate)
+    """The estimate of ``ibu_on_subset``, lifted to the parent alphabet (on the
+    integer line, over the member window; it is zero outside)."""
+    result, subset = ibu_on_subset(mech, obs, subset, tol=tol)
+    return lift(subset, result.estimate)
 
 
 def lift(subset: LikelySubset, estimate: Distribution) -> Distribution:

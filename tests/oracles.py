@@ -2,19 +2,22 @@
 
 Nothing in the library needs these: they are independent cross-checks (the
 brute-force likelihood search, the pairwise dominance test, the per-edge hull
-distance, the hull walk over every point) and one-pair or one-input forms of
-the batch calls, which read more plainly in tests.
+distance, the hull walk over every point, the per-row check-ins loader) and
+one-pair or one-input forms of the batch calls, which read more plainly in
+tests.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
 from privdist.analysis import RANK_TOL, ConcavityReport
-from privdist.core import Distribution, Mechanism, ObservationSet, ObsMatrix
+from privdist.core import Distribution, Mechanism, ObservationSet, ObsMatrix, PlanarAlphabet
+from privdist.dataio import EARTH_RADIUS_KM
 from privdist.errors import ElementOutsideAlphabetError, PrivDistError
 from privdist.mechanisms import _laplace_cdf
 
@@ -44,6 +47,37 @@ def sample_counts(mech: Mechanism, x, count: int, rng: np.random.Generator) -> d
     if isinstance(values, np.ndarray):
         values = map(tuple, values.tolist())
     return dict(zip(values, counts.tolist()))
+
+
+def checkin_cells_per_row(csv_path: str, bbox, grid: PlanarAlphabet) -> tuple:
+    """The cells of a lat,lon CSV file, and its malformed and out-of-range
+    row counts, one row at a time in plain Python floats: each row is parsed,
+    kept when inside the bbox (ends included), projected and binned alone."""
+    lat_min, lat_max, lon_min, lon_max = bbox
+    lat0 = math.radians((lat_min + lat_max) / 2.0)
+    w, (ox, oy) = grid.cell_width_km, grid.origin
+    cells, malformed, outside = [], 0, 0
+    with open(csv_path, newline="") as fh:
+        rows = csv.reader(fh)
+        header = [h.strip() for h in next(rows)]
+        i, j = header.index("lat"), header.index("lon")
+        for row in rows:
+            if not any(c.strip() for c in row):
+                continue
+            try:
+                lat, lon = float(row[i]), float(row[j])
+            except (ValueError, IndexError):
+                malformed += 1
+                continue
+            if not (lat_min <= lat <= lat_max and lon_min <= lon <= lon_max):
+                outside += 1
+                continue
+            x = EARTH_RADIUS_KM * math.cos(lat0) * math.radians(lon - lon_min)
+            y = EARTH_RADIUS_KM * math.radians(lat - lat_min)
+            ix = min(max(int((x - ox + w / 2.0) // w), 0), grid.nx - 1)
+            iy = min(max(int((y - oy + w / 2.0) // w), 0), grid.ny - 1)
+            cells.append(grid.values[iy * grid.nx + ix])
+    return cells, malformed, outside
 
 
 def void_sort_draw(mech, xs, counts, rng: np.random.Generator):

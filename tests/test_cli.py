@@ -19,7 +19,7 @@ from privdist.cli import (
     reports_to_json,
 )
 from privdist.errors import ConfigError, SolverNonConvergenceError
-from privdist.estimators import ibu
+from privdist.estimators import ibu, inv_raw
 from privdist.experiment import (
     ESTIMATORS,
     MECHANISMS,
@@ -180,6 +180,17 @@ class TestEstimate:
 
 
 class TestExperiment:
+    def test_inv_estimators_share_one_inversion_per_replication(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(q, mech):
+            calls.append(mech)
+            return inv_raw(q, mech)
+
+        monkeypatch.setattr(experiment, "inv_raw", counted)
+        cfg = base_config(tmp_path, estimators=["inv-n", "ibu", "inv-p"], replications=3)
+        assert main(["experiment", "--config", cfg]) == 0
+        assert len(calls) == 3
     def test_identity_rows_have_zero_emd(self, tmp_path):
         cfg = base_config(tmp_path, mechanism={"name": "identity", "eps": [0.0]},
                           estimators=["ibu"], replications=1)
@@ -483,11 +494,11 @@ class TestAnalyzeAndReduce:
         {"mechanism": "rappor", "finite": False, "alphabet": {"kind": "linear", "values": [0, 1]},
          "params": {"eps_ldp": 1.0}},
         {"mechanism": "custom", "finite": True, "alphabet": {"kind": "linear", "values": [1, 2]},
-         "outputs": [1, 2], "matrix": [[0.5, 0.5], [0.25, 0.75]], "params": {}},
+         "outputs": ["a", "b"], "matrix": [[0.5, 0.5], [0.25, 0.75]], "params": {}},
     ], ids=["rappor", "custom-finite"])
     def test_no_likely_subset_construction_exits_3(self, tmp_path, mechanism):
         mech = write_json(tmp_path / "mech.json", mechanism)
-        reports = {"[0, 1]": 2, "[1, 1]": 1} if mechanism["mechanism"] == "rappor" else {"1": 2, "2": 1}
+        reports = {"[0, 1]": 2, "[1, 1]": 1} if mechanism["mechanism"] == "rappor" else {"a": 2, "b": 1}
         obs = write_json(tmp_path / "obs.json", {"reports": reports, "n": 3})
         artifacts = ["--mechanism", mech, "--observations", obs]
         assert main(["reduce", *artifacts, "--out", str(tmp_path / "subset.json")]) == 3
@@ -839,16 +850,24 @@ def test_identity_file_reduces_to_the_observed_labels(tmp_path):
     assert json.loads(out.read_text())["construction"] == "krr-observed"
 
 
-def test_krr_file_of_another_matrix_exits_3(tmp_path, capsys):
+def test_krr_file_of_another_matrix_gets_the_interval(tmp_path):
     alpha = build_alphabet({"kind": "linear", "lo": 0, "hi": 9})
     matrix = build_mechanism("exponential", alpha, 0.2).matrix
     mech = write_json(tmp_path / "mech.json", {
         "mechanism": "krr", "finite": True, "alphabet": {"kind": "linear", "values": list(range(10))},
         "outputs": list(range(10)), "matrix": matrix.tolist(), "params": {}})
     obs = write_json(tmp_path / "obs.json", {"reports": {"3": 10, "5": 10}, "n": 20})
+    inputs = ["--mechanism", mech, "--observations", obs]
     out = tmp_path / "subset.json"
-    assert main(["reduce", "--mechanism", mech, "--observations", obs, "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("IncompatibleEstimatorError: ") and not out.exists()
+    assert main(["reduce", *inputs, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["members"] == [3, 4, 5]
+    est = tmp_path / "est.json"
+    assert main(["estimate", *inputs, "--estimator", "ibu", "--likely-subset", "--tol", "1e-10",
+                 "--out", str(est)]) == 0
+    diagnostics = json.loads(est.read_text())["diagnostics"]
+    assert diagnostics["converged"] and diagnostics["gap"] <= 1e-10
+    assert diagnostics["likely_subset"]["members"] == [3, 4, 5]
+    assert diagnostics["likely_subset"]["added_by_pricing"] == 0
 
 
 def test_obfuscate_says_which_rows_it_skipped(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Dataset loading and synthetic generation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from privdist.errors import (
     InvalidSpecError,
     TooManyMalformedRowsError,
 )
+
+from oracles import checkin_cells_per_row
 
 MANHATTAN_BBOX = (40.7044, 40.7942, -74.0205, -73.9374)
 
@@ -110,6 +113,37 @@ class TestCheckins:
         path = write(tmp_path / "c.csv", "lat,lon\n40.75,-73.99\n")
         with pytest.raises(BBoxGridMismatchError):
             load_checkins(path, MANHATTAN_BBOX, small)
+
+    def test_matches_the_per_row_loader(self, tmp_path):
+        # points on cell edges (within an ulp, either side) and on the bbox
+        # edges, just outside it, NaN and inf rows, blank and malformed rows
+        grid = grid_for_bbox(MANHATTAN_BBOX, 0.5)
+        lat_min, lat_max, lon_min, lon_max = MANHATTAN_BBOX
+        lat0 = math.radians((lat_min + lat_max) / 2.0)
+        w, (ox, oy) = grid.cell_width_km, grid.origin
+        edge_x = [ox + w * (j - 0.5) for j in range(grid.nx + 1)]
+        edge_y = [oy + w * (i - 0.5) for i in range(grid.ny + 1)]
+        edge_lon = [lon_min + math.degrees(x / (6371.0088 * math.cos(lat0))) for x in edge_x]
+        edge_lat = [lat_min + math.degrees(y / 6371.0088) for y in edge_y]
+        mid_lat, mid_lon = (lat_min + lat_max) / 2.0, (lon_min + lon_max) / 2.0
+        rng = np.random.default_rng(2103)
+        points = [(mid_lat, lon) for lon in edge_lon] + [(lat, mid_lon) for lat in edge_lat]
+        points += [(lat, lon) for lat in edge_lat[::4] for lon in edge_lon[::3]]
+        points += [(float(np.nextafter(lat, d)), lon) for lat, lon in points[:40] for d in (-1, 1)]
+        points += [(lat, lon) for lat in (lat_min, lat_max, mid_lat) for lon in (lon_min, lon_max, mid_lon)]
+        points += [(float(np.nextafter(lat_max, 90)), mid_lon), (mid_lat, float(np.nextafter(lon_min, -180)))]
+        points += [(float(a), float(b)) for a, b in
+                   zip(rng.uniform(40.69, 40.81, 300), rng.uniform(-74.03, -73.93, 300))]
+        rows = [f"{lat!r},{lon!r}" for lat, lon in points]
+        rows[5:5] = ["nan,-73.99", "40.75,inf", "-inf,-inf", "NaN,nan", "", " , ", ",", "40.75,east"]
+        path = write(tmp_path / "c.csv", "lat,lon\n" + "\n".join(rows) + "\n")
+        ds = load_checkins(path, MANHATTAN_BBOX, grid)
+        cells, malformed, outside = checkin_cells_per_row(path, MANHATTAN_BBOX, grid)
+        assert (ds.n_malformed, ds.n_out_of_range) == (malformed, outside) and malformed == 1
+        assert ds.values == tuple(cells)
+        # grouped while loading, in the order that counting the cells gives
+        assert set(vars(ds.values)) == {"counts", "samples"}
+        assert list(ds.values.counts.items()) == list(Counter(cells).items())
 
     def test_discretization_idempotent(self):
         grid = grid_for_bbox(MANHATTAN_BBOX, 0.5)

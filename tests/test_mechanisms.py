@@ -804,9 +804,8 @@ class TestSerialization:
         assert mechanism_to_json(back) == d
         if isinstance(m, FiniteMechanism):
             np.testing.assert_array_equal(back.matrix, m.matrix)
-        assert (back.kind, back.params_dict(), back.distance_monotone, back.output_values(),
-                back.input_alphabet) == (m.kind, m.params_dict(), m.distance_monotone,
-                                         m.output_values(), m.input_alphabet)
+        assert (back.kind, back.params_dict(), back.output_values(), back.input_alphabet) == (
+            m.kind, m.params_dict(), m.output_values(), m.input_alphabet)
 
 
 # ---------------------------------------------------------------------------

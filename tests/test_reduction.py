@@ -38,6 +38,8 @@ from privdist.mechanisms import (
     obfuscate_dataset,
 )
 from privdist.reduction import (
+    LikelySubset,
+    ibu_on_subset,
     lift,
     likely_krr,
     likely_linear,
@@ -47,6 +49,20 @@ from privdist.reduction import (
 )
 
 from oracles import convex_hull_every_point, distance_to_hull_per_edge, from_reports, is_unlikely
+
+
+def squared_distance_krr():
+    """A squared-distance exponential matrix on 0..9 labelled "krr", and the
+    reports {3: 10, 5: 10}."""
+    alpha = LinearAlphabet.range(0, 9)
+    matrix = build_exponential(alpha, lambda x, z: (x - z) ** 2, 0.2).matrix
+    return FiniteMechanism(alpha, alpha.values, matrix, kind="krr"), ObservationSet({3: 10, 5: 10})
+
+
+def parent_gap(mech, obs, lifted) -> float:
+    """n log max g of a lifted estimate, on the full observation matrix."""
+    G = obs_matrix(mech, obs)
+    return G.n * math.log(G.matrix.dot(G.q / lifted.probs.dot(G.matrix)).max())
 
 
 class TestIsUnlikely:
@@ -203,8 +219,11 @@ class TestLikelySubset:
         (FiniteMechanism(CategoricalAlphabet(["c", "a", "b"]), ["c", "a", "b"],
                          [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]]),
          {"b": 2, "c": 1}, "krr-observed", Alphabet(["c", "b"])),
+        # any matrix with integer outputs on a line
+        (FiniteMechanism(LinearAlphabet.range(0, 1), [0, 1], [[0.5, 0.5], [0.25, 0.75]]),
+         {1: 2}, "linear-interval", LinearAlphabet([1])),
     ], ids=["krr-labels", "krr-integers", "interval", "integer-line", "hull", "identity",
-            "custom-krr"])
+            "custom-krr", "linear-interval"])
     def test_each_construction(self, mech, reports, construction, alphabet):
         subset = likely_subset(mech, ObservationSet(reports))
         assert subset.construction == construction
@@ -214,27 +233,43 @@ class TestLikelySubset:
 
     @pytest.mark.parametrize("mech", [
         build_rappor(LinearAlphabet.range(0, 2), 1.0),
-        FiniteMechanism(LinearAlphabet.range(0, 1), [0, 1], [[0.5, 0.5], [0.25, 0.75]]),
+        FiniteMechanism(LinearAlphabet.range(0, 1), ["a", "b"], [[0.5, 0.5], [0.25, 0.75]]),
     ], ids=["rappor", "custom-finite"])
     def test_no_construction_fits(self, mech):
         obs = obfuscate_dataset(mech, [0, 1, 1], np.random.default_rng(3))
         with pytest.raises(IncompatibleEstimatorError):
             likely_subset(mech, obs)
 
-    def test_kind_krr_without_krr_form_fits_no_construction(self):
+    def test_kind_krr_without_krr_form_gets_the_interval(self):
         # a squared-distance exponential matrix labelled "krr": the reports 3
         # and 5 are best explained by 4, which the observed values leave out,
-        # so IBU on them would fall 1.21 nats below the MLE
-        alpha = LinearAlphabet.range(0, 9)
-        matrix = build_exponential(alpha, lambda x, z: (x - z) ** 2, 0.2).matrix
-        mech = FiniteMechanism(alpha, alpha.values, matrix, kind="krr")
-        obs = ObservationSet({3: 10, 5: 10})
+        # so IBU on them would fall 1.21 nats below the MLE; the interval
+        # [3, 5] keeps it
+        mech, obs = squared_distance_krr()
         full = ibu(obs_matrix(mech, obs), tol=1e-10)
         observed = ibu(obs_matrix(mech, obs, alphabet=LinearAlphabet([3, 5])), tol=1e-10)
         assert np.flatnonzero(full.estimate.probs > 1e-6).tolist() == [4]
         assert full.loglik_trace[-1] - observed.loglik_trace[-1] > 1.2
-        with pytest.raises(IncompatibleEstimatorError):
-            likely_subset(mech, obs)
+        subset = likely_subset(mech, obs)
+        assert subset.construction == "linear-interval" and subset.members == (3, 4, 5)
+        lifted = restrict_and_lift(mech, obs, subset, tol=1e-10)
+        assert 0.5 * np.abs(lifted.probs - full.estimate.probs).sum() <= 1e-6
+
+    def test_pricing_grows_a_cut_subset(self):
+        # cut to the observed values, the subset loses 1.28 nats of
+        # likelihood on the parent; pricing g on the excluded elements puts
+        # 4 back, and the gap is then the parent's
+        mech, obs = squared_distance_krr()
+        cut = LikelySubset(mech.input_alphabet, LinearAlphabet([3, 5]), "linear-interval", {})
+        result, grown = ibu_on_subset(mech, obs, cut, tol=1e-10)
+        assert grown.members == (3, 4, 5) and result.converged
+        assert result.estimate.alphabet == grown.alphabet
+        assert result.gap <= 1e-9 and parent_gap(mech, obs, lift(grown, result.estimate)) <= 1e-9
+        # at a stop of 2 nats, 4 stays out, and its 1.28 nats are the gap
+        result, kept = ibu_on_subset(mech, obs, cut, tol=2.0)
+        assert kept.members == (3, 5) and result.converged
+        assert result.gap == pytest.approx(parent_gap(mech, obs, lift(kept, result.estimate)), rel=1e-9)
+        assert result.gap > 1.2
 
     def test_krr_on_integers_out_of_order(self):
         # the integer members become a LinearAlphabet, in increasing order;
@@ -312,10 +347,9 @@ class TestSoundness:
          (2.5, 0.5), (5.5, 0.5), (2.5, 2.5)),
     ], ids=["planar-geometric-4x4", "exponential-line", "exponential-6x6"])
     def test_flagged_kernels_lose_no_likelihood(self, name, alphabet, eps, reports, z, dropped, kept):
-        # distance_monotone is the builder's claim that the subset loses no
-        # likelihood, not that the kernel falls with distance: here the subset
-        # drops an input that is farther from the report z than a kept one,
-        # and more likely to report it
+        # the kernel does not fall with distance here: the subset drops an
+        # input that is farther from the report z than a kept one, and more
+        # likely to report it; the estimate is certified on the full alphabet
         mech = build_mechanism(name, alphabet, eps)
         obs = ObservationSet(reports)
         subset = likely_subset(mech, obs)
@@ -327,6 +361,11 @@ class TestSoundness:
         theta = lift(subset, restricted.estimate).probs
         G = obs_matrix(mech, obs)
         assert G.n * math.log(G.matrix.dot(G.q / theta.dot(G.matrix)).max()) <= 1e-9
+        # ibu_on_subset reports that gap; the mixtures over the subset and over
+        # the full alphabet may round apart, by ibu's floor 4 n eps at most
+        result, priced = ibu_on_subset(mech, obs, subset, tol=1e-12)
+        assert result.gap == pytest.approx(parent_gap(mech, obs, lift(priced, result.estimate)),
+                                           rel=1e-12, abs=4 * G.n * np.finfo(float).eps)
 
 
 class TestRestrictAndLift:
