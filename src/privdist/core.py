@@ -437,16 +437,12 @@ class Mechanism:
         raise NotImplementedError
 
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
-        """Draw ``counts[i]`` independent reports for each input ``xs[i]``.
-
-        The inputs draw from ``rng`` one after another, in the order given,
-        each taking the stream that a draw for that input alone takes; the
-        calls may be joined, as one ``rng.random(sum(counts))`` is the stream
-        of one ``rng.random(count)`` per input.  The reports are counted,
-        not listed.  Returns the distinct reports in canonical order
-        (``ObservationSet``'s), as a sequence or, for RAPPOR, as a read-only
-        (m, k) uint8 matrix with one row per report, and an int64 array of
-        their counts, summed over the inputs."""
+        """Draw ``counts[i]`` independent reports from each input ``xs[i]``'s
+        kernel row; the same generator state gives the same reports and
+        leaves the same state.  Returns the distinct reports in canonical
+        order (``ObservationSet``'s), as a sequence or, for RAPPOR, as a
+        read-only (m, k) uint8 matrix with one row per report, and an int64
+        array of their counts, summed over the inputs."""
         raise NotImplementedError
 
     def output_values(self):
@@ -536,20 +532,11 @@ class FiniteMechanism(Mechanism):
         return np.array(_canonical_order(self.outputs), dtype=np.intp)
 
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
-        # One rng.random(n) is the stream of one rng.random(count) per input.
-        # rng.choice(p=row) reports output j for a draw u with
-        # cdf[j-1] <= u < cdf[j], so output j takes #(u < cdf[j]) -
-        # #(u < cdf[j-1]) of the input's block: each block is sorted, the
-        # row's cdf is searched in it, and the ranks, summed over the
-        # inputs, are differenced once.
-        cdf = self.matrix[[self.input_alphabet.index(x) for x in xs]].cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        draws = rng.random(int(sum(counts)))
-        below = np.empty(cdf.shape, dtype=np.intp)
-        for block, row, ranks in zip(np.split(draws, np.cumsum(counts)[:-1]), cdf, below):
-            block.sort()
-            ranks[:] = block.searchsorted(row, side="left")
-        binned = np.diff(below.sum(axis=0), prepend=0)
+        # One multinomial per input (numpy draws a 2-D pvals row by row), so
+        # a draw costs O(inputs x outputs) and allocates nothing per report.
+        rows = self.matrix[[self.input_alphabet.index(x) for x in xs]]
+        rows = rows / rows.sum(axis=1, keepdims=True)
+        binned = rng.multinomial(np.asarray(counts, dtype=np.int64), rows).sum(axis=0)
         order = self._canonical_outputs[binned[self._canonical_outputs] > 0]
         return [self.outputs[j] for j in order], binned[order]
 

@@ -119,33 +119,22 @@ class IntegerLineMechanism(Mechanism):
         return table[where].reshape(x.size, z.size)
 
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
-        # The stay, sign and magnitude draws interleave per input, so the
-        # loop over inputs stays, but it only draws.  The moves are signed,
-        # offset and counted once, after it, with one np.unique; the stays
-        # are merged into those counts last.
-        moved, negative, moves = [], [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.int64)]
-        for x, count in zip(xs, counts):
-            if x not in INTEGER_LINE:
-                raise ElementOutsideAlphabetError(f"{x!r} is not an integer")
-            m = int(count - np.count_nonzero(rng.random(count) < self._c))
-            if m:
-                negative.append(rng.random(m) >= 0.5)
-                moves.append(rng.geometric(1.0 - self._a, size=m))
-            moved.append(m)
-        xs = [int(x) for x in xs]
-        # rebinding frees each list once it is joined, so at most two
-        # arrays of the moved reports' size are alive at a time
-        moves = np.concatenate(moves)
-        np.negative(moves, out=moves, where=np.concatenate(negative))
-        moves += np.repeat(np.array(xs, dtype=np.int64), moved)
-        distinct, cnts = np.unique(moves, return_counts=True)
-        tallied = dict(zip(distinct.tolist(), cnts.tolist()))
-        for x, count, m in zip(xs, counts, moved):
-            if count > m:
-                tallied[x] = tallied.get(x, 0) + int(count - m)
-        values = list(tallied)
+        # A report stays at x with probability c, else moves a geometric step
+        # with a fair sign.  Each x joins the moves once to give its stays a
+        # place, and rebinding before np.unique copies keeps two move-sized
+        # arrays alive.
+        x = _integers(xs, ElementOutsideAlphabetError)
+        counts = np.asarray(counts, dtype=np.int64)
+        moved = rng.binomial(counts, 1.0 - self._c)
+        moves = rng.geometric(1.0 - self._a, size=int(moved.sum()))
+        np.negative(moves, out=moves, where=rng.random(moves.size) < 0.5)
+        moves += np.repeat(x, moved)
+        moves = np.concatenate([moves, x])
+        values, tallied = np.unique(moves, return_counts=True)
+        np.add.at(tallied, np.searchsorted(values, x), counts - moved - 1)
+        values, tallied = values[tallied > 0].tolist(), tallied[tallied > 0]
         order = _canonical_order(values)
-        return [values[j] for j in order], np.array([tallied[values[j]] for j in order], dtype=np.int64)
+        return [values[j] for j in order], tallied[order]
 
     def params_dict(self):
         return {"eps_geo": self.eps_geo}

@@ -74,11 +74,15 @@ def likely_subset(mech: Mechanism, obs: ObservationSet) -> LikelySubset:
     matrix has k-RR form (``_has_krr_form``); the hull for a finite mechanism
     with (x, y) outputs on a planar grid; the interval on INTEGER_LINE, or for
     a finite mechanism with integer outputs on a linear alphabet.  Raises
-    IncompatibleEstimatorError for anything else, RAPPOR included."""
+    IncompatibleEstimatorError for anything else, RAPPOR included.  First, an
+    empty kernel block of a finite mechanism refuses a report it cannot output
+    (ObservationOutsideDomainError)."""
     alphabet = mech.input_alphabet
+    finite = isinstance(mech, FiniteMechanism)
+    if finite:
+        mech.kernel((), obs.reports)
     if _has_krr_form(mech):
         return likely_krr(alphabet, obs)
-    finite = isinstance(mech, FiniteMechanism)
     if finite and isinstance(alphabet, PlanarAlphabet) and all(
             isinstance(z, tuple) and len(z) == 2 and all(isinstance(c, (int, float)) for c in z)
             for z in mech.outputs):
@@ -181,22 +185,28 @@ def ibu_on_subset(mech: Mechanism, obs: ObservationSet, subset: LikelySubset,
     """IBU on the rows of ``subset``, certified on its parent alphabet: on a
     finite parent, g = A (q / theta A) is priced on every excluded element
     with one kernel block, those with n log g above ``ibu``'s stop join the
-    subset, and IBU runs again until none do.  Returns the last IbuResult,
-    with ``gap`` the parent's, and the final subset."""
+    subset, and IBU runs again until none do; q / theta A = inf on a report
+    no member produces, so what produces it joins first.  Returns the last
+    IbuResult, with ``gap`` the parent's, and the final subset."""
     while True:
         G = obs_matrix(mech, obs, alphabet=subset.alphabet)
-        result = ibu(G, tol=tol, max_iter=max_iter)
         if subset.parent is INTEGER_LINE or subset.size == subset.parent.size:
-            return result, subset
+            return ibu(G, tol=tol, max_iter=max_iter), subset
         kept = set(subset.members)
         excluded = [x for x in subset.parent.values if x not in kept]
-        g = mech.kernel(excluded, obs.reports).dot(G.q / result.estimate.probs.dot(G.matrix))
-        with np.errstate(divide="ignore"):
-            gaps = G.n * np.log(g)
-        result.gap = max(result.gap, float(gaps.max()))
-        kept.update(excluded[i] for i in np.flatnonzero(gaps > ibu_stop(tol, G.n)))
-        if len(kept) == subset.size or not result.converged:
-            return result, subset
+        block = mech.kernel(excluded, obs.reports)
+        # the excluded elements that produce a report no member produces; when
+        # no element produces it, ibu raises DeadColumnError as on the parent
+        grow = block[:, G.matrix.max(axis=0) == 0].any(axis=1)
+        if not grow.any():
+            result = ibu(G, tol=tol, max_iter=max_iter)
+            with np.errstate(divide="ignore"):
+                gaps = G.n * np.log(block.dot(G.q / result.estimate.probs.dot(G.matrix)))
+            result.gap = max(result.gap, float(gaps.max()))
+            grow = gaps > ibu_stop(tol, G.n)
+            if not grow.any() or not result.converged:
+                return result, subset
+        kept.update(excluded[i] for i in np.flatnonzero(grow))
         members = [x for x in subset.parent.values if x in kept]
         linear = isinstance(subset.alphabet, LinearAlphabet)
         alphabet = LinearAlphabet(sorted(members)) if linear else Alphabet(members)

@@ -505,6 +505,24 @@ class TestAnalyzeAndReduce:
         assert main(["estimate", *artifacts, "--estimator", "ibu", "--likely-subset",
                      "--out", str(tmp_path / "est.json")]) == 3
 
+    @pytest.mark.parametrize("mech, report", [
+        (build_geometric_truncated(0, 9, 0.5), "3"),
+        (build_geometric_planar(PlanarAlphabet.grid(4, 3, 1.0), PlanarAlphabet.grid(4, 3, 1.0), 1.0),
+         "[0.5, 0.5]"),
+    ], ids=["line", "grid"])
+    def test_report_the_mechanism_cannot_output_exits_1(self, tmp_path, capsys, mech, report):
+        # "x" is no output of either mechanism: reduce and estimate refuse it
+        # as analyze does, before any construction reads the reports
+        mech_path = write_json(tmp_path / "mech.json", mechanism_to_json(mech))
+        obs = write_json(tmp_path / "obs.json", {"reports": {report: 2, "x": 1}, "n": 3})
+        artifacts = ["--mechanism", mech_path, "--observations", obs]
+        for argv in (["reduce", "--out", str(tmp_path / "subset.json")],
+                     ["estimate", "--estimator", "ibu", "--likely-subset", "--out", str(tmp_path / "est.json")],
+                     ["analyze"]):
+            assert main([argv[0], *artifacts, *argv[1:]]) == 1
+            assert "ObservationOutsideDomainError: 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "subset.json").exists() and not (tmp_path / "est.json").exists()
+
     def test_reduce_writes_subset(self, tmp_path):
         cfg = base_config(tmp_path, mechanism={"name": "geometric", "eps": [0.8]})
         obs = tmp_path / "obs.json"

@@ -610,31 +610,24 @@ def _obfuscate_per_datum(mech, data, rng):
 
 
 def _draw_with_numpy(mech, data, rng):
-    """Reference for the random stream: per distinct input, in alphabet order,
-    the generator calls of a plain-numpy draw, with the reports counted in a
-    dict."""
+    """Reference for the random stream of a finite mechanism or RAPPOR: per
+    distinct input, in alphabet order, the generator calls of a plain-numpy
+    draw, with the reports counted in a dict."""
     grouped = {}
     for x in data:
         grouped[x] = grouped.get(x, 0) + 1
     alphabet = mech.input_alphabet
     counts = {}
-    for x in sorted(grouped) if alphabet is INTEGER_LINE else sorted(grouped, key=alphabet.index):
+    for x in sorted(grouped, key=alphabet.index):
         c = grouped[x]
         if isinstance(mech, BitVectorMechanism):
             own = np.arange(alphabet.size) == alphabet.index(x)
             keep = rng.random((c, alphabet.size)) < mech.keep_prob
             reports = map(tuple, np.where(keep, own, ~own).astype(int).tolist())
-        elif alphabet is INTEGER_LINE:
-            a = math.exp(-mech.eps_geo)
-            stay = rng.random(c) < (1.0 - a) / (1.0 + a)
-            m = int(c - stay.sum())
-            noise = np.zeros(c, dtype=np.int64)
-            if m:
-                signs = np.where(rng.random(m) < 0.5, 1, -1)
-                noise[~stay] = signs * rng.geometric(1.0 - a, size=m)
-            reports = (x + noise).tolist()
         else:
-            reports = [mech.outputs[j] for j in rng.choice(len(mech.outputs), size=c, p=mech.row(x))]
+            row = mech.row(x)
+            drawn = rng.multinomial(c, row / row.sum()).tolist()
+            reports = [z for z, n in zip(mech.outputs, drawn) for _ in range(n)]
         for z in reports:
             counts[z] = counts.get(z, 0) + 1
     return ObservationSet(counts)
@@ -656,8 +649,9 @@ class TestObfuscateStream:
         data = [inputs.values[i] for i in picks]
         rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
         obs = obfuscate_dataset(mech, data, rng)
-        assert obs.items() == _draw_with_numpy(mech, data, ref_rng).items()
-        assert rng.random() == ref_rng.random()
+        if mech.input_alphabet is not INTEGER_LINE:  # TestObfuscateDigest pins the line's stream
+            assert obs.items() == _draw_with_numpy(mech, data, ref_rng).items()
+            assert rng.random() == ref_rng.random()
         # the draw's canonical order is the one ObservationSet sorts into
         assert ObservationSet(obs.counts).items() == obs.items()
 
@@ -675,9 +669,8 @@ class TestObfuscateGrouping:
     @pytest.mark.parametrize("mech", [
         build_krr(ALPHA, 1.0),
         build_geometric_truncated(0, 11, 0.5),
-        build_geometric_linear(0.5),
         build_rappor(ALPHA, 2.0),
-    ], ids=["krr", "geometric-truncated", "integer-line", "rappor"])
+    ], ids=["krr", "geometric-truncated", "rappor"])
     def test_same_reports_as_per_datum_loop(self, mech):
         data = np.random.default_rng(8).binomial(11, 0.4, size=3_000).tolist()
         fast = obfuscate_dataset(mech, data, np.random.default_rng(9))
@@ -727,8 +720,9 @@ class TestObfuscateDigest:
     """The reports and the generator state after each of two draws from one
     generator, as SHA-256 digests of their reprs: a change to the random
     stream, to the reports or to their order fails here.  The digests also
-    depend on numpy's own samplers (``choice``, ``random``, ``geometric``),
-    so a numpy release that changes one of them changes them too."""
+    depend on numpy's own samplers (``multinomial``, ``binomial``,
+    ``random``, ``geometric``), so a numpy release that changes one of them
+    changes them too."""
 
     CASES = {
         "krr": (build_krr(AGES, 1.0), AGES, 5_000),
@@ -740,28 +734,28 @@ class TestObfuscateDigest:
     # case -> (reports, state) after the first draw, then after the second
     DIGESTS = {
         "krr": [
-            "c0c49b34743f81ede04578a60f1925bbff4e499fd8ad0c6e3b846a89bbdae0e5",
-            "bc4d43877a9461fac5b604c021171c430fa83bdd529b49e37748248d3bbbbbb2",
-            "73b3e2561254884f3ae2b055b2e91136fd35cfc68816aacf7184cb686f647898",
-            "adbf3cfe3255103ebc1df87e346fd8d555097b114b8c24b5e5ccc4caaaf65ccf",
+            "92be5f65988150a19949b304d6988500a7dd26502d7231b2f8931f254c36ec90",
+            "607e95d5b38361fbbea3d92b50c3d7b0954916f3c42777e87fe03a15a2f3fdc5",
+            "38991d610b3222eeb36f8ea6a2acd547544fa22154f787a988a222d5384d65c4",
+            "d570cdf907f864aea163f9d3e85cb899a292ed117b452dc5bc108fe87729da7b",
         ],
         "geometric-truncated": [
-            "0432d974d567928f6598707612eebab0f69439c1c20fdc0cd240ca8cda9833ce",
-            "bc4d43877a9461fac5b604c021171c430fa83bdd529b49e37748248d3bbbbbb2",
-            "2f58042fa218ecc2babc2aeb06234924c629ff38eddf0aabc2f8d384cccc11f1",
-            "adbf3cfe3255103ebc1df87e346fd8d555097b114b8c24b5e5ccc4caaaf65ccf",
+            "ac3f42a3f4af02db9507b2714902884b996baef436c9dd945e858cc2dbc44f64",
+            "23374010f527c6bafa7bb5c1ec13617cbcda54dbf2578bb453c3c73e3bf2fa96",
+            "7907ac6cb9d8335ed74382e0aac774fa544125f0196e65f11a4253c674e3b226",
+            "482eddd6cba08521ca40afa5d5fd9b6ec0ce3e290f96af70508309ae88cc9dd7",
         ],
         "integer-line": [
-            "97cfc7064f9301a4b0fcd42cc07e1e52860d9fd04af6cba14f69fb1d72a8c299",
-            "84f479b5f84e7653cc3f9b6a98f6b8fde92fbcdfb7f02723e554dc19e8c85371",
-            "dda3bd7145f970012035638655d4f03cf89538716bd605e8c6b9c0153481b18f",
-            "8985917611f7b58745e8f6cf88a8a931f05f3c8d45ebc2fbeeee6a74160c9f1a",
+            "dc50c1270232d980ae35a6ba3313c7fce1549d22e06f81a765d4d29150275dc4",
+            "883ee246cd0701c573b86b63cd04c3df26d8f8009ef82486ee62db2ca567937a",
+            "1b4f5802c9836da9ba0f97af3acbfc395127602b055fbcae2e1262fe2b697881",
+            "a9ce64904e967e02b28479b23b0790bd7d51a335405e61fa5f524e6f5f7d3414",
         ],
         "planar-geometric": [
-            "26319b998b8998d34d1c1951e323d51fef9f51cfb2f84f9c603cd250d75ccf03",
-            "1b55d21b9f60346e3e7ddc51de22208987616851eebb30f0f706f553d5409f1c",
-            "e03e1ffa02add552464cab87e951411c725da9dd1284589091613ed7d51250b9",
-            "1de4f061c1dfb548bb031214a27895844c7fe641ecd02fd50d3774b80ce1ac8f",
+            "1a4ebc3ec07748973e91702e326908a3015b9a424951c200e054cc9d8679a4e0",
+            "9a139e0f81d3784a92a9f995d370b5718d112308d81e00108ef50eb8a7777ef4",
+            "a51273b14058dd7832e4697845d69b1f1a51b497e097f887f37e125567d0a4a0",
+            "da24459c8cc680ae1519375f3c391b79b055ba6909d70101b0ef6fe2a6e3a13f",
         ],
         "rappor": [
             "cfad0acf6b08d81498df34723f81e74470e9c81eb2326b1796364a8412f6300f",
@@ -781,6 +775,44 @@ class TestObfuscateDigest:
             obs = obfuscate_dataset(mech, data.values, rng)
             got += [_sha256(obs.items()), _sha256(rng.bit_generator.state)]
         assert got == self.DIGESTS[name]
+
+
+class TestDrawLaw:
+    @pytest.mark.parametrize("mech, xs", [
+        (build_geometric_truncated(0, 19, 0.4), [2, 9, 17]),
+        (build_geometric_linear(0.4), [-4, 3, 11]),
+    ], ids=["geometric-truncated", "integer-line"])
+    def test_pooled_frequencies_follow_the_rows(self, mech, xs):
+        # The reports of all inputs together follow sum_i count_i row_i / n:
+        # every output with p >= 0.005 lies within 4 sigma of it, where
+        # sigma^2 n^2 = sum_i count_i p_i (1 - p_i) is the exact variance
+        counts = np.array([100_000, 200_000, 400_000])
+        n = int(counts.sum())
+        reports, drawn = mech.draw(xs, counts, np.random.default_rng(2801))
+        assert int(drawn.sum()) == n
+        # on the line, outputs more than 40 from every input hold < 1e-7 of a row
+        zs = mech.outputs if mech.input_alphabet is not INTEGER_LINE else range(min(xs) - 40, max(xs) + 41)
+        rows = mech.kernel(xs, zs)
+        p = counts.dot(rows) / n
+        sigma = np.sqrt(counts.dot(rows * (1.0 - rows))) / n
+        freq = dict(zip(reports, drawn.tolist()))
+        f = np.array([freq.get(z, 0) for z in zs]) / n
+        likely = p >= 0.005
+        assert likely.sum() >= 15
+        assert np.all(np.abs(f - p)[likely] <= 4.0 * sigma[likely])
+
+    def test_krr_draw_memory_does_not_grow_with_the_reports(self):
+        # 10^7 reports over 100 inputs: the counts are drawn, not the reports,
+        # so the draw allocates O(inputs x outputs), not 8 bytes per report
+        mech = build_krr(AGES, 1.0)
+        tracemalloc.start()
+        try:
+            reports, drawn = mech.draw(AGES.values, np.full(100, 100_000), np.random.default_rng(2802))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(drawn.sum()) == 10 ** 7 and len(reports) == 100
+        assert peak < 8 * 2 ** 20
 
 
 # config mechanism name -> the alphabet it is built on (a contiguous line by default)

@@ -20,6 +20,7 @@ from privdist.core import (
     obs_matrix,
 )
 from privdist.errors import (
+    DeadColumnError,
     EmptyObservationsError,
     IncompatibleEstimatorError,
     ObservationOutsideDomainError,
@@ -270,6 +271,31 @@ class TestLikelySubset:
         assert kept.members == (3, 5) and result.converged
         assert result.gap == pytest.approx(parent_gap(mech, obs, lift(kept, result.estimate)), rel=1e-9)
         assert result.gap > 1.2
+
+    def test_a_report_no_member_produces_grows_the_subset_first(self):
+        # x reports x + 5 w.p. 0.9 and x + 6 w.p. 0.1: no member of the
+        # interval {8, 9} produces the reports 8 and 9, so q / theta A is
+        # infinite there, and 2, 3 and 4, which produce them, join before IBU
+        alpha = LinearAlphabet.range(0, 9)
+        matrix = np.zeros((10, 16))
+        matrix[np.arange(10), np.arange(10) + 5] = 0.9
+        matrix[np.arange(10), np.arange(10) + 6] = 0.1
+        mech = FiniteMechanism(alpha, list(range(16)), matrix)
+        obs = ObservationSet({8: 3, 9: 1})
+        start = likely_subset(mech, obs)
+        assert start.members == (8, 9)
+        result, grown = ibu_on_subset(mech, obs, start, tol=1e-10)
+        assert grown.members == (2, 3, 4, 8, 9) and result.converged and result.gap <= 1e-10
+        lifted = lift(grown, result.estimate)
+        full = ibu(obs_matrix(mech, obs), tol=1e-10).estimate.probs
+        assert 0.5 * np.abs(lifted.probs - full).sum() <= 1e-6
+        assert parent_gap(mech, obs, lifted) <= 1e-10
+        # a report that no element of the parent produces still raises
+        obs = ObservationSet({8: 3, 9: 1, 1: 1})
+        with pytest.raises(DeadColumnError):
+            ibu(obs_matrix(mech, obs))
+        with pytest.raises(DeadColumnError):
+            ibu_on_subset(mech, obs, likely_subset(mech, obs))
 
     def test_krr_on_integers_out_of_order(self):
         # the integer members become a LinearAlphabet, in increasing order;
