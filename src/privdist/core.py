@@ -431,8 +431,8 @@ class Mechanism:
 
     def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
         """P(z | x) with one row per input in ``xs`` and one column per output
-        in ``zs``, as a new float64 array that the caller owns.  Raises
-        ElementOutsideAlphabetError for an input outside the domain and
+        in ``zs``, as a new float64 array of any layout that the caller owns.
+        Raises ElementOutsideAlphabetError for an input outside the domain and
         ObservationOutsideDomainError for a malformed output."""
         raise NotImplementedError
 
@@ -518,10 +518,7 @@ class FiniteMechanism(Mechanism):
     def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
         rows = [self.input_alphabet.index(x) for x in xs]
         cols = [self.output_index(z) for z in zs]
-        # The column gather comes last, so the result is column-major.  That
-        # layout fixes the BLAS summation order in IBU, so estimates on the
-        # full alphabet stay bit-identical with earlier releases.
-        return self.matrix[rows][:, cols]
+        return self.matrix.take(rows, 0).take(cols, 1)
 
     def row(self, x) -> np.ndarray:
         return self.matrix[self.input_alphabet.index(x)]
@@ -558,10 +555,13 @@ class ObsMatrix:
     Weights are stored as floats so an exact (asymptotic) empirical
     distribution can be analyzed in place of integer counts.
 
-    ``matrix`` and ``weights`` are read-only.  The constructor copies the
-    matrix it is given (entries within rounding of [0, 1] are clipped into
-    it), so the caller's array stays writable and unshared; ``obs_matrix``
-    keeps the kernel's own new array instead, copying it only to clip.
+    ``matrix`` and ``weights`` are read-only, and ``matrix`` is C-ordered,
+    so estimates do not depend on the layout of the array it came from.
+    The constructor copies the matrix it is given (entries within rounding
+    of [0, 1] are clipped into it), so the caller's array stays writable
+    and unshared; ``obs_matrix`` keeps the kernel's own new array, copying
+    it only to clip or to reorder it.  A matrix with no column raises
+    EmptyObservationsError.
     """
 
     def __init__(self, alphabet: Alphabet, values: Sequence, matrix, weights):
@@ -579,17 +579,19 @@ class ObsMatrix:
         matrix = np.asarray(matrix, dtype=float)
         weights = np.asarray(weights, dtype=float)
         values = values if isinstance(values, np.ndarray) else tuple(values)
+        if not len(values):
+            raise EmptyObservationsError("cannot build an observation matrix from zero reports")
         if matrix.shape != (alphabet.size, len(values)):
             raise LengthMismatchError("matrix shape does not match alphabet and values")
         if weights.shape != (len(values),):
             raise LengthMismatchError("one weight per distinct observation is required")
         if np.any(weights <= 0):
             raise ValueError("column weights must be positive")
-        lo, hi = matrix.min(initial=0.0), matrix.max(initial=0.0)
+        lo, hi = matrix.min(), matrix.max()
         if lo < -1e-15 or hi > 1 + 1e-12:
             raise ValueError("kernel probabilities must lie in [0, 1]")
-        if not owned or lo < 0.0 or hi > 1.0:
-            matrix = np.clip(matrix, 0.0, 1.0)
+        if not owned or lo < 0.0 or hi > 1.0 or not matrix.flags.c_contiguous:
+            matrix = np.clip(matrix, 0.0, 1.0, order="C")
         matrix.flags.writeable = False
         weights = weights.copy()
         weights.flags.writeable = False
@@ -624,7 +626,5 @@ def obs_matrix(mech: Mechanism, obs: ObservationSet, alphabet: Alphabet = None) 
             raise ValueError(
                 "mechanism input domain is not finite; pass an explicit alphabet"
             )
-    if obs.n < 1:
-        raise EmptyObservationsError("cannot build an observation matrix from zero reports")
     return ObsMatrix._of_kernel(alphabet, obs.reports, mech.kernel(alphabet.values, obs.reports),
                                 obs.count_array)

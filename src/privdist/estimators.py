@@ -110,7 +110,6 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     loglik = float(weights.dot(np.log(mix)))
     trace = [loglik]
     duals, iterations, converged, gap = None, 0, False, math.inf
-    Ac = None  # A in C order for the Newton steps (it fixes BLAS's summation order)
     # ndarray.dot has less call overhead than @.  An impossible report gives log 0 = -inf.
     with np.errstate(divide="ignore"):
         while iterations < max_iter:
@@ -122,8 +121,7 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
                 break
             candidates = [(theta * g, duals)]
             if theta0 is None and iterations > 1:
-                Ac = np.ascontiguousarray(A) if Ac is None else Ac
-                candidates = itertools.chain(_newton_steps(Ac, q, theta, mix, g, duals), candidates)
+                candidates = itertools.chain(_newton_steps(A, q, theta, mix, g, duals), candidates)
             for new, new_duals in candidates:
                 new /= new.sum()
                 new_mix = new.dot(A)

@@ -75,12 +75,11 @@ def likely_subset(mech: Mechanism, obs: ObservationSet) -> LikelySubset:
     with (x, y) outputs on a planar grid; the interval on INTEGER_LINE, or for
     a finite mechanism with integer outputs on a linear alphabet.  Raises
     IncompatibleEstimatorError for anything else, RAPPOR included.  First, an
-    empty kernel block of a finite mechanism refuses a report it cannot output
+    empty kernel block refuses a report the mechanism cannot output
     (ObservationOutsideDomainError)."""
     alphabet = mech.input_alphabet
     finite = isinstance(mech, FiniteMechanism)
-    if finite:
-        mech.kernel((), obs.reports)
+    mech.kernel((), obs.reports)
     if _has_krr_form(mech):
         return likely_krr(alphabet, obs)
     if finite and isinstance(alphabet, PlanarAlphabet) and all(

@@ -31,7 +31,14 @@ from privdist.errors import (
     ObservationOutsideDomainError,
     ZeroSumError,
 )
-from privdist.mechanisms import build_geometric_truncated, build_krr, obfuscate_dataset
+from privdist.mechanisms import (
+    build_geometric_linear,
+    build_geometric_planar,
+    build_geometric_truncated,
+    build_krr,
+    build_rappor,
+    obfuscate_dataset,
+)
 
 from oracles import from_reports, sample_counts
 
@@ -209,15 +216,27 @@ class TestObsMatrix:
         assert cols_a == cols_b
 
     @pytest.mark.parametrize("rows", [None, (1, 3, 4)])
-    def test_kernel_is_a_column_major_gather(self, rows):
-        # full alphabet or a subset of rows: the stored entries, gathered
-        # column-major, the layout that fixes IBU's BLAS summation order
+    def test_kernel_is_a_c_ordered_gather(self, rows):
+        # full alphabet or a subset of rows: the stored entries, in the
+        # C order every ObsMatrix keeps
         mech = build_geometric_truncated(0, 5, 0.7)
         alphabet = None if rows is None else LinearAlphabet(rows)
         G = obs_matrix(mech, from_reports([5, 0, 3, 3]), alphabet=alphabet)
         picked = list(range(6)) if rows is None else list(rows)
         np.testing.assert_array_equal(G.matrix, mech.matrix[np.ix_(picked, [0, 3, 5])])
-        assert G.matrix.flags.f_contiguous
+        assert G.matrix.flags.c_contiguous
+
+    @pytest.mark.parametrize("mech, alphabet, data", [
+        (build_geometric_truncated(0, 5, 0.7), None, [0, 2, 2, 5]),
+        (build_geometric_planar(PlanarAlphabet.grid(3, 3, 1.0), PlanarAlphabet.grid(3, 3, 1.0), 1.0),
+         None, [(0.5, 0.5), (2.5, 1.5)] * 4),
+        (build_geometric_linear(0.7), LinearAlphabet.range(-2, 6), [0, 2, 2, 5]),
+        (build_rappor(LinearAlphabet.range(0, 3), 1.0), None, [0, 1, 2, 3] * 3),
+    ], ids=["finite", "planar", "integer-line", "rappor"])
+    def test_obs_matrix_is_c_ordered(self, mech, alphabet, data):
+        obs = obfuscate_dataset(mech, data, np.random.default_rng(5))
+        G = obs_matrix(mech, obs, alphabet=alphabet)
+        assert len(G.values) > 1 and G.matrix.flags.c_contiguous
 
     def test_observation_outside_domain(self):
         mech = FiniteMechanism(AB, AB.values, np.eye(2))
@@ -227,12 +246,13 @@ class TestObsMatrix:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_constructor_copies_a_writable_matrix(self, order):
         # the caller's array stays writable and is not shared, so writing to
-        # it later cannot change the ObsMatrix; the copy keeps its layout
+        # it later cannot change the ObsMatrix; the copy is C-ordered
         matrix = np.array([[0.25, 0.5, 1.0], [0.75, 0.5, 0.0]], order=order)
         G = ObsMatrix(AB, ["x", "y", "z"], matrix, [1, 2, 3])
         assert matrix.flags.writeable and not G.matrix.flags.writeable
         assert not np.shares_memory(G.matrix, matrix)
-        assert G.matrix.flags.f_contiguous == (order == "F")
+        assert G.matrix.flags.c_contiguous
+        np.testing.assert_array_equal(G.matrix, matrix)
         matrix[0, 0] = 0.0
         assert G.matrix[0, 0] == 0.25
 
@@ -242,6 +262,12 @@ class TestObsMatrix:
         assert G.matrix.tolist() == [[0.0, 1.0], [0.5, 0.5]]
         with pytest.raises(ValueError):
             ObsMatrix(AB, ["x", "y"], [[-1e-14, 1.0], [0.5, 0.5]], [1, 1])
+
+    def test_zero_columns_refused(self):
+        with pytest.raises(EmptyObservationsError):
+            ObsMatrix(AB, [], np.zeros((2, 0)), [])
+        with pytest.raises(EmptyObservationsError):
+            obs_matrix(build_krr(AB, 1.0), ObservationSet({}))
 
     @pytest.mark.parametrize("entries, copied", [((0.25, 1.0), False), ((-1e-16, 1.0), True),
                                                  ((0.25, 1.0 + 1e-13), True)])

@@ -129,6 +129,21 @@ class TestIbu:
         res = ibu(_obs_q({"a": 5, "b": 2}), max_iter=17)
         assert abs(res.estimate.probs.sum() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("mech", [
+        build_geometric_truncated(0, 29, 0.4),
+        build_geometric_planar(PlanarAlphabet.grid(8, 8, 1.0), PlanarAlphabet.grid(8, 8, 1.0), 1.0),
+    ], ids=["geometric-truncated", "planar"])
+    def test_matrix_layout_does_not_move_the_estimate(self, mech):
+        # the same matrix values, C- and F-ordered, give one solve bit for bit
+        rng = np.random.default_rng(29)
+        data = [mech.input_alphabet.values[i] for i in rng.binomial(mech.input_alphabet.size - 1, 0.3, 5000)]
+        G = obs_matrix(mech, obfuscate_dataset(mech, data, rng))
+        c, f = (ibu(ObsMatrix(G.alphabet, G.values, order(G.matrix), G.weights))
+                for order in (np.ascontiguousarray, np.asfortranarray))
+        assert c.estimate.probs.tobytes() == f.estimate.probs.tobytes()
+        assert (c.iterations, c.gap, c.loglik_trace) == (f.iterations, f.gap, f.loglik_trace)
+        assert c.converged
+
     def test_unique_mle_under_strict_concavity(self):
         # well-conditioned random kernels: all starts must meet at the same
         # point when the likelihood is strictly concave

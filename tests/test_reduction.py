@@ -89,10 +89,12 @@ class TestIsUnlikely:
 class TestLikelyLinear:
     def test_integer_line_window(self):
         # ends are the extreme integers bounding the reports: floor(0.5) = 0
-        # and the smallest integer >= 4 is 4
+        # and the smallest integer >= 4 is 4; ceil(1.5) = 2
         obs = ObservationSet({0.5: 1, 4: 1})
         subset = likely_linear(INTEGER_LINE, obs)
         assert subset.members == (0, 1, 2, 3, 4)
+        subset = likely_linear(INTEGER_LINE, ObservationSet({-2: 1, 1.5: 1}))
+        assert subset.alphabet == LinearAlphabet.range(-2, 2)
 
     def test_single_observation_singleton(self):
         alpha = LinearAlphabet.range(0, 9)
@@ -210,7 +212,7 @@ class TestLikelySubset:
          "krr-observed", LinearAlphabet([3, 7])),
         (build_geometric_truncated(0, 9, 0.5), {6: 2, 3: 1},
          "linear-interval", LinearAlphabet.range(3, 6)),
-        (build_geometric_linear(0.5), {-2: 1, 1.5: 1},
+        (build_geometric_linear(0.5), {-2: 1, 2: 1},
          "linear-interval", LinearAlphabet.range(-2, 2)),
         (build_geometric_planar(GRID, GRID, 1.0), {GRID.values[0]: 3},
          "planar-hull", Alphabet([GRID.values[0]])),
