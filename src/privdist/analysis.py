@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import Distribution, FiniteMechanism, ObsMatrix
+from .core import RANK_TOL, Distribution, FiniteMechanism, ObsMatrix, singular_value_exceeds
 from .errors import (
     AlphabetMismatchError,
     AlphaTooSmallError,
@@ -23,8 +23,6 @@ from .errors import (
     TooFewObservationsError,
 )
 from .mechanisms import rappor_keep_prob, require_eps
-
-RANK_TOL = 1e-10
 
 
 class ConcavityReport:
@@ -92,25 +90,24 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     the scaled entries lie in [0, 1], so sigma_max is at most
     ||[A | 1]||_F <= sqrt(k * cols) < isqrt(k * cols) + 1.  A sample
     whose k-th singular value exceeds RANK_TOL * (isqrt(k * cols) + 1) *
-    max(dims) certifies full rank.  Only the sampled columns are scaled.
-    Otherwise the whole matrix decides, and only then is the scaled [A | 1]
-    built; a wide one goes through the QR factor of its transpose and one
-    SVD, so every verdict, rank and witness is the full-matrix rule's.
+    max(dims) certifies full rank; one Cholesky of the sample's Gram matrix
+    decides that (``singular_value_exceeds``), and only the sampled columns
+    are scaled.  Otherwise the whole matrix decides, and only then is the
+    scaled [A | 1] built; a wide one goes through the QR factor of its
+    transpose and one SVD, so every verdict, rank and witness is the
+    full-matrix rule's.
     """
     A, k = G.matrix, G.alphabet.size
-    scale = A.max(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
     cols = A.shape[1] + 1
     size = max(k, cols)
     if cols > 2 * k:
         picked = np.arange(2 * k - 1) * (cols - 1) // (2 * k - 1)  # and the ones column
         sample = np.ones((k, 2 * k))
-        np.divide(A[:, picked], scale[picked], out=sample[:, :-1])
-        s = np.linalg.svd(sample, compute_uv=False)
-        if s[k - 1] > RANK_TOL * (math.isqrt(k * cols) + 1) * size:
+        sample[:, :-1] = A[:, picked]
+        if singular_value_exceeds(_unit_columns(sample),
+                                  RANK_TOL * (math.isqrt(k * cols) + 1) * size):
             return ConcavityReport(True, k, k)
-    augmented = np.hstack([A, np.ones((k, 1))])
-    augmented /= np.append(scale, 1.0)
+    augmented = _unit_columns(np.hstack([A, np.ones((k, 1))]))
     # A wide matrix (more columns than rows) equals R^T Q^T for the QR factors
     # of its transpose, so U and the singular values are those of the small
     # square R^T, and no right singular vectors are built.
@@ -126,11 +123,25 @@ def strict_concavity_check(G: ObsMatrix) -> ConcavityReport:
     return ConcavityReport(False, rank, k, witness=w)
 
 
+def _unit_columns(M):
+    """M with each column divided, in place, by its largest entry.  A zero
+    column stays zero: dividing it by 0 would give NaN, which a Cholesky
+    can pass without raising."""
+    scale = M.max(axis=0)
+    M /= np.where(scale > 0, scale, 1.0)
+    return M
+
+
 def identification_check(mech: FiniteMechanism) -> bool:
     """True iff the mechanism matrix has as many linearly independent columns
     as alphabet elements, i.e. distinct inputs induce distinct output
-    distributions.  The rank counts the mechanism's cached singular values
-    above RANK_TOL * sigma_max * max(dims)."""
+    distributions.  The rank counts singular values above
+    RANK_TOL * sigma_max * max(dims).  The mechanism's cached Cholesky
+    certificate (``full_rank_certified``) decides when it holds; otherwise
+    the rank is counted on its cached singular values, so only that SVD can
+    return False."""
+    if mech.full_rank_certified:
+        return True
     s = mech.singular_values
     rank = int(np.sum(s > RANK_TOL * s[0] * max(mech.matrix.shape)))
     return rank == mech.input_alphabet.size

@@ -26,6 +26,9 @@ from .errors import (
 
 # Tolerance used when checking that probabilities sum to one.
 PROB_ATOL = 1e-9
+# The rank rules (identification, strict concavity) count a singular value
+# as zero when it is at most RANK_TOL * sigma_max * max(dims).
+RANK_TOL = 1e-10
 
 
 class IntegerLineDomain:
@@ -492,9 +495,23 @@ class FiniteMechanism(Mechanism):
         return self.matrix.shape[0] == self.matrix.shape[1]
 
     @cached_property
+    def full_rank_certified(self) -> bool:
+        """True when one Cholesky (``singular_value_exceeds``) certifies full
+        row rank by the rank rule: the k-th singular value exceeds
+        RANK_TOL * ||M||_F * max(dims), and ||M||_F >= sigma_max.  That also
+        bounds the condition number of a square matrix by 1 / (RANK_TOL k).
+        False certifies nothing: the rank is then read from
+        ``singular_values``.  The matrix is read-only, so this is computed
+        once per mechanism."""
+        M = self.matrix
+        norm = np.linalg.norm(M) * (1.0 + M.size * np.finfo(float).eps)  # rounded up
+        return singular_value_exceeds(M, RANK_TOL * norm * max(M.shape))
+
+    @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of the matrix, largest first, from one values-only
-        SVD; the matrix is read-only, so it is computed once per mechanism."""
+        SVD, computed once per mechanism.  ``identification_check`` and
+        ``inv_raw`` read them only where ``full_rank_certified`` is False."""
         s = np.linalg.svd(self.matrix, compute_uv=False)
         s.flags.writeable = False
         return s
@@ -502,7 +519,7 @@ class FiniteMechanism(Mechanism):
     @property
     def condition_number(self) -> float:
         """2-norm condition number s_max / s_min, as ``np.linalg.cond``
-        computes it; inf for a singular matrix."""
+        computes it, from ``singular_values``; inf for a singular matrix."""
         s = self.singular_values
         return float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
 
@@ -539,6 +556,29 @@ class FiniteMechanism(Mechanism):
 
     def params_dict(self) -> dict:
         return dict(self._params)
+
+
+def singular_value_exceeds(M, tau: float) -> bool:
+    """True only if M has at least as many columns as rows r and its r-th
+    singular value exceeds ``tau``; False certifies nothing.  One Cholesky
+    of fl(M M^T) - c I decides it, with c = tau^2 plus an allowance, rounded
+    outward, for the rounding in forming M M^T (at most gamma_cols
+    ||M||_F^2) and in the Cholesky (S. M. Rump, "Verification of positive
+    definiteness", BIT 46, 2006).  Underflow is negligible beside it where
+    ||M||_F^2 >= 1 / cols, as in every caller.  M must be finite:
+    np.linalg.cholesky may return a NaN factor without raising."""
+    rows, cols = M.shape
+    H = M.dot(M.T)
+    # slack * trace(H) covers gamma_cols ||M||_F^2, the Cholesky's
+    # gamma_(rows+1) / (1 - gamma_(rows+1)) trace, the rounding of the
+    # diagonal's subtraction and of the trace; 1 + 4 eps, that of c itself
+    slack = (rows + cols + 2) * np.finfo(float).eps
+    H.flat[::rows + 1] -= (tau * tau + slack * H.trace()) * (1.0 + 4.0 * np.finfo(float).eps)
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +625,10 @@ class ObsMatrix:
             raise LengthMismatchError("matrix shape does not match alphabet and values")
         if weights.shape != (len(values),):
             raise LengthMismatchError("one weight per distinct observation is required")
-        if np.any(weights <= 0):
-            raise ValueError("column weights must be positive")
+        if not (np.all(weights > 0) and np.all(np.isfinite(weights))):
+            raise ValueError("column weights must be positive and finite")
         lo, hi = matrix.min(), matrix.max()
-        if lo < -1e-15 or hi > 1 + 1e-12:
+        if not (lo >= -1e-15 and hi <= 1 + 1e-12):  # also false for NaN
             raise ValueError("kernel probabilities must lie in [0, 1]")
         if not owned or lo < 0.0 or hi > 1.0 or not matrix.flags.c_contiguous:
             matrix = np.clip(matrix, 0.0, 1.0, order="C")

@@ -81,7 +81,9 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     the likelihood, so the log-likelihood never falls beyond rounding.  An
     explicit ``theta0`` takes EM steps only, so it ends at its own fixed
     point where the maximizer is not unique.  ``iterations`` counts gap
-    tests; at ``max_iter`` the run returns ``converged=False``."""
+    tests; at ``max_iter`` the run returns ``converged=False``.  ``gap`` is
+    reported as at least 0: max g >= theta . g = 1 on the simplex, so a
+    negative reading is rounding in g alone."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -133,7 +135,7 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
             theta, mix, duals = new, new_mix, new_duals
             loglik += gain
             trace.append(loglik)
-    return IbuResult(Distribution(G.alphabet, theta), iterations, trace, converged, gap)
+    return IbuResult(Distribution(G.alphabet, theta), iterations, trace, converged, max(gap, 0.0))
 
 
 def ibu_stop(tol: float, n: float) -> float:
@@ -243,7 +245,12 @@ def inv_raw(q: Distribution, mech: FiniteMechanism) -> np.ndarray:
     with ``q`` over the observed values (``to_empirical``).
 
     The result may have negative components and is therefore returned as a
-    plain vector for post-processing.
+    plain vector for post-processing.  SingularMechanismError is raised when
+    the condition number exceeds CONDITION_LIMIT.  The mechanism's cached
+    full-rank certificate (``FiniteMechanism.full_rank_certified``), which
+    ``identification_check`` also reads, bounds it by 1 / (RANK_TOL k)
+    <= 1e10; only when that certificate fails is the condition number
+    computed, from the cached singular values.
     """
     if not isinstance(mech, FiniteMechanism) or not mech.is_square:
         raise NonSquareMechanismError("matrix inversion requires a square finite mechanism")
@@ -251,11 +258,12 @@ def inv_raw(q: Distribution, mech: FiniteMechanism) -> np.ndarray:
     qvec = np.zeros(len(mech.outputs))
     for v, p in zip(q.alphabet.values, q.probs):
         qvec[mech.output_index(v)] = p
-    cond = mech.condition_number
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularMechanismError(
-            f"mechanism condition number {cond:.3e} exceeds the limit {CONDITION_LIMIT:.1e}"
-        )
+    if not mech.full_rank_certified:
+        cond = mech.condition_number
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise SingularMechanismError(
+                f"mechanism condition number {cond:.3e} exceeds the limit {CONDITION_LIMIT:.1e}"
+            )
     return np.linalg.solve(M.T, qvec)
 
 

@@ -50,6 +50,7 @@ from oracles import mle_oracle
 from test_invariants import (
     check_em_monotonicity_1000_cases,
     check_emd_metric_axioms_1000_cases,
+    check_rank_certificate_1000_cases,
     check_row_stochasticity_1000_cases,
     check_sampler_matches_kernel_1000_cases,
     check_simplex_projection_optimality_1000_cases,
@@ -62,6 +63,7 @@ INVARIANT_SUITES = [
     check_simplex_projection_optimality_1000_cases,
     check_emd_metric_axioms_1000_cases,
     check_sampler_matches_kernel_1000_cases,
+    check_rank_certificate_1000_cases,
 ]
 
 

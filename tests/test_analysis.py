@@ -351,6 +351,24 @@ class TestIdentification:
         assert identification_check(build_krr(A3, 1e-7))
         assert not identification_check(build_krr(A3, 1e-12))
 
+    def test_cholesky_needs_its_rounding_allowance(self):
+        # 2-element k-RR: s_min / s_max is about eps / 2, below the cut-off
+        # RANK_TOL * max(dims) = 2e-10 here, but rounding in forming M M^T
+        # leaves M M^T - tau^2 I positive definite in floating point at
+        # eps = 1e-12 (and 1e-11, 1e-13, 1e-15): a Cholesky without the
+        # rounding allowance would certify full rank
+        certified_without_allowance = []
+        for eps in (1e-11, 1e-12, 1e-13, 1e-15):
+            mech = build_krr(CategoricalAlphabet(["a", "b"]), eps)
+            tau = RANK_TOL * np.linalg.norm(mech.matrix) * 2
+            try:
+                np.linalg.cholesky(mech.matrix @ mech.matrix.T - tau * tau * np.eye(2))
+                certified_without_allowance.append(eps)
+            except np.linalg.LinAlgError:
+                pass
+            assert not identification_check(mech)
+        assert 1e-12 in certified_without_allowance
+
     def test_duplicate_rows_fail(self):
         assert not identification_check(PEAKED)
 

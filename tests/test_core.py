@@ -263,6 +263,16 @@ class TestObsMatrix:
         with pytest.raises(ValueError):
             ObsMatrix(AB, ["x", "y"], [[-1e-14, 1.0], [0.5, 0.5]], [1, 1])
 
+    @pytest.mark.parametrize("matrix, weights", [
+        ([[0.5, math.nan], [0.5, 0.2]], [1, 1]),
+        ([[0.5, -math.inf], [0.5, 0.2]], [1, 1]),
+        ([[0.5, 0.5], [0.5, 0.2]], [1, math.nan]),
+        ([[0.5, 0.5], [0.5, 0.2]], [math.inf, 1]),
+    ], ids=["nan-entry", "inf-entry", "nan-weight", "inf-weight"])
+    def test_non_finite_input_refused(self, matrix, weights):
+        with pytest.raises(ValueError):
+            ObsMatrix(AB, ["x", "y"], matrix, weights)
+
     def test_zero_columns_refused(self):
         with pytest.raises(EmptyObservationsError):
             ObsMatrix(AB, [], np.zeros((2, 0)), [])

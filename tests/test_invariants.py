@@ -1,24 +1,30 @@
 """Randomized invariant suites, 1000 cases each.
 
 All cases run from a fixed master generator so the suite is deterministic.
-The five ``check_*`` suites are not collected here: acceptance criterion 11
+The six ``check_*`` suites are not collected here: acceptance criterion 11
 (``tests/test_acceptance.py``) runs each of them once, as its parameters.
 """
 
 import math
 
 import numpy as np
+import pytest
 
+from privdist.analysis import identification_check
 from privdist.core import (
+    RANK_TOL,
     Distribution,
     FiniteMechanism,
     LinearAlphabet,
     ObservationSet,
+    ObsMatrix,
     PlanarAlphabet,
     distribution_new,
     obs_matrix,
+    to_empirical,
 )
-from privdist.estimators import ibu, project_to_simplex
+from privdist.errors import SingularMechanismError
+from privdist.estimators import CONDITION_LIMIT, ibu, inv_raw, project_to_simplex
 from privdist.mechanisms import (
     build_exponential,
     build_geometric_truncated,
@@ -29,6 +35,7 @@ from privdist.mechanisms import (
 from privdist.metrics import emd_planar
 
 from oracles import cond_prob, sample_counts
+from test_analysis import _same_report
 
 CASES = 1000
 
@@ -139,6 +146,64 @@ def check_sampler_matches_kernel_1000_cases():
             if p >= 0.01:
                 tol = 4.0 * math.sqrt(p * (1.0 - p) / n)
                 assert abs(counts.get(z, 0) / n - p) < tol, (case, z, p)
+
+
+def _stochastic_with_spectrum(rng, k, m):
+    """A k x m row-stochastic U diag(s) V^T: J/m, the top singular term, plus
+    k - 1 terms orthogonal to the ones vectors, whose singular values fall
+    from t to t * 10^-p, p in [2, 14], with t keeping every entry positive."""
+    u = np.linalg.qr(np.column_stack([np.ones(k), rng.normal(size=(k, k - 1))]))[0][:, 1:]
+    v = np.linalg.qr(np.column_stack([np.ones(m), rng.normal(size=(m, k - 1))]))[0][:, 1:]
+    rest = (u * np.logspace(0.0, -rng.uniform(2.0, 14.0), k - 1)) @ v.T
+    return 1.0 / m + rest * (0.9 / m / np.abs(rest).max())
+
+
+def _wide_obs_matrix(rng):
+    """A k x m observation matrix with m + 1 > 2k columns, so the concavity
+    check tries its sample first: one row is a mix of two others plus
+    10^-p noise, p in [1, 15], and some columns are zero or tiny."""
+    k = int(rng.integers(2, 7))
+    m = int(rng.integers(2 * k, 8 * k))
+    matrix = rng.uniform(0.05, 1.0, size=(k, m))
+    mix = rng.uniform()
+    matrix[0] = np.clip(mix * matrix[1] + (1 - mix) * matrix[-1]
+                        + 10.0 ** -rng.uniform(1.0, 15.0) * rng.uniform(-1.0, 1.0, m), 0.0, 1.0)
+    matrix[:, rng.random(m) < 0.1] = 0.0
+    matrix[:, rng.random(m) < 0.1] *= 1e-200
+    return ObsMatrix(LinearAlphabet.range(0, k - 1), range(m), matrix, rng.integers(1, 9, size=m))
+
+
+def check_rank_certificate_1000_cases():
+    """``identification_check``, ``inv_raw``'s accept-or-raise decision and
+    output, and ``strict_concavity_check``'s report equal the SVD rules
+    wherever the Cholesky certificate decides."""
+    rng = np.random.default_rng(20_240_007)
+    for case in range(CASES):
+        if case % 3 == 2:
+            _same_report(_wide_obs_matrix(rng))
+            continue
+        k = int(rng.integers(2, 9))
+        m = k if rng.random() < 0.5 else int(rng.integers(k - 1, 3 * k + 1))
+        if case % 3 == 0:
+            matrix = rng.dirichlet(np.full(m, float(rng.choice([0.05, 1.0, 20.0]))), size=k)
+        else:
+            m = max(m, k)
+            matrix = _stochastic_with_spectrum(rng, k, m)
+        alphabet = LinearAlphabet.range(0, k - 1)
+        mech = FiniteMechanism(alphabet, range(m), matrix)
+        s = np.linalg.svd(mech.matrix, compute_uv=False)
+        rank = int(np.sum(s > RANK_TOL * s[0] * max(k, m)))
+        assert identification_check(mech) == (rank == k), case
+        counts = rng.integers(1, 50, size=m)
+        if m == k:
+            q = to_empirical(ObservationSet(dict(zip(range(m), counts.tolist()))))
+            if s[-1] > 0 and s[0] / s[-1] <= CONDITION_LIMIT:
+                want = np.linalg.solve(mech.matrix.T, counts / counts.sum())
+                assert inv_raw(q, mech).tobytes() == want.tobytes(), case
+            else:
+                with pytest.raises(SingularMechanismError):
+                    inv_raw(q, mech)
+        _same_report(ObsMatrix(alphabet, range(m), mech.matrix, counts))
 
 
 def test_rappor_sampler_matches_kernel_small_alphabets():
