@@ -69,7 +69,7 @@ from .mechanisms import (
     obfuscate_dataset,
     rappor_bits,
 )
-from .reduction import ibu_on_subset, lift, likely_subset
+from .reduction import likely_subset
 
 _IO_ERRORS = (OSError, EmptyDatasetError, TooManyMalformedRowsError, BBoxGridMismatchError,
               MalformedInputError)
@@ -317,20 +317,10 @@ def _load_inputs(args) -> tuple:
 
 
 def cmd_estimate(args) -> int:
-    if args.likely_subset and args.estimator != "ibu":
-        raise IncompatibleEstimatorError(f"--likely-subset applies to ibu only, not {args.estimator}")
     mech, obs = _load_inputs(args)
-    if not args.likely_subset and not isinstance(mech.input_alphabet, Alphabet):
-        hint = "; use --likely-subset" if args.estimator == "ibu" else ""
-        raise IncompatibleEstimatorError(f"{args.estimator} needs a finite input alphabet{hint}")
     try:
-        if args.likely_subset:
-            start = likely_subset(mech, obs)
-            result, subset = ibu_on_subset(mech, obs, start, tol=args.tol, max_iter=args.max_iter)
-            estimate = lift(subset, result.estimate)
-        else:
-            estimate, result = run_estimator(args.estimator, mech, obs, mech.input_alphabet,
-                                             tol=args.tol, max_iter=args.max_iter)
+        estimate, result = run_estimator(args.estimator, mech, obs, mech.input_alphabet,
+                                         tol=args.tol, max_iter=args.max_iter)
     except IncompatibleEstimatorError:
         raise
     except PrivDistError as exc:
@@ -341,9 +331,6 @@ def cmd_estimate(args) -> int:
     if result is not None:
         payload["diagnostics"] = {"iterations": result.iterations, "converged": result.converged,
                                   "gap": result.gap, "loglik": result.loglik_trace[-1]}
-        if args.likely_subset:
-            payload["diagnostics"]["likely_subset"] = {**subset_to_json(subset),
-                                                       "added_by_pricing": subset.size - start.size}
     _write_json(args.out, payload)
     print(f"wrote estimate to {args.out}")
     return 0
@@ -413,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", parents=[inputs], help="run one estimator on saved artifacts")
     p.add_argument("--estimator", required=True, choices=ESTIMATORS)
-    p.add_argument("--likely-subset", action="store_true",
-                   help="run ibu on a likely subset, grown until the estimate is "
-                        "certified within --tol on the full alphabet")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="certified log-likelihood gap, in nats, at which ibu stops; "
                         "never below 4*n*2.2e-16, the least that rounding can certify")

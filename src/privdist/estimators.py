@@ -20,6 +20,7 @@ from .core import (
     Distribution,
     FiniteMechanism,
     ObsMatrix,
+    _value_key,
     uniform_distribution,
 )
 from .errors import (
@@ -91,9 +92,10 @@ def ibu(G: ObsMatrix, theta0: Distribution = None, tol: float = DEFAULT_TOL,
     A, weights, q, n = G.matrix, G.weights, G.q, G.n
     dead = np.flatnonzero(~(A > 0).any(axis=0))
     if dead.size:
-        raise DeadColumnError(
-            f"observed value {G.values[dead[0]]!r} has zero probability under every alphabet element"
-        )
+        value = G.values[dead[0]]
+        # a RAPPOR report as the CLI writes it, [1, 0, ...], not as a uint8 array
+        name = _value_key(tuple(value.tolist())) if isinstance(G.values, np.ndarray) else repr(value)
+        raise DeadColumnError(f"observed value {name} has zero probability under every alphabet element")
     stop = ibu_stop(tol, n)
     if theta0 is None:
         theta = _krr_maximizer(A, q)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    INTEGER_LINE,
     Alphabet,
     CategoricalAlphabet,
     Distribution,
@@ -58,6 +59,7 @@ from .mechanisms import (
     obfuscate_dataset,
 )
 from .metrics import METRICS
+from .reduction import ibu_on_subset, likely_subset
 
 ESTIMATORS = ("ibu", "inv-n", "inv-p", "rappor-decode")
 FAILURE_THRESHOLD = 0.10
@@ -210,11 +212,18 @@ def load_dataset(spec: dict, alphabet: Alphabet, master_seed: int) -> RawDataset
 def run_estimator(name: str, mech: Mechanism, obs, alphabet: Alphabet, **ibu_options) -> tuple:
     """Apply one estimator to an observation set, over the rows ``alphabet``.
 
+    Rows of INTEGER_LINE mean the whole integer line: ``ibu`` then runs on
+    the likely subset [floor(min z), ceil(max z)], and the estimate is over
+    that interval (zero outside it).  The other estimators refuse an
+    integer-line mechanism (IncompatibleEstimatorError).
     Returns the estimate and, for ``ibu``, its IbuResult (None for the
     others).  ``ibu_options`` (``tol``, ``max_iter``) go to ``ibu`` as given.
     """
     if name == "ibu":
-        result = ibu(obs_matrix(mech, obs, alphabet=alphabet), **ibu_options)
+        if alphabet is INTEGER_LINE:
+            result, _ = ibu_on_subset(mech, obs, likely_subset(mech, obs), **ibu_options)
+        else:
+            result = ibu(obs_matrix(mech, obs, alphabet=alphabet), **ibu_options)
         return result.estimate, result
     if name in ("inv-n", "inv-p"):
         if not isinstance(mech, FiniteMechanism) or not mech.is_square:

@@ -37,6 +37,7 @@ from privdist.mechanisms import (
     build_krr,
     obfuscate_dataset,
 )
+from privdist.reduction import likely_subset, restrict_and_lift
 
 rng_free = np.random.default_rng(0)
 
@@ -130,7 +131,7 @@ class TestEstimate:
         mech, obs = self._artifacts(tmp_path, mechanism="krr")
         out = tmp_path / "est.json"
         assert main(["estimate", "--mechanism", mech, "--observations", obs,
-                     "--estimator", "ibu", "--likely-subset", "--out", str(out)]) == 0
+                     "--estimator", "ibu", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         observed = reports_from_json(json.loads((tmp_path / "obs.json").read_text()), None)
         for v in range(6):
@@ -160,24 +161,15 @@ class TestEstimate:
         expect = ibu(obs_matrix(mech, obs)).estimate.probs
         np.testing.assert_array_equal(json.loads(out.read_text())["probs"], expect)
 
-    def test_likely_subset_with_another_estimator_exits_3(self, tmp_path, capsys):
-        mech, obs = self._artifacts(tmp_path, mechanism="krr")
-        for estimator in ("inv-n", "inv-p", "rappor-decode"):
-            out = tmp_path / f"{estimator}.json"
-            assert main(["estimate", "--mechanism", mech, "--observations", obs, "--estimator",
-                         estimator, "--likely-subset", "--out", str(out)]) == 3
-            assert "IncompatibleEstimatorError" in capsys.readouterr().err and not out.exists()
-
     def test_likely_subset_reports_ibu_diagnostics(self, tmp_path):
         mech, obs = self._artifacts(tmp_path, mechanism="krr")
         out = tmp_path / "est.json"
         assert main(["estimate", "--mechanism", mech, "--observations", obs,
-                     "--estimator", "ibu", "--likely-subset", "--out", str(out)]) == 0
+                     "--estimator", "ibu", "--out", str(out)]) == 0
         diagnostics = json.loads(out.read_text())["diagnostics"]
-        assert set(diagnostics) == {"iterations", "converged", "gap", "loglik", "likely_subset"}
+        assert set(diagnostics) == {"iterations", "converged", "gap", "loglik"}
         assert diagnostics["converged"] and diagnostics["iterations"] >= 1
         assert diagnostics["gap"] <= 1e-6 and isinstance(diagnostics["loglik"], float)
-        assert diagnostics["likely_subset"]["construction"] == "krr-observed"
 
 
 class TestExperiment:
@@ -503,8 +495,6 @@ class TestAnalyzeAndReduce:
         obs = write_json(tmp_path / "obs.json", {"reports": reports, "n": 3})
         artifacts = ["--mechanism", mech, "--observations", obs]
         assert main(["reduce", *artifacts, "--out", str(tmp_path / "subset.json")]) == 3
-        assert main(["estimate", *artifacts, "--estimator", "ibu", "--likely-subset",
-                     "--out", str(tmp_path / "est.json")]) == 3
 
     @pytest.mark.parametrize("mech, report, bad", [
         (build_geometric_truncated(0, 9, 0.5), "3", "x"),
@@ -520,7 +510,7 @@ class TestAnalyzeAndReduce:
         obs = write_json(tmp_path / "obs.json", {"reports": {report: 2, str(bad): 1}, "n": 3})
         artifacts = ["--mechanism", mech_path, "--observations", obs]
         commands = [["reduce", "--out", str(tmp_path / "subset.json")],
-                    ["estimate", "--estimator", "ibu", "--likely-subset", "--out", str(tmp_path / "est.json")]]
+                    ["estimate", "--estimator", "ibu", "--out", str(tmp_path / "est.json")]]
         if isinstance(mech, FiniteMechanism):  # analyze exits 3 on the integer line
             commands.append(["analyze"])
         for argv in commands:
@@ -885,12 +875,30 @@ def test_krr_file_of_another_matrix_gets_the_interval(tmp_path):
     assert main(["reduce", *inputs, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["members"] == [3, 4, 5]
     est = tmp_path / "est.json"
-    assert main(["estimate", *inputs, "--estimator", "ibu", "--likely-subset", "--tol", "1e-10",
+    assert main(["estimate", *inputs, "--estimator", "ibu", "--tol", "1e-10",
                  "--out", str(est)]) == 0
     diagnostics = json.loads(est.read_text())["diagnostics"]
     assert diagnostics["converged"] and diagnostics["gap"] <= 1e-10
-    assert diagnostics["likely_subset"]["members"] == [3, 4, 5]
-    assert diagnostics["likely_subset"]["added_by_pricing"] == 0
+
+
+def test_integer_line_ibu_runs_on_the_likely_interval(tmp_path):
+    # plain ibu on a geometric-linear file is the likely-subset technique:
+    # the estimate of restrict_and_lift, over [floor(min z), ceil(max z)]
+    mech = build_geometric_linear(0.5)
+    data = [3] * 40 + [5] * 25 + [9] * 15
+    obs = obfuscate_dataset(mech, data, derive_rng(11, 1, 0))
+    mech_path = write_json(tmp_path / "mech.json", mechanism_to_json(mech))
+    obs_path = write_json(tmp_path / "obs.json", reports_to_json(obs))
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--mechanism", mech_path, "--observations", obs_path,
+                 "--estimator", "ibu", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    expect = restrict_and_lift(mech, obs, likely_subset(mech, obs))
+    interval = LinearAlphabet.range(math.floor(min(obs.reports)), math.ceil(max(obs.reports)))
+    assert expect.alphabet.values == interval.values
+    assert written["alphabet"] == {"kind": "linear", "values": list(interval.values)}
+    assert written["probs"] == expect.probs.tolist()
+    assert written["diagnostics"]["converged"]
 
 
 def test_obfuscate_says_which_rows_it_skipped(tmp_path, capsys):
@@ -963,7 +971,7 @@ def swept(d, said):
 
 ROUND_TRIPS = {
     # The k-RR start is the exact maximizer, found from the matrix the
-    # mechanism file carries, so both ibu runs pass their first gap test.
+    # mechanism file carries, so ibu passes its first gap test.
     # EMD needs a metric alphabet, so the sweep scores by total variation.
     "krr-labels": (lambda d: round_trip_config(
         {"kind": "synthetic", "family": "uniform", "n": 500, "subset": LABELS},
@@ -974,9 +982,6 @@ ROUND_TRIPS = {
         ("estimate --estimator inv-p --out {d}/inv-p.json", 0, None),
         ("analyze", 0, None),
         ("reduce --out {d}/subset.json", 0, construction("krr-observed")),
-        ("estimate --estimator ibu --likely-subset --out {d}/ibu-subset.json", 0,
-         converged("ibu-subset.json", iterations=1)),
-        ("estimate --estimator inv-p --likely-subset --out {d}/inv-p-subset.json", 3, None),
         ("experiment --out {d}/sweep", 0, None),
     ]),
     # Planar cells and reports are tuples, which the files store as lists.
@@ -986,7 +991,7 @@ ROUND_TRIPS = {
         {"kind": "planar", "nx": 6, "ny": 5, "cell_km": 1.0},
         {"name": "planar-geometric", "eps": [1.0]}, ["ibu"]), [
         ("obfuscate", 0, None),
-        ("estimate --estimator ibu --likely-subset --out {d}/ibu.json", 0, None),
+        ("estimate --estimator ibu --out {d}/ibu.json", 0, None),
         ("reduce --out {d}/subset.json", 0, None),
         ("analyze", 0, None),
     ]),
@@ -1008,14 +1013,14 @@ ROUND_TRIPS = {
         {"kind": "linear", "lo": 0, "hi": 11},
         {"name": "geometric-linear", "eps": [1.0]}, ["ibu"]), [
         ("obfuscate", 0, None),
-        ("estimate --estimator ibu --likely-subset --out {d}/ibu.json", 0, converged("ibu.json")),
+        ("estimate --estimator ibu --out {d}/ibu.json", 0, converged("ibu.json")),
         ("reduce --out {d}/subset.json", 0, None),
-        ("estimate --estimator ibu --out {d}/no-subset.json", 3, None),
+        ("estimate --estimator ibu --out {d}/no-subset.json", 0, converged("no-subset.json")),
         ("analyze", 3, None),
     ]),
     "checkins": (checkins_round_trip_config, [
         ("obfuscate", 0, lambda d, said: said.endswith("; skipped 1 malformed and 0 out-of-range rows\n")),
-        ("estimate --estimator ibu --likely-subset --out {d}/ibu.json", 0, converged("ibu.json")),
+        ("estimate --estimator ibu --out {d}/ibu.json", 0, converged("ibu.json")),
         ("reduce --out {d}/subset.json", 0, construction("planar-hull")),
         ("experiment", 0, swept),
     ]),

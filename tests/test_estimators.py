@@ -107,6 +107,17 @@ class TestIbu:
         with pytest.raises(DeadColumnError):
             ibu(obs_matrix(mech, ObservationSet({"v": 1})))
 
+    def test_dead_column_names_a_bit_report_as_written(self):
+        # RAPPOR's reports are rows of a uint8 matrix; the error names the
+        # dead one by its JSON key, as the CLI writes it
+        bits = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+        G = ObsMatrix(LinearAlphabet([0, 1]), bits, [[0.5, 0.0], [0.5, 0.0]], [3, 2])
+        with pytest.raises(DeadColumnError, match=r"^observed value \[1, 1\] has zero probability"):
+            ibu(G)
+        G = ObsMatrix(LinearAlphabet([0, 1]), [(0, 1), (1, 1)], [[0.5, 0.0], [0.5, 0.0]], [3, 2])
+        with pytest.raises(DeadColumnError, match=r"^observed value \(1, 1\) has zero probability"):
+            ibu(G)
+
     def test_loglik_trace_monotone(self):
         rng = np.random.default_rng(2)
         alpha = LinearAlphabet.range(0, 3)
