@@ -535,7 +535,11 @@ class FiniteMechanism(Mechanism):
     def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
         rows = [self.input_alphabet.index(x) for x in xs]
         cols = [self.output_index(z) for z in zs]
-        return self.matrix.take(rows, 0).take(cols, 1)
+        # gather first along the axis that leaves the smaller intermediate
+        inputs, outputs = self.matrix.shape
+        if len(rows) * outputs <= inputs * len(cols):
+            return self.matrix.take(rows, 0).take(cols, 1)
+        return self.matrix.take(cols, 1).take(rows, 0)
 
     def row(self, x) -> np.ndarray:
         return self.matrix[self.input_alphabet.index(x)]

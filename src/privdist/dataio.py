@@ -46,7 +46,7 @@ class RawDataset:
     def __post_init__(self):
         if not isinstance(self.values, CountedTuple):
             object.__setattr__(self, "values", CountedTuple(self.values))
-        if self.kind == "ages" and any(not (0 <= v <= 150) for v in self.values):
+        if self.kind == "ages" and any(not (0 <= v <= 150) for v in self.values.counts):
             raise ValueError("ages must lie in [0, 150]")
 
     @property
@@ -206,6 +206,33 @@ def _counted(support: Sequence, idx: np.ndarray) -> CountedTuple:
                         {type(x): x for x in xs})
 
 
+def _draw_indices(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The indices ``rng.choice(len(probs), n, p=probs)`` returns, drawn from
+    the same uniforms, so the generator ends in the same state, in O(n + k).
+
+    ``choice`` makes one binary search of the CDF per datum.  Here each
+    uniform u is first read from a guide table of G buckets (Chen & Asau,
+    1974; Devroye, 1986, III.2.4): ``guide[b]`` counts the CDF entries at
+    most b/G, which is the index of every u in bucket b that holds no
+    entry.  Only the draws in buckets that hold one are searched.  G is a
+    power of two, so u·G and cdf·G are exact, and so are the table and each
+    draw's bucket.  G ≥ 2k, so at most half the buckets hold an entry, and
+    G ≥ min(2n, 16k), so that fewer draws are searched where there are many,
+    while the table stays O(k)."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    k = cdf.size
+    G = 1 << (2 * max(k, min(n, 8 * k)) - 1).bit_length()
+    guide = np.bincount(np.ceil(cdf * G).astype(np.intp), minlength=G + 1).cumsum()
+    split = guide[1:] != guide[:-1]
+    bucket = (u * G).astype(np.intp)
+    idx = guide[bucket]
+    searched = np.flatnonzero(split[bucket])
+    idx[searched] = cdf.searchsorted(u[searched], side="right")
+    return idx
+
+
 def sample_synthetic(spec, n: int, rng: np.random.Generator) -> RawDataset:
     """Draw n i.i.d. samples from the given family."""
     if n < 1:
@@ -226,7 +253,7 @@ def sample_synthetic(spec, n: int, rng: np.random.Generator) -> RawDataset:
         label = f"uniform(|subset|={len(subset)})"
     elif isinstance(spec, Explicit):
         dist = spec.distribution
-        idx = rng.choice(dist.alphabet.size, size=n, p=dist.probs)
+        idx = _draw_indices(dist.probs, n, rng)
         values = _counted(dist.alphabet.values, idx)
         label = "explicit"
     else:

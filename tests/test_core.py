@@ -226,6 +226,23 @@ class TestObsMatrix:
         np.testing.assert_array_equal(G.matrix, mech.matrix[np.ix_(picked, [0, 3, 5])])
         assert G.matrix.flags.c_contiguous
 
+    @pytest.mark.parametrize("inputs, outputs, rows, cols", [
+        (900, 900, 724, 67),  # tall and narrow: columns first
+        (900, 900, 900, 298),  # every row: columns first
+        (900, 900, 60, 900),  # short and wide: rows first
+        (100, 100, 100, 90),  # ages-shaped: rows first
+    ])
+    def test_kernel_gathers_any_block_in_c_order(self, inputs, outputs, rows, cols):
+        # either gather order gives the stored entries, C-ordered
+        rng = np.random.default_rng(inputs + rows + cols)
+        m = rng.random((inputs, outputs))
+        mech = FiniteMechanism(Alphabet(range(inputs)), tuple(range(outputs)), m / m.sum(1, keepdims=True))
+        picked = rng.choice(inputs, rows, replace=False).tolist()
+        reports = rng.choice(outputs, cols, replace=False).tolist()
+        block = mech.kernel(picked, reports)
+        assert block.flags.c_contiguous
+        assert block.tobytes() == mech.matrix[np.ix_(picked, reports)].tobytes()
+
     @pytest.mark.parametrize("mech, alphabet, data", [
         (build_geometric_truncated(0, 5, 0.7), None, [0, 2, 2, 5]),
         (build_geometric_planar(PlanarAlphabet.grid(3, 3, 1.0), PlanarAlphabet.grid(3, 3, 1.0), 1.0),

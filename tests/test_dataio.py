@@ -80,6 +80,16 @@ class TestLoadAges:
         path = write(tmp_path / "ages.csv", "age\n25\n38\n25\n")
         assert load_ages(path).values == load_ages(path).values
 
+    @pytest.mark.parametrize("values", [(25, 151, 25), (-1, 30), (30.0, 150.5)])
+    def test_age_outside_0_to_150_refused(self, values):
+        with pytest.raises(ValueError, match="ages must lie"):
+            RawDataset("ages", values)
+
+    def test_age_range_read_from_the_grouping(self):
+        # the check reads the distinct ages, and the grouping it made is kept
+        ds = RawDataset("ages", (0, 150, 0, 150.0))
+        assert vars(ds.values) == {"counts": {0: 2, 150: 2}}
+
 
 class TestCheckins:
     def test_manhattan_grid_shape(self):
@@ -215,6 +225,34 @@ class TestSynthetic:
         # mean of 9 fair trials is 4.5; 4 sigma of the sample mean is ~0.019
         assert abs(np.mean(ds.values) - 4.5) < 0.02
         assert min(ds.values) >= 0 and max(ds.values) <= 9
+
+    def test_explicit_draws_are_generator_choices(self):
+        # The data and the generator's end state are those of
+        # Generator.choice over the alphabet's indices, on about 2,000
+        # distributions: k from 1 to 5,000, runs of zeros at the start, in the
+        # middle and at the end, point masses, and near point masses whose
+        # other entries are 1e-12, so that thousands of CDF entries share one
+        # bucket of the sampler's guide table.  n runs from 1 to 5,000.
+        cases = np.random.default_rng(20261021)
+        for case in range(2000):
+            k, n = (int(np.exp(cases.uniform(0.0, np.log(5001)))) for _ in range(2))
+            weights = cases.random(k) ** cases.integers(1, 6)
+            shape = case % 5
+            if shape == 1:  # runs of zeros at the start, in the middle and at the end
+                a, b, c, e = np.sort(cases.integers(0, k + 1, 4))
+                weights[:a] = weights[b:c] = weights[e:] = 0.0
+            elif shape in (2, 3):  # a point mass, or all but one entry 1e-12
+                weights[:] = 0.0 if shape == 2 else 1e-12
+                weights[cases.integers(k)] = 1.0
+            if not weights.any():
+                weights[cases.integers(k)] = 1.0
+            d = distribution_new(Alphabet(range(k)), weights)
+            seed = int(cases.integers(2**63))
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_synthetic(Explicit(d), n, rng).values
+            want = tuple(d.alphabet.values[i] for i in ref.choice(k, size=n, p=d.probs))
+            assert got == want, (case, k, n, seed)
+            assert rng.bit_generator.state == ref.bit_generator.state, (case, k, n, seed)
 
     def test_invalid_specs(self):
         rng = np.random.default_rng(0)
