@@ -11,11 +11,11 @@ form, an interval on the line and an extended convex hull on a planar grid;
 A construction is a start, not a proof: at a grid's edge the planar geometric
 and exponential kernels do not fall with distance, and on a 6 x 6 exponential
 grid the hull drops a cell that no kept cell dominates.  ``ibu_on_subset``
-decides on a finite parent: it prices KKT's g <= 1 on every excluded element
-and grows the subset until none exceeds ``ibu``'s stop, so its gap is the
-parent's.  On INTEGER_LINE nothing needs pricing: under the two-sided
-geometric kernel the nearer end of [floor(min z), ceil(max z)] strictly
-dominates every integer outside it.
+decides on a finite parent: from one observation matrix over the parent, it
+prices KKT's g <= 1 on every excluded row and grows the subset until none
+exceeds ``ibu``'s stop, so its gap is the parent's.  On INTEGER_LINE
+nothing needs pricing: under the two-sided geometric kernel the nearer end
+of [floor(min z), ceil(max z)] strictly dominates every integer outside it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .core import (
     LinearAlphabet,
     Mechanism,
     ObservationSet,
+    ObsMatrix,
     PlanarAlphabet,
     obs_matrix,
 )
@@ -182,34 +183,38 @@ def restricted_alphabet(subset: LikelySubset) -> Alphabet:
 def ibu_on_subset(mech: Mechanism, obs: ObservationSet, subset: LikelySubset,
                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> tuple:
     """IBU on the rows of ``subset``, certified on its parent alphabet: on a
-    finite parent, g = A (q / theta A) is priced on every excluded element
-    with one kernel block, those with n log g above ``ibu``'s stop join the
-    subset, and IBU runs again until none do; q / theta A = inf on a report
-    no member produces, so what produces it joins first.  Returns the last
-    IbuResult, with ``gap`` the parent's, and the final subset."""
+    finite parent, IBU runs on the members' rows of one observation matrix
+    over the parent, g = A (q / theta A) is priced on its other rows, those
+    with n log g above ``ibu``'s stop join, and IBU runs again until none do;
+    q / theta A = inf on a report no member produces, so what produces it
+    joins first.  The runs share ``max_iter``.  Returns the last IbuResult,
+    with ``gap`` the parent's and the runs' summed ``iterations``, and the
+    final subset."""
+    if subset.parent is INTEGER_LINE:
+        return ibu(obs_matrix(mech, obs, alphabet=subset.alphabet), tol=tol, max_iter=max_iter), subset
+    parent, linear = subset.parent, isinstance(subset.alphabet, LinearAlphabet)
+    P = obs_matrix(mech, obs, alphabet=parent)
+    mask = np.isin(np.arange(parent.size), list(map(parent.index, subset.members)))
+    # the excluded rows that produce a report no member produces; when no
+    # row produces it, ibu raises DeadColumnError as on the parent
+    grow, used = P.matrix[~mask][:, ~P.matrix[mask].any(axis=0)].any(axis=1), 0
     while True:
-        G = obs_matrix(mech, obs, alphabet=subset.alphabet)
-        if subset.parent is INTEGER_LINE or subset.size == subset.parent.size:
-            return ibu(G, tol=tol, max_iter=max_iter), subset
-        kept = set(subset.members)
-        excluded = [x for x in subset.parent.values if x not in kept]
-        block = mech.kernel(excluded, obs.reports)
-        # the excluded elements that produce a report no member produces; when
-        # no element produces it, ibu raises DeadColumnError as on the parent
-        grow = block[:, G.matrix.max(axis=0) == 0].any(axis=1)
-        if not grow.any():
-            result = ibu(G, tol=tol, max_iter=max_iter)
-            with np.errstate(divide="ignore"):
-                gaps = G.n * np.log(block.dot(G.q / result.estimate.probs.dot(G.matrix)))
-            result.gap = max(result.gap, float(gaps.max()))
-            grow = gaps > ibu_stop(tol, G.n)
-            if not grow.any() or not result.converged:
-                return result, subset
-        kept.update(excluded[i] for i in np.flatnonzero(grow))
-        members = [x for x in subset.parent.values if x in kept]
-        linear = isinstance(subset.alphabet, LinearAlphabet)
-        alphabet = LinearAlphabet(sorted(members)) if linear else Alphabet(members)
-        subset = LikelySubset(subset.parent, alphabet, subset.construction, subset.meta)
+        if grow.any():
+            mask[~mask] = grow
+            members = [parent.values[i] for i in np.flatnonzero(mask)]
+            alphabet = LinearAlphabet(sorted(members)) if linear else Alphabet(members)
+            subset = LikelySubset(parent, alphabet, subset.construction, subset.meta)
+        rows = list(map(parent.index, subset.members))
+        G = ObsMatrix(subset.alphabet, P.values, P.matrix[rows], P.weights)
+        result = ibu(G, tol=tol, max_iter=max_iter - used)
+        result.iterations = used = used + result.iterations
+        with np.errstate(divide="ignore"):
+            gaps = G.n * np.log(P.matrix[~mask].dot(G.q / result.estimate.probs.dot(G.matrix)))
+        result.gap = max(result.gap, float(gaps.max(initial=-np.inf)))
+        grow = gaps > ibu_stop(tol, G.n)
+        if not grow.any() or not result.converged or used == max_iter:
+            result.converged &= not grow.any()  # the budget can end the growth
+            return result, subset
 
 
 def restrict_and_lift(mech: Mechanism, obs: ObservationSet, subset: LikelySubset,

@@ -18,7 +18,7 @@ from privdist.cli import (
     reports_from_json,
     reports_to_json,
 )
-from privdist.errors import ConfigError, SolverNonConvergenceError
+from privdist.errors import ConfigError, IncompatibleEstimatorError, SolverNonConvergenceError
 from privdist.estimators import ibu, inv_raw
 from privdist.experiment import (
     ESTIMATORS,
@@ -126,6 +126,18 @@ class TestEstimate:
         code = main(["estimate", "--mechanism", mech_path, "--observations", obs_path,
                      "--estimator", "inv-n", "--out", str(tmp_path / "e.json")])
         assert code == 3
+
+    def test_rappor_decode_off_rappor_exits_3(self, tmp_path, capsys):
+        mech = build_krr(LinearAlphabet.range(0, 5), 2.0)
+        with pytest.raises(IncompatibleEstimatorError, match="requires the rappor mechanism"):
+            experiment.run_estimator("rappor-decode", mech, ObservationSet({0: 3, 4: 1}),
+                                     mech.input_alphabet)
+        mech_path, obs_path = self._artifacts(tmp_path, mechanism="krr")
+        capsys.readouterr()
+        assert main(["estimate", "--mechanism", mech_path, "--observations", obs_path,
+                     "--estimator", "rappor-decode", "--out", str(tmp_path / "e.json")]) == 3
+        assert "requires the rappor mechanism" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
 
     def test_likely_subset_restricts_support(self, tmp_path):
         mech, obs = self._artifacts(tmp_path, mechanism="krr")

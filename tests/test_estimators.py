@@ -30,6 +30,7 @@ from privdist.errors import (
     SingularMechanismError,
     ZeroSupportStartError,
 )
+from privdist import estimators
 from privdist.dataio import Binomial, Explicit, sample_synthetic
 from privdist.estimators import (
     DEFAULT_TOL,
@@ -430,9 +431,9 @@ class TestIbuCertificate:
         assert res.converged and res.iterations <= 50
 
     def test_wide_integer_window_keeps_newton_steps(self):
-        # 20 rows beyond the ages on each side at eps=1: from the first
-        # iterates the centred Newton step lowers the likelihood, so the
-        # solver needs the affine step to stay off thousands of EM steps
+        # 20 rows beyond the ages on each side at eps=1: the Newton steps
+        # converge in 13 gap tests, where EM alone takes 2,548; the centred
+        # step alone does as well here (the next test needs the affine one)
         data = sample_synthetic(Explicit(ages_shaped_distribution(AGES)), 2_000,
                                 np.random.default_rng(41)).values
         mech = build_geometric_linear(1.0)
@@ -440,6 +441,22 @@ class TestIbuCertificate:
         G = obs_matrix(mech, obs, alphabet=LinearAlphabet.range(-20, 119))
         res = ibu(G)
         assert res.converged and res.iterations <= 50
+        assert certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
+
+    @pytest.mark.parametrize("data_seed, obs_seed", [(1, 18), (27, 1)])
+    def test_affine_step_keeps_ages_scale_line_solves_short(self, data_seed, obs_seed):
+        # n = 48,842 ages on the integer line's likely subset at eps=0.5: the
+        # centred step lowers the likelihood from the first iterates, and the
+        # affine step converges in 18-19 gap tests.  With the centred step
+        # and EM alone these solves ran past 200, as did 6 of 1,200 such
+        # seeded solves (about 1 in 200 bench replications)
+        data = sample_synthetic(Explicit(ages_shaped_distribution(AGES)), 48_842,
+                                np.random.default_rng(data_seed)).values
+        mech = build_geometric_linear(0.5)
+        obs = obfuscate_dataset(mech, data, np.random.default_rng([data_seed, obs_seed]))
+        G = obs_matrix(mech, obs, alphabet=likely_linear(INTEGER_LINE, obs).alphabet)
+        res = ibu(G)
+        assert res.converged and res.iterations <= 25
         assert certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
 
     @pytest.mark.parametrize("seed, tests", [(29, 9), (53, 7), (126, 8), (184, 8), (279, 8)])
@@ -456,6 +473,24 @@ class TestIbuCertificate:
         res = ibu(G)
         assert res.converged and res.iterations <= tests
         assert res.estimate.probs.min() < 1e-200
+        assert certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
+
+    def test_singular_newton_system_falls_back_to_em(self, monkeypatch):
+        # every Newton system raises LinAlgError: each step is then the EM
+        # step, which still reaches the certified maximizer
+        calls = []
+
+        def singular(H, d, R):
+            calls.append(H.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(estimators, "_solve_scaled", singular)
+        mech = build_geometric_truncated(0, 9, 1.0)
+        data = sample_synthetic(Binomial(9, 0.4), 300, np.random.default_rng(5)).values
+        G = obs_matrix(mech, obfuscate_dataset(mech, data, np.random.default_rng(6)))
+        res = ibu(G)
+        assert calls and res.converged and res.iterations == len(calls) + 2
+        assert np.all(np.diff(res.loglik_trace) >= -1e-9)
         assert certified_gap(G, res.estimate.probs) <= DEFAULT_TOL
 
     def test_explicit_start_takes_plain_em_steps(self):

@@ -274,6 +274,26 @@ class TestLikelySubset:
         assert result.gap == pytest.approx(parent_gap(mech, obs, lift(kept, result.estimate)), rel=1e-9)
         assert result.gap > 1.2
 
+    def test_pricing_rounds_share_one_iteration_budget(self):
+        # the cut subset takes two runs, one on {3, 5} and one on {3, 4, 5}:
+        # ``iterations`` counts the gap tests of both, and a budget that the
+        # first run spends ends the growth unconverged, and one gap test more
+        # is all the second run gets
+        mech, obs = squared_distance_krr()
+        cut = LikelySubset(mech.input_alphabet, LinearAlphabet([3, 5]), "linear-interval", {})
+        first, second = (ibu(obs_matrix(mech, obs, alphabet=LinearAlphabet(members)), tol=1e-10)
+                         for members in ([3, 5], [3, 4, 5]))
+        result, grown = ibu_on_subset(mech, obs, cut, tol=1e-10)
+        assert grown.members == (3, 4, 5) and result.converged
+        assert result.iterations == first.iterations + second.iterations
+        result, kept = ibu_on_subset(mech, obs, cut, tol=1e-10, max_iter=first.iterations)
+        assert kept.members == (3, 5) and not result.converged
+        assert result.iterations == first.iterations and result.gap > 1.2
+        assert second.iterations > 1
+        result, grown = ibu_on_subset(mech, obs, cut, tol=1e-10, max_iter=first.iterations + 1)
+        assert grown.members == (3, 4, 5) and not result.converged
+        assert result.iterations == first.iterations + 1
+
     def test_a_report_no_member_produces_grows_the_subset_first(self):
         # x reports x + 5 w.p. 0.9 and x + 6 w.p. 0.1: no member of the
         # interval {8, 9} produces the reports 8 and 9, so q / theta A is
