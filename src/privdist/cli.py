@@ -46,7 +46,6 @@ from .errors import (
     IncompatibleEstimatorError,
     InvalidSpecError,
     MalformedInputError,
-    ObservationOutsideDomainError,
     PrivDistError,
     TooManyMalformedRowsError,
 )
@@ -232,8 +231,6 @@ def _bit_reports(reports: dict, k: int) -> ObservationSet:
     others = np.setdiff1d(np.arange(len(keys)), fits[written])
     values = [_decoded(keys[i]) for i in others]
     rows[others] = rappor_bits(values, k)
-    if any(type(b) is bool for v in values for b in v):
-        raise ObservationOutsideDomainError("report entries must be 0 or 1, not true or false")
     distinct, where = canonical_rows(np.packbits(rows, axis=1), k)
     if len(distinct) < len(keys):
         raise ValueError("two report keys hold the same report; one count would be lost")

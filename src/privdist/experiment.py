@@ -241,7 +241,8 @@ def _inverted(mech: FiniteMechanism, obs) -> np.ndarray:
     """``inv_raw`` on the reports, kept for the last (mechanism, reports)
     pair, so that inv-n and inv-p on one replication share one solve.  Both
     are keyed by identity (neither defines equality) and held while cached,
-    so no other pair can take their key."""
+    so no other pair can take their key; ``run_experiment`` empties the
+    cache when its sweep ends."""
     v = inv_raw(to_empirical(obs), mech)
     v.flags.writeable = False
     return v
@@ -275,34 +276,37 @@ def run_experiment(config: ExperimentConfig) -> dict:
     rows = []
     cells: dict = {}
     failures = runs = 0
-    for eps in config.eps_grid() or [0.0]:
-        mech = build_mechanism(mech_name, alphabet, eps)
-        for rep in range(config.replications):
-            obs = obfuscate_dataset(mech, data.values, derive_rng(config.master_seed, 1, rep))
-            for est in config.estimators:
-                runs += 1
-                head = [mech_name, eps, est, rep]
-                start = time.perf_counter()
-                try:
-                    estimate, result = run_estimator(est, mech, obs, alphabet)
-                except PrivDistError as exc:
-                    failures += 1
-                    rows.append([*head, "", "", f"{1000.0 * (time.perf_counter() - start):.3f}",
-                                 f"error:{type(exc).__name__}"])
-                    continue
-                runtime_ms = f"{1000.0 * (time.perf_counter() - start):.3f}"
-                status = "unconverged" if result is not None and not result.converged else "ok"
-                failed = False
-                for metric in config.metrics:
+    try:
+        for eps in config.eps_grid() or [0.0]:
+            mech = build_mechanism(mech_name, alphabet, eps)
+            for rep in range(config.replications):
+                obs = obfuscate_dataset(mech, data.values, derive_rng(config.master_seed, 1, rep))
+                for est in config.estimators:
+                    runs += 1
+                    head = [mech_name, eps, est, rep]
+                    start = time.perf_counter()
                     try:
-                        value = METRICS[metric](estimate, truth)
+                        estimate, result = run_estimator(est, mech, obs, alphabet)
                     except PrivDistError as exc:
-                        failed = True
-                        rows.append([*head, metric, "", runtime_ms, f"error:{type(exc).__name__}"])
+                        failures += 1
+                        rows.append([*head, "", "", f"{1000.0 * (time.perf_counter() - start):.3f}",
+                                     f"error:{type(exc).__name__}"])
                         continue
-                    rows.append([*head, metric, f"{value:.10g}", runtime_ms, status])
-                    cells.setdefault((mech_name, eps, est, metric), []).append(value)
-                failures += failed
+                    runtime_ms = f"{1000.0 * (time.perf_counter() - start):.3f}"
+                    status = "unconverged" if result is not None and not result.converged else "ok"
+                    failed = False
+                    for metric in config.metrics:
+                        try:
+                            value = METRICS[metric](estimate, truth)
+                        except PrivDistError as exc:
+                            failed = True
+                            rows.append([*head, metric, "", runtime_ms, f"error:{type(exc).__name__}"])
+                            continue
+                        rows.append([*head, metric, f"{value:.10g}", runtime_ms, status])
+                        cells.setdefault((mech_name, eps, est, metric), []).append(value)
+                    failures += failed
+    finally:
+        _inverted.cache_clear()  # the last mechanism's matrix is not kept alive
 
     with open(raw_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -42,6 +42,10 @@ from .errors import (
 _PLANAR_TAIL = 1e-12
 _STRIP_ROWS = 64
 
+# Uniforms per block of a RAPPOR draw (512 KB of floats); larger blocks are
+# hardly faster.
+_RAPPOR_BLOCK = 2 ** 16
+
 
 def require_eps(eps: float, zero_ok: bool = False):
     """The one epsilon rule: NaN and negative values are rejected, and so is 0
@@ -384,9 +388,10 @@ def canonical_rows(packed: np.ndarray, k: int) -> tuple:
 def rappor_bits(zs, k: int) -> np.ndarray:
     """RAPPOR reports as a (len(zs), k) uint8 0/1 matrix.  ``zs`` is such a
     matrix already (the store of a drawn ``ObservationSet``), returned
-    unchanged after one check, or a sequence of tuples or lists of k ints.
-    A matrix of another width, dtype or dimension, or with an entry above 1,
-    raises the errors of the tuple form."""
+    unchanged after one check, or a sequence of tuples or lists of k ints,
+    each 0 or 1 (True and False are refused, as a report file cannot hold
+    them).  A matrix of another width, dtype or dimension, or with an entry
+    above 1, raises the errors of the tuple form."""
     if isinstance(zs, np.ndarray):
         if zs.ndim != 2 or zs.shape[1] != k:
             raise LengthMismatchError(f"reports must be bit vectors of length {k}, the alphabet size")
@@ -401,6 +406,8 @@ def rappor_bits(zs, k: int) -> np.ndarray:
         bits = None
     if bits is None or np.any(bits > 1):
         raise ObservationOutsideDomainError("report entries must be 0 or 1")
+    if any(bool in map(type, z) for z in zs):
+        raise ObservationOutsideDomainError("report entries must be 0 or 1, not true or false")
     return bits
 
 
@@ -426,7 +433,12 @@ class BitVectorMechanism(Mechanism):
     def kernel(self, xs: Sequence, zs: Sequence) -> np.ndarray:
         # The kernel depends on a report only through (beta_x, S), so the
         # closed form is evaluated once per pair, in the same scalar
-        # arithmetic as a single-cell evaluation.
+        # arithmetic as a single-cell evaluation.  The bits are copied once
+        # as C-ordered (k, m) columns; each report's S is their column sum,
+        # exact in the smallest integer type that holds k, and picks the
+        # report's two values.  One np.where over the needed columns (a
+        # second copy only for a subset of rows, so the common call holds no
+        # more than one) writes the C-ordered matrix that ObsMatrix keeps.
         k = self.input_alphabet.size
         bits = rappor_bits(zs, k)
         rows = [self.input_alphabet.index(x) for x in xs]
@@ -437,26 +449,32 @@ class BitVectorMechanism(Mechanism):
              for e in (0.5 + 0.5 * float(s) - float(b) for s in range(k + 1))]
             for b in (0, 1)
         ])
+        columns = np.ascontiguousarray(bits.T)
+        ones = columns.sum(axis=0, dtype=np.min_scalar_type(k))
+        if rows != list(range(k)):
+            columns = columns[rows]
         # rappor_bits has checked every byte is 0 or 1, so it reads as a bool
-        own, ones = bits[:, rows].T.view(bool), bits.sum(axis=1)
-        return np.where(own, table[1, ones], table[0, ones])
+        return np.where(columns.view(bool), table[1, ones], table[0, ones])
 
     def draw(self, xs: Sequence, counts: Sequence, rng: np.random.Generator):
-        # Per input, one (count, k) uniform block: a bit is flipped where its
-        # draw is not below keep_prob, so the report is the flips with the
-        # own bit inverted.  Reports are packed to bytes as they are drawn,
-        # so no (n, k) float buffer exists, and ``canonical_rows`` counts
-        # them.
+        # Reports are drawn in input order, k uniforms each, in blocks of
+        # _RAPPOR_BLOCK uniforms that span inputs: a bit is flipped where its
+        # draw is not below keep_prob, and each report's own input bit is
+        # inverted.  That is the stream one (count, k) block per input would
+        # read, so reports and the generator's end state do not depend on
+        # the block size.  Blocks are packed to bytes as they are drawn, so
+        # no (n, k) float buffer exists; ``canonical_rows`` counts them.
         k = self.input_alphabet.size
-        width = (k + 7) // 8
         keep = self.keep_prob
-        packed = [np.zeros((0, width), dtype=np.uint8)]
-        for x, count in zip(xs, counts):
-            i = self.input_alphabet.index(x)
-            noisy = rng.random((count, k)) >= keep
-            noisy[:, i] ^= True
-            packed.append(np.packbits(noisy, axis=1))
-        bits, where = canonical_rows(np.concatenate(packed), k)
+        own = np.repeat(np.array([self.input_alphabet.index(x) for x in xs], np.min_scalar_type(k)),
+                        counts)
+        step = max(1, _RAPPOR_BLOCK // k)
+        packed = np.empty((own.size, (k + 7) // 8), dtype=np.uint8)
+        for lo in range(0, own.size, step):
+            noisy = rng.random((min(step, own.size - lo), k)) >= keep
+            noisy[np.arange(len(noisy)), own[lo:lo + step]] ^= True
+            packed[lo:lo + step] = np.packbits(noisy, axis=1)
+        bits, where = canonical_rows(packed, k)
         return bits, np.bincount(where, minlength=len(bits))
 
     def params_dict(self):

@@ -196,6 +196,23 @@ class TestExperiment:
         cfg = base_config(tmp_path, estimators=["inv-n", "ibu", "inv-p"], replications=3)
         assert main(["experiment", "--config", cfg]) == 0
         assert len(calls) == 3
+
+    def test_sweep_leaves_no_inversion_cached(self, tmp_path, monkeypatch):
+        # the cached inversion holds its mechanism, whose matrix grows as k^2,
+        # so a finished sweep, or one that raised, keeps neither
+        base_config(tmp_path, mechanism={"name": "geometric", "eps": [2.0]},
+                    estimators=["inv-n", "inv-p"], replications=2)
+        cfg = ExperimentConfig.from_dict(json.loads((tmp_path / "config.json").read_text()))
+        experiment.run_experiment(cfg)
+        assert experiment._inverted.cache_info().currsize == 0
+
+        def broken(p, q):
+            raise RuntimeError("not a PrivDistError")
+
+        monkeypatch.setitem(experiment.METRICS, "tv", broken)
+        with pytest.raises(RuntimeError):
+            experiment.run_experiment(cfg)
+        assert experiment._inverted.cache_info().currsize == 0
     def test_identity_rows_have_zero_emd(self, tmp_path):
         cfg = base_config(tmp_path, mechanism={"name": "identity", "eps": [0.0]},
                           estimators=["ibu"], replications=1)

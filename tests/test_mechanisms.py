@@ -38,6 +38,7 @@ from privdist.dataio import Explicit, empirical_distribution, sample_synthetic
 from privdist.estimators import rappor_bit_counts
 from privdist.experiment import MECHANISMS, build_mechanism
 from privdist.mechanisms import (
+    _RAPPOR_BLOCK,
     BitVectorMechanism,
     build_exponential,
     build_geometric_linear,
@@ -432,10 +433,18 @@ class TestRappor:
             obs_matrix(mech, ObservationSet({(0, 1, 0): 3, (0, 2, 0): 1}))
 
     def test_bits_of_reports(self):
-        reports = [(0, 1, 0), [1, 1, 0], (True, False, True)]
+        reports = [(0, 1, 0), [1, 1, 0], (1, 0, 1)]
         bits = rappor_bits(reports, 3)
         assert bits.tolist() == [[0, 1, 0], [1, 1, 0], [1, 0, 1]]
         assert rappor_bits([], 3).shape == (0, 3)
+
+    def test_boolean_entries_refused(self):
+        # a report file writes True as "true", which no reader takes back as a bit
+        with pytest.raises(ObservationOutsideDomainError, match="not true or false"):
+            rappor_bits([(0, 1, 0), (True, False, True)], 3)
+        mech = build_rappor(LinearAlphabet.range(0, 1), 1.0)
+        with pytest.raises(ObservationOutsideDomainError, match="not true or false"):
+            obs_matrix(mech, ObservationSet({(True, False): 3, (0, 1): 2}))
 
     @pytest.mark.parametrize("entry", [2, 256, -1, 1.0, "1", None])
     def test_report_entry_outside_domain(self, entry):
@@ -516,6 +525,71 @@ class TestRapporReportStore:
             rappor_bits(matrix, 3)
         with pytest.raises(error):
             rappor_bits(tuples, 3)
+
+
+class TestRapporBlocksAndColumns:
+    """``draw`` reads the generator in fixed blocks of reports that span
+    inputs, and ``kernel`` reads contiguous bit columns; byte for byte, they
+    must give what a draw of one block per input and the closed form
+    evaluated cell by cell give."""
+
+    @staticmethod
+    def closed_form(k, eps, reports) -> np.ndarray:
+        # p^k * e^(-(1/2 + S/2 - beta_x) * eps), one scalar per cell
+        pk = (1.0 / (1.0 + math.exp(-eps / 2.0))) ** k
+        return np.array([[pk * math.exp(-(0.5 + 0.5 * float(sum(z)) - float(z[x])) * eps)
+                          for z in reports.tolist()] for x in range(k)])
+
+    @staticmethod
+    def state(rng) -> str:
+        return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+    @pytest.mark.parametrize("k", [2, 7, 64, 71, 130])
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+    def test_draw_matches_one_block_per_input(self, bit_generator, k):
+        # two whole blocks and a partial one, over inputs of which some draw nothing
+        alphabet = LinearAlphabet.range(0, k - 1)
+        mech = build_rappor(alphabet, 1.5)
+        n = 2 * (_RAPPOR_BLOCK // k) + 37
+        counts = np.random.default_rng(k).multinomial(n, np.full(k, 1.0 / k)).tolist()
+        rng, ref = (np.random.Generator(bit_generator(k)) for _ in range(2))
+        bits, cnts = mech.draw(alphabet.values, counts, rng)
+        want_bits, want_cnts = void_sort_draw(mech, alphabet.values, counts, ref)
+        np.testing.assert_array_equal(bits, want_bits)
+        np.testing.assert_array_equal(cnts, want_cnts)
+        assert self.state(rng) == self.state(ref)
+
+    @pytest.mark.parametrize("k", [2, 7, 64, 71, 130])
+    def test_matrix_equals_closed_form(self, k):
+        alphabet = LinearAlphabet.range(0, k - 1)
+        eps = 1.5
+        mech = build_rappor(alphabet, eps)
+        data = np.random.default_rng(k).integers(0, k, size=600).tolist()
+        obs = obfuscate_dataset(mech, data, np.random.default_rng(k + 1))
+        want = self.closed_form(k, eps, obs.reports)
+        G = obs_matrix(mech, obs)
+        assert G.matrix.flags.c_contiguous
+        assert G.matrix.tobytes() == want.tobytes()
+        sub = LinearAlphabet(alphabet.values[::3])
+        assert obs_matrix(mech, obs, alphabet=sub).matrix.tobytes() == want[::3].tobytes()
+        block = mech.kernel([k - 1, 0], obs.reports)
+        assert block.flags.c_contiguous
+        assert block.tobytes() == want[[k - 1, 0]].tobytes()
+
+    def test_draw_holds_no_float_block(self):
+        # an (n, k) float64 buffer alone would take n * k * 8 bytes (51 MB)
+        alphabet = LinearAlphabet.range(0, 63)
+        mech = build_rappor(alphabet, 1.0)
+        n = 100_000
+        counts = np.random.default_rng(0).multinomial(n, np.full(64, 1.0 / 64))
+        tracemalloc.start()
+        try:
+            bits, cnts = mech.draw(alphabet.values, counts, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cnts.sum() == n
+        assert peak < n * 64 * 8 / 2
 
 
 class TestRapporWordSort:
